@@ -8,9 +8,9 @@ which the internally built matrices are gated on every construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +78,16 @@ def zn_valid_weights(n: int) -> List[int]:
     return out
 
 
+def _cyclic_ring(n: int) -> FusionRing:
+    """Z_n fusion rules on labels [0]..[n-1]; conjugation j -> -j."""
+    N = np.zeros((n, n, n), dtype=int)
+    for j1 in range(n):
+        for j2 in range(n):
+            N[j1, j2, (j1 + j2) % n] = 1
+    names = [f"[{j}]" for j in range(n)]
+    return FusionRing(names, N, conj=[(-j) % n for j in range(n)])
+
+
 def zn_model(n: int, a: int) -> ModelSpec:
     """Z_n model with h_j = a j^2 / 2n; a taken mod 2n.
 
@@ -89,14 +99,8 @@ def zn_model(n: int, a: int) -> ModelSpec:
     a = a % (2 * n)
     if math.gcd(a, n) != 1 or (n % 2 == 1 and a % 2 == 1):
         raise ValueError(f"invalid weight a={a} for Z_{n}")
-    N = np.zeros((n, n, n), dtype=int)
-    for j1 in range(n):
-        for j2 in range(n):
-            N[j1, j2, (j1 + j2) % n] = 1
-    names = [f"[{j}]" for j in range(n)]
-    ring = FusionRing(names, N, conj=[(-j) % n for j in range(n)])
     h = [Fraction(a * j * j, 2 * n) for j in range(n)]
-    return ModelSpec(ring, SpinAssignment(h), name=f"zn:{n}:{a}")
+    return ModelSpec(_cyclic_ring(n), SpinAssignment(h), name=f"zn:{n}:{a}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +195,8 @@ def sun_current_model(n: int, k: int) -> ModelSpec:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    N = np.zeros((n, n, n), dtype=int)
-    for j1 in range(n):
-        for j2 in range(n):
-            N[j1, j2, (j1 + j2) % n] = 1
-    names = [f"[{j}]" for j in range(n)]
-    ring = FusionRing(names, N, conj=[(-j) % n for j in range(n)])
     h = [Fraction(k * j * (n - j), 2 * n) for j in range(n)]
-    return ModelSpec(ring, SpinAssignment(h), name=f"sun_currents:{n}:{k}")
+    return ModelSpec(_cyclic_ring(n), SpinAssignment(h), name=f"sun_currents:{n}:{k}")
 
 
 # ---------------------------------------------------------------------------

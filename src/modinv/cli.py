@@ -32,12 +32,16 @@ from .extensions import (
     zn_invariant_table,
 )
 from .fusion import FusionRing, verify_axioms
-from .graphs import Graph, ade_assignment, graph_catalog
+from .graphs import Graph, ade_assignment
 from .modular import ModelSpec, SpinAssignment, build, relation_residuals
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+
+# Bound on ||Omega Y Omega Y Omega - z Y|| relative to w for model files;
+# every catalog model stays below 1e-13 w.
+OMEGA_Y_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +67,36 @@ def model_to_json(spec: ModelSpec) -> Dict[str, object]:
 
 
 def model_from_json(data: Dict[str, object]) -> ModelSpec:
-    """Inverse of model_to_json; the ring axioms are re-verified."""
-    labels = data["labels"]
+    """Inverse of model_to_json; the ring axioms and the Omega-Y relation
+    are re-verified.  Malformed or inconsistent input raises ValueError."""
+    try:
+        labels = sorted(data["labels"], key=lambda l: int(l["index"]))
+        names = [str(l["name"]) for l in labels]
+        h = [Fraction(str(l["h"])) for l in labels]
+        fusion = [[int(x) for x in entry] for entry in data["fusion"]]
+        conj = [int(x) for x in data["conjugation"]]
+    except KeyError as exc:
+        raise ValueError(f"model has no {exc} entry") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed model: {exc}") from None
     m = len(labels)
-    names = [str(l["name"]) for l in sorted(labels, key=lambda l: int(l["index"]))]
     N = np.zeros((m, m, m), dtype=int)
-    for l, mu, nu, mult in data["fusion"]:
-        N[int(l), int(mu), int(nu)] = int(mult)
-    ring = FusionRing(names, N, conj=[int(x) for x in data["conjugation"]])
+    for l, mu, nu, mult in fusion:
+        if not all(0 <= x < m for x in (l, mu, nu)):
+            raise ValueError(f"fusion entry {[l, mu, nu, mult]} has a label "
+                             f"outside 0..{m - 1}")
+        N[l, mu, nu] = mult
+    ring = FusionRing(names, N, conj=conj)
     problems = verify_axioms(ring)
     if problems:
         raise ValueError("; ".join(problems))
-    h = [Fraction(str(l["h"])) for l in sorted(labels, key=lambda l: int(l["index"]))]
-    return ModelSpec(ring, SpinAssignment(h), name=str(data.get("name", "")))
+    spec = ModelSpec(ring, SpinAssignment(h), name=str(data.get("name", "")))
+    md = build(spec)
+    resid = relation_residuals(md)["omega_y"]
+    if resid > OMEGA_Y_TOL * md.w:
+        raise ValueError(f"weights inconsistent with the fusion rules "
+                         f"(Omega-Y residual {resid:.3g})")
+    return spec
 
 
 def matrix_to_json(Z: np.ndarray) -> List[List[int]]:
@@ -165,11 +186,18 @@ def graph_to_dot(graph: Graph) -> str:
 # ---------------------------------------------------------------------------
 # helpers
 
+class _UsageError(Exception):
+    """A usage error that main() reports as 'error: ...' with exit 1."""
+
+
 def _load_model(name: str) -> ModelSpec:
-    if name.endswith(".json"):
-        with open(name) as f:
-            return model_from_json(json.load(f))
-    return model_by_name(name)
+    try:
+        if name.endswith(".json"):
+            with open(name) as f:
+                return model_from_json(json.load(f))
+        return model_by_name(name)
+    except (ValueError, OSError) as exc:
+        raise _UsageError(exc) from None
 
 
 def _fmt_complex(x: complex) -> str:
@@ -192,10 +220,9 @@ def cmd_model(args: argparse.Namespace) -> int:
     if args.action == "validate":
         try:
             with open(args.name) as f:
-                data = json.load(f)
-            spec = model_from_json(data)
+                spec = model_from_json(json.load(f))
             md = build(spec)
-        except (OSError, KeyError, TypeError) as exc:
+        except OSError as exc:
             print(f"cannot read model: {exc}", file=sys.stderr)
             return EXIT_VERIFY
         except ValueError as exc:
@@ -206,11 +233,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # show
-    try:
-        spec = _load_model(args.name)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _load_model(args.name)
     md = build(spec)
     ring = spec.ring
     print(f"model {spec.name}: {ring.size} sectors, w = {md.w:.6f}")
@@ -234,14 +257,10 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_model(args.model)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _load_model(args.model)
     md = build(spec)
     basis = commutant_basis(md)
-    invs = enumerate_invariants(md)
+    invs = enumerate_invariants(md, basis=basis)
     print(
         f"{spec.name}: commutant rank {basis.r} ({basis.kind}"
         f"{', float basis' if not basis.exact else ''}), "
@@ -275,11 +294,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_model(args.model)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _load_model(args.model)
     md = build(spec)
     invs = enumerate_invariants(md)
     print(f"{spec.name}: {len(invs)} invariants")
@@ -302,11 +317,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_model(args.model)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _load_model(args.model)
     if not spec.name.startswith("su2:"):
         print("graph assignment covers su2 models only", file=sys.stderr)
         return EXIT_USAGE
@@ -331,11 +342,7 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_model(args.model)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _load_model(args.model)
     records = rehren_admissible(spec)
     print(f"{spec.name}: cyclic current subgroups")
     for r in records:
@@ -462,6 +469,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return int(args.func(args))
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,6 +38,9 @@ EXACT_TOL = 1e-8
 FINAL_TOL = 1e-7
 INT_TOL = 1e-6
 MAX_DEN = 10 ** 6
+NODE_CAP = 10 ** 8
+BRUTE_NODE_CAP = 10 ** 7
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def t_support(spins: SpinAssignment) -> List[List[int]]:
@@ -61,16 +64,18 @@ class CommutantBasis:
     """Echelonized basis of the commutant restricted to the T-support.
 
     kind is "modular" (commutant of S) or "Y-commutant" (degenerate
-    data, Y replaces S).  mats is the float basis stacked (r, m, m);
-    exact_rows holds the rationalized echelon rows over `cells` when the
-    reconstruction verified, else None and `warning` explains.
+    data, Y replaces S).  mats is the float basis stacked (r, m, m).
+    When the rationalization verified, the exact echelon rows over
+    `cells` are num / den: num an int64 (r, len(cells)) array and den
+    the common denominator; otherwise num is None and `warning` explains.
     """
 
     kind: str
     cells: List[Tuple[int, int]]
     pivot_cells: List[Tuple[int, int]]
     mats: np.ndarray
-    exact_rows: Optional[List[List[Fraction]]]
+    num: Optional[np.ndarray]
+    den: int = 1
     warning: Optional[str] = None
 
     @property
@@ -79,7 +84,23 @@ class CommutantBasis:
 
     @property
     def exact(self) -> bool:
-        return self.exact_rows is not None
+        return self.num is not None
+
+
+def _operator(md: ModularData) -> Tuple[np.ndarray, str, float]:
+    """The operator K the invariants commute with, its kind, and the
+    tolerance on ||KZ - ZK||: S for nondegenerate data, else Y."""
+    if md.nondegenerate and md.S is not None:
+        return md.S, "modular", FINAL_TOL
+    return md.Y, "Y-commutant", FINAL_TOL * max(1.0, float(np.linalg.norm(md.Y)))
+
+
+def _scatter(rows: np.ndarray, cells: Sequence[Tuple[int, int]], m: int) -> np.ndarray:
+    """Stack (r, m, m) of matrices with each row's values on `cells`."""
+    mats = np.zeros((len(rows), m, m))
+    l, mu = np.array(cells).T
+    mats[:, l, mu] = rows
+    return mats
 
 
 def _commutation_matrix(K: np.ndarray, cells: Sequence[Tuple[int, int]]) -> np.ndarray:
@@ -117,88 +138,71 @@ def _rref(rows: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     return R, pivots
 
 
-def commutant_basis(md: ModularData, rank_tol: float = RANK_TOL) -> CommutantBasis:
+def _rationalize(R: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """Integer rows num and a common denominator den with num / den = R,
+    or None when some entry has no small-denominator reconstruction.
+
+    A value is accepted as exact only when two reconstructions with very
+    different denominator caps agree; an irrational entry fails this.
+    """
+    fracs: List[Fraction] = []
+    for x in R.ravel().tolist():
+        f = Fraction(x).limit_denominator(10 ** 4)
+        if f != Fraction(x).limit_denominator(MAX_DEN) or abs(float(f) - x) > 1e-9:
+            return None
+        fracs.append(f)
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    if max(den, *map(abs, ints)) > INT64_MAX:
+        return None
+    return np.array(ints, dtype=np.int64).reshape(R.shape), den
+
+
+def commutant_basis(md: ModularData) -> CommutantBasis:
     """Deterministic echelon basis of {Z real : KZ = ZK, supp Z in cells}.
 
     K is S for nondegenerate data and Y otherwise.
     """
-    if md.nondegenerate and md.S is not None:
-        K, kind = md.S, "modular"
-    else:
-        K, kind = md.Y, "Y-commutant"
+    K, kind, _ = _operator(md)
     m = K.shape[0]
     cells = support_cells(md.spins)
     A = _commutation_matrix(K, cells)
     Ar = np.vstack([A.real, A.imag])
     _, s, Vh = np.linalg.svd(Ar, full_matrices=False)
-    cut = rank_tol * max(float(s[0]) if len(s) else 0.0, 1.0)
+    cut = RANK_TOL * max(float(s[0]) if len(s) else 0.0, 1.0)
     null = Vh[s < cut]
     if null.shape[0] == 0:
-        return CommutantBasis(kind, cells, [], np.zeros((0, m, m)), [], None)
+        return CommutantBasis(kind, cells, [], np.zeros((0, m, m)),
+                              np.zeros((0, len(cells)), dtype=np.int64))
 
     R, piv_idx = _rref(null)
     pivot_cells = [cells[c] for c in piv_idx]
 
-    # A value is accepted as exact only when two reconstructions with very
-    # different denominator caps agree; an irrational entry fails this.
-    exact_rows: Optional[List[List[Fraction]]] = []
-    for row in R:
-        ex_row: List[Fraction] = []
-        for x in row:
-            f1 = Fraction(float(x)).limit_denominator(10 ** 4)
-            f2 = Fraction(float(x)).limit_denominator(MAX_DEN)
-            if f1 != f2 or abs(float(f1) - float(x)) > 1e-9:
-                exact_rows = None
-                break
-            ex_row.append(f1)
-        if exact_rows is None:
-            break
-        exact_rows.append(ex_row)
-    warning = None
-    if exact_rows is None:
-        warning = "rationalization failed; using float basis"
-        basis_rows = R
-    else:
-        basis_rows = np.array(
-            [[float(f) for f in row] for row in exact_rows], dtype=float
-        )
-
-    mats = np.zeros((basis_rows.shape[0], m, m))
-    for i, row in enumerate(basis_rows):
-        for val, (l, mu) in zip(row, cells):
-            mats[i, l, mu] = val
-
-    scale = max(1.0, float(np.linalg.norm(K)))
-    worst = max(
-        float(np.linalg.norm(K @ B - B @ K)) for B in mats
-    )
-    if exact_rows is not None and worst > EXACT_TOL * scale:
-        exact_rows = None
+    exact = _rationalize(R)
+    warning = "rationalization failed; using float basis"
+    if exact is not None:
+        num, den = exact
+        mats = _scatter(num / den, cells, m)
+        scale = max(1.0, float(np.linalg.norm(K)))
+        worst = max(float(np.linalg.norm(K @ B - B @ K)) for B in mats)
+        if worst <= EXACT_TOL * scale:
+            return CommutantBasis(kind, cells, pivot_cells, mats, num, den)
         warning = "rationalized basis failed commutation recheck; using float basis"
-        mats = np.zeros((R.shape[0], m, m))
-        for i, row in enumerate(R):
-            for val, (l, mu) in zip(row, cells):
-                mats[i, l, mu] = val
-
-    return CommutantBasis(kind, cells, pivot_cells, mats, exact_rows, warning)
-
-
-def _final_tol(md: ModularData, kind: str) -> float:
-    if kind == "modular":
-        return FINAL_TOL
-    K = md.Y
-    return FINAL_TOL * max(1.0, float(np.linalg.norm(K)))
+    return CommutantBasis(kind, cells, pivot_cells, _scatter(R, cells, m), None,
+                          warning=warning)
 
 
 def enumerate_invariants(
-    md: ModularData, node_cap: int = 10 ** 8
+    md: ModularData, basis: Optional[CommutantBasis] = None
 ) -> List[np.ndarray]:
     """All physical invariants: integer Z >= 0, Z_00 = 1, [S, Z] = 0,
     supp Z in the T-support, Z_lm <= d_l d_m, sum Z <= w.
 
+    `basis` is commutant_basis(md), computed here when not given.
     Output is sorted by the flattened rows, so runs are reproducible.
     """
-    basis = commutant_basis(md)
+    if basis is None:
+        basis = commutant_basis(md)
     r = basis.r
     ring = md.ring
     m = ring.size
@@ -210,8 +214,7 @@ def enumerate_invariants(
     d = ring.d
     w = md.w
     dd = np.outer(d, d).ravel()
-    K = md.S if basis.kind == "modular" else md.Y
-    tol = _final_tol(md, basis.kind)
+    K, _, tol = _operator(md)
 
     ranges: List[range] = [range(1, 2)]
     total = 1
@@ -219,10 +222,16 @@ def enumerate_invariants(
         b = int(math.floor(d[l] * d[mu] + 1e-9))
         ranges.append(range(0, b + 1))
         total *= b + 1
-        if total > node_cap:
+        if total > NODE_CAP:
             raise RuntimeError(
-                f"search space exceeds {node_cap:.0e} candidate assignments"
+                f"search space exceeds {NODE_CAP:.0e} candidate assignments"
             )
+    # The exact recheck compares A @ num with Z * den in int64.
+    if basis.num is not None:
+        top = int(np.abs(basis.num).max()) * basis.den
+        if sum(rg.stop - 1 for rg in ranges) * top > INT64_MAX:
+            raise RuntimeError("exact recheck would overflow int64")
+        flat = [l * m + mu for l, mu in basis.cells]
 
     Bf = basis.mats.reshape(r, m * m)
     out: List[np.ndarray] = []
@@ -238,12 +247,13 @@ def enumerate_invariants(
         ok &= np.all(Zr >= 0.0, axis=1)
         ok &= np.all(Zr <= dd[None, :] + 1e-9, axis=1)
         ok &= Zr.sum(axis=1) <= w + 1e-6
-        for idx in np.nonzero(ok)[0]:
-            Z = Zr[idx].reshape(m, m).astype(int)
-            if basis.exact_rows is not None and not _exact_integral(
-                basis, [int(x) for x in block[idx]], Z
-            ):
-                continue
+        idx = np.nonzero(ok)[0]
+        Zi = Zr[idx].astype(int)
+        if basis.num is not None:
+            same = A[idx].astype(np.int64) @ basis.num == Zi[:, flat] * basis.den
+            Zi = Zi[np.all(same, axis=1)]
+        for z in Zi:
+            Z = z.reshape(m, m)
             if np.linalg.norm(K @ Z - Z @ K) >= tol:
                 continue
             out.append(Z)
@@ -251,21 +261,7 @@ def enumerate_invariants(
     return out
 
 
-def _exact_integral(
-    basis: CommutantBasis, coeffs: List[int], Z: np.ndarray
-) -> bool:
-    """Recheck sum a_i B_i over the exact rows: integral and equal to Z."""
-    assert basis.exact_rows is not None
-    for c, (l, mu) in enumerate(basis.cells):
-        v = sum(a * row[c] for a, row in zip(coeffs, basis.exact_rows))
-        if v.denominator != 1 or int(v) != int(Z[l, mu]):
-            return False
-    return True
-
-
-def brute_force_enumerate(
-    md: ModularData, node_cap: int = 10 ** 7
-) -> List[np.ndarray]:
+def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:
     """Reference oracle: direct search over all T-support cell values.
 
     Independent of the commutant computation; intended for small models
@@ -276,11 +272,7 @@ def brute_force_enumerate(
     d = ring.d
     w = md.w
     cells = support_cells(md.spins)
-    if md.nondegenerate and md.S is not None:
-        K, kind = md.S, "modular"
-    else:
-        K, kind = md.Y, "Y-commutant"
-    tol = _final_tol(md, kind)
+    K, _, tol = _operator(md)
 
     bounds = []
     total = 1
@@ -289,9 +281,9 @@ def brute_force_enumerate(
         bounds.append(b)
         if (l, mu) != (0, 0):
             total *= b + 1
-            if total > node_cap:
+            if total > BRUTE_NODE_CAP:
                 raise RuntimeError(
-                    f"brute-force space exceeds {node_cap:.0e} assignments"
+                    f"brute-force space exceeds {BRUTE_NODE_CAP:.0e} assignments"
                 )
 
     out: List[np.ndarray] = []
@@ -316,9 +308,7 @@ def brute_force_enumerate(
     return out
 
 
-def is_invariant(
-    md: ModularData, Z: np.ndarray, tol: float = FINAL_TOL
-) -> Tuple[bool, Dict[str, object]]:
+def is_invariant(md: ModularData, Z: np.ndarray) -> Tuple[bool, Dict[str, object]]:
     """Check one matrix against the physical-invariant conditions.
 
     Returns (flag, report) where report carries the individual residuals
@@ -331,10 +321,7 @@ def is_invariant(
         raise ValueError("matrix shape does not match the model")
     d = ring.d
     cells = set(support_cells(md.spins))
-    if md.nondegenerate and md.S is not None:
-        K, kind = md.S, "modular"
-    else:
-        K, kind = md.Y, "Y-commutant"
+    K, kind, tol = _operator(md)
 
     rep: Dict[str, object] = {"kind": kind}
     rep["integer"] = bool(np.all(Z == np.round(Z)))
@@ -352,6 +339,6 @@ def is_invariant(
         and rep["t_support"]
         and rep["pf_bounds"]
         and rep["sum_bound"]
-        and rep["commutation"] < (tol if kind == "modular" else _final_tol(md, kind))
+        and rep["commutation"] < tol
     )
     return bool(ok), rep

@@ -247,3 +247,59 @@ def test_cli_restrict(capsys):
     assert main(["restrict", "su10_to_su4", "bogus"]) == 1
     assert main(["restrict", "so8_to_su3", "conjugation"]) == 1
     assert main(["restrict", "e6_to_su3", "sweep"]) == 1
+
+
+def test_cli_enumerate_builds_basis_once(monkeypatch, capsys):
+    import modinv.cli
+    import modinv.commutant
+
+    calls = []
+    real = modinv.commutant.commutant_basis
+
+    def counting(md):
+        calls.append(md.name)
+        return real(md)
+
+    monkeypatch.setattr(modinv.cli, "commutant_basis", counting)
+    monkeypatch.setattr(modinv.commutant, "commutant_basis", counting)
+    assert main(["enumerate", "zn:6:1"]) == 0
+    assert calls == ["zn:6:1"]
+
+
+def z2_json(h1):
+    return {
+        "name": "z2",
+        "labels": [{"index": 0, "name": "0", "h": "0"}, {"index": 1, "name": "1", "h": h1}],
+        "fusion": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]],
+        "conjugation": [0, 1],
+    }
+
+
+def test_cli_malformed_model_files(tmp_path, capsys):
+    nolabels = tmp_path / "nolabels.json"
+    nolabels.write_text(json.dumps({"fusion": [], "conjugation": []}))
+    assert main(["enumerate", str(nolabels)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: model has no 'labels' entry\n"
+
+    data = {"labels": [{"index": 0, "name": "0", "h": "0"}],
+            "fusion": [[0, 0, 5, 1]], "conjugation": [0]}
+    with pytest.raises(ValueError, match="outside"):
+        model_from_json(data)
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps(data))
+    assert main(["model", "validate", str(outside)]) == 2
+    assert main(["enumerate", str(outside)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+
+
+def test_cli_rejects_weights_breaking_omega_y(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(z2_json("1/4")))
+    assert main(["model", "validate", str(good)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(z2_json("1/3")))
+    assert main(["model", "validate", str(bad)]) == 2
+    assert "Omega-Y" in capsys.readouterr().err
+    assert main(["enumerate", str(bad)]) == 1

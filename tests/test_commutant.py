@@ -15,6 +15,8 @@ from modinv import (
     t_support,
     zn_model,
 )
+from modinv import commutant
+from modinv.catalog import catalog_specs
 from modinv.commutant import support_cells
 
 
@@ -220,9 +222,46 @@ def test_degenerate_model_enumerates_against_y():
         assert np.array_equal(x, y)
 
 
-def test_node_cap_guards():
+def test_node_cap_guards(monkeypatch):
     md = build(su2_model(6))
+    monkeypatch.setattr(commutant, "NODE_CAP", 1)
     with pytest.raises(RuntimeError):
-        enumerate_invariants(md, node_cap=1)
+        enumerate_invariants(md)
+    monkeypatch.setattr(commutant, "BRUTE_NODE_CAP", 2)
     with pytest.raises(RuntimeError):
-        brute_force_enumerate(md, node_cap=2)
+        brute_force_enumerate(md)
+
+
+def test_exact_rows_reproduce_float_basis():
+    for spec in catalog_specs(28, 24):
+        basis = commutant_basis(build(spec))
+        assert basis.exact, spec.name
+        m = spec.ring.size
+        mats = np.zeros((basis.r, m, m))
+        for c, (l, mu) in enumerate(basis.cells):
+            mats[:, l, mu] = basis.num[:, c] / basis.den
+        assert np.array_equal(mats, basis.mats), spec.name
+
+
+def test_float_basis_fallbacks_enumerate_the_same(monkeypatch):
+    md = build(su2_model(16))
+    want = enumerate_invariants(md)
+    monkeypatch.setattr(commutant, "EXACT_TOL", -1.0)
+    basis = commutant_basis(md)
+    assert not basis.exact and "commutation recheck" in basis.warning
+    got = enumerate_invariants(md, basis=basis)
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    monkeypatch.setattr(commutant, "_rationalize", lambda R: None)
+    basis = commutant_basis(md)
+    assert not basis.exact and basis.warning == "rationalization failed; using float basis"
+    got = enumerate_invariants(md, basis=basis)
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_exact_recheck_refuses_int64_overflow():
+    md = build(su2_model(6))
+    basis = commutant_basis(md)
+    big = 2 ** 40
+    basis.num, basis.den = basis.num * big, basis.den * big
+    with pytest.raises(RuntimeError, match="int64"):
+        enumerate_invariants(md, basis=basis)
