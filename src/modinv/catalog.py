@@ -94,10 +94,9 @@ def zn_model(n: int, a: int) -> ModelSpec:
     The weight must be coprime to n, and even when n is odd, so that
     h is well defined on Z_n and conjugation symmetric.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    valid = zn_valid_weights(n)  # raises ValueError for n < 1
     a = a % (2 * n)
-    if math.gcd(a, n) != 1 or (n % 2 == 1 and a % 2 == 1):
+    if a not in valid:
         raise ValueError(f"invalid weight a={a} for Z_{n}")
     h = [Fraction(a * j * j, 2 * n) for j in range(n)]
     return ModelSpec(_cyclic_ring(n), SpinAssignment(h), name=f"zn:{n}:{a}")

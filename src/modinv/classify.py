@@ -215,14 +215,17 @@ def find_parents(
     plus = minus = None
     for i, P in enumerate(enumerated):
         P = np.asarray(P, dtype=int)
-        if not vacuum_symmetry(P):
+        # Decompose (the costly test) only a P that fills an empty slot.
+        fills_plus = plus is None and np.array_equal(P[:, 0], Z[:, 0])
+        fills_minus = minus is None and np.array_equal(P[0, :], Z[0, :])
+        if not (fills_plus or fills_minus) or not vacuum_symmetry(P):
             continue
         if type1_decomposition(P) is None:
             continue
-        if plus is None and np.array_equal(P[:, 0], Z[:, 0]):
-            plus = i
-        if minus is None and np.array_equal(P[0, :], Z[0, :]):
-            minus = i
+        plus = i if fills_plus else plus
+        minus = i if fills_minus else minus
+        if plus is not None and minus is not None:
+            break
     return {"plus": plus, "minus": minus}
 
 

@@ -1,10 +1,11 @@
 """Enumeration of nonnegative-integer matrices commuting with (S, Omega).
 
 The search space is cut down in three stages: the exact spin classes
-(T-support) restrict the allowed cells, the real S-commutant restricted
-to those cells is computed once by SVD and put into reduced row echelon
-form, and the integer points are then scanned through the pivot cells
-with Perron-Frobenius bounds Z_{lm} <= d_l d_m and sum Z <= w.
+(T-support) restrict the allowed cells; the real S-commutant on them is
+the nullspace of a closed-form |cells| x |cells| Gram matrix, found once
+by eigh and put into reduced row echelon form; and the integer points
+are scanned, on the cell values alone, through the pivot cells with
+Perron-Frobenius bounds Z_{lm} <= d_l d_m and sum Z <= w.
 
 The echelon basis is rationalized (small-denominator reconstruction) so
 that the accepted matrices can be re-verified exactly; if that fails we
@@ -97,22 +98,22 @@ def _operator(md: ModularData) -> Tuple[np.ndarray, str, float]:
 
 def _scatter(rows: np.ndarray, cells: Sequence[Tuple[int, int]], m: int) -> np.ndarray:
     """Stack (r, m, m) of matrices with each row's values on `cells`."""
-    mats = np.zeros((len(rows), m, m))
+    mats = np.zeros((len(rows), m, m), dtype=rows.dtype)
     l, mu = np.array(cells).T
     mats[:, l, mu] = rows
     return mats
 
 
-def _commutation_matrix(K: np.ndarray, cells: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Columns flatten K E_c - E_c K for the unit matrix of each cell."""
-    m = K.shape[0]
-    A = np.zeros((m * m, len(cells)), dtype=complex)
-    for c, (l, mu) in enumerate(cells):
-        col = np.zeros((m, m), dtype=complex)
-        col[:, mu] += K[:, l]
-        col[l, :] -= K[mu, :]
-        A[:, c] = col.ravel()
-    return A
+def _gram(K: np.ndarray, cells: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Re(A^H A) for A: Z on `cells` -> KZ - ZK.  At cells c = (l, mu),
+    c' = (l', mu') it is Re[d(mu, mu') (K^H K)[l, l'] + d(l, l') (K K^H)[mu', mu]]
+    - X[c, c'] - X[c', c], with X[c, c'] = Re(conj(K[l', l]) K[mu', mu])."""
+    l, mu = np.array(cells).T
+    li, lj, mi, mj = l[:, None], l[None, :], mu[:, None], mu[None, :]
+    X = (K[lj, li].conj() * K[mj, mi]).real
+    G = (mi == mj) * (K.conj().T @ K)[li, lj].real
+    G += (li == lj) * (K @ K.conj().T)[mj, mi].real
+    return G - X - X.T
 
 
 def _rref(rows: np.ndarray) -> Tuple[np.ndarray, List[int]]:
@@ -166,11 +167,8 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     K, kind, _ = _operator(md)
     m = K.shape[0]
     cells = support_cells(md.spins)
-    A = _commutation_matrix(K, cells)
-    Ar = np.vstack([A.real, A.imag])
-    _, s, Vh = np.linalg.svd(Ar, full_matrices=False)
-    cut = RANK_TOL * max(float(s[0]) if len(s) else 0.0, 1.0)
-    null = Vh[s < cut]
+    lam, V = np.linalg.eigh(_gram(K, cells))
+    null = V[:, lam < RANK_TOL * max(float(lam[-1]), 1.0)].T
     if null.shape[0] == 0:
         return CommutantBasis(kind, cells, [], np.zeros((0, m, m)),
                               np.zeros((0, len(cells)), dtype=np.int64))
@@ -213,7 +211,6 @@ def enumerate_invariants(
 
     d = ring.d
     w = md.w
-    dd = np.outer(d, d).ravel()
     K, _, tol = _operator(md)
 
     ranges: List[range] = [range(1, 2)]
@@ -231,9 +228,11 @@ def enumerate_invariants(
         top = int(np.abs(basis.num).max()) * basis.den
         if sum(rg.stop - 1 for rg in ranges) * top > INT64_MAX:
             raise RuntimeError("exact recheck would overflow int64")
-        flat = [l * m + mu for l, mu in basis.cells]
 
-    Bf = basis.mats.reshape(r, m * m)
+    # Every basis matrix vanishes off `cells`: scan the cell values only.
+    l, mu = np.array(basis.cells).T
+    B = basis.mats[:, l, mu]
+    dd = np.outer(d, d)[l, mu]
     out: List[np.ndarray] = []
     combos = itertools.product(*ranges)
     while True:
@@ -241,7 +240,7 @@ def enumerate_invariants(
         if not block:
             break
         A = np.asarray(block, dtype=float)
-        Zs = A @ Bf
+        Zs = A @ B
         Zr = np.round(Zs)
         ok = np.all(np.abs(Zs - Zr) < INT_TOL, axis=1)
         ok &= np.all(Zr >= 0.0, axis=1)
@@ -250,10 +249,9 @@ def enumerate_invariants(
         idx = np.nonzero(ok)[0]
         Zi = Zr[idx].astype(int)
         if basis.num is not None:
-            same = A[idx].astype(np.int64) @ basis.num == Zi[:, flat] * basis.den
+            same = A[idx].astype(np.int64) @ basis.num == Zi * basis.den
             Zi = Zi[np.all(same, axis=1)]
-        for z in Zi:
-            Z = z.reshape(m, m)
+        for Z in _scatter(Zi, basis.cells, m):
             if np.linalg.norm(K @ Z - Z @ K) >= tol:
                 continue
             out.append(Z)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .catalog import BranchingTable, branching_catalog
+from .catalog import BranchingTable, branching_catalog, zn_valid_weights
 from .fusion import simple_currents
 from .modular import ModelSpec
 
@@ -86,13 +86,6 @@ def rehren_admissible(spec: ModelSpec) -> List[ExtensionRecord]:
     return records
 
 
-def _extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _extended_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
 def zn_invariant(n: int, a: int, delta: int) -> np.ndarray:
     """The invariant Z^(delta) of the Z_n model, delta a divisor of
     n-tilde (= n for odd n, n/2 for even n).
@@ -104,11 +97,9 @@ def zn_invariant(n: int, a: int, delta: int) -> np.ndarray:
     depend on the Bezout representative; the canonical one makes runs
     reproducible.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    a = a % (2 * n)
-    if math.gcd(a, n) != 1 or (n % 2 == 1 and a % 2 == 1):
-        raise ValueError(f"invalid weight a={a} for Z_{n}")
+    valid = zn_valid_weights(n)  # raises ValueError for n < 1
+    if a % (2 * n) not in valid:
+        raise ValueError(f"invalid weight a={a % (2 * n)} for Z_{n}")
     nt = n if n % 2 == 1 else n // 2
     if delta < 1 or nt % delta != 0:
         raise ValueError(f"delta={delta} does not divide {nt}")
@@ -116,15 +107,8 @@ def zn_invariant(n: int, a: int, delta: int) -> np.ndarray:
     alpha = math.gcd(delta, nt // delta)
     u = nt // (delta * alpha)
     v = delta // alpha
-    g, x, y = _extended_gcd(u, v)
-    if g != 1:
-        raise RuntimeError("internal error: u, v not coprime")
-    r, s = x, -y  # r u - s v = 1
-    shift = s // u if u else 0
-    s -= shift * u
-    r -= shift * v
-    if not 0 <= s < max(u, 1):
-        raise RuntimeError("internal error: Bezout normalization failed")
+    s = -pow(v, -1, u) % u  # u, v are coprime, and 0 <= s < u
+    r = (1 + s * v) // u
     omega = r * u + s * v
 
     Z = np.zeros((n, n), dtype=int)

@@ -38,6 +38,9 @@ __all__ = [
 GAUSS_TOL = 1e-6
 UNITARITY_TOL = 1e-9
 DEGENERATE_TOL = 1e-6
+# Bound on ||Omega Y Omega Y Omega - z Y|| relative to w; every catalog
+# model stays below 1e-13 w.
+OMEGA_Y_TOL = 1e-9
 
 
 def _mod1(x: Fraction) -> Fraction:
@@ -147,10 +150,15 @@ def _conj_matrix(ring: FusionRing) -> np.ndarray:
     return C
 
 
+def _omega_y_residual(Omega: np.ndarray, Y: np.ndarray, z: complex) -> float:
+    return float(np.linalg.norm(Omega @ Y @ Omega @ Y @ Omega - z * Y))
+
+
 def build(spec: ModelSpec, allow_degenerate: bool = True) -> ModularData:
     """Assemble the modular data of a spec.
 
-    With allow_degenerate=True (default) a vanishing Gauss sum yields a
+    Weights that break the Omega-Y relation raise ValueError.  With
+    allow_degenerate=True (default) a vanishing Gauss sum yields a
     ModularData with S = T = c = None; with False it raises ValueError.
     """
     ring = spec.ring
@@ -161,6 +169,10 @@ def build(spec: ModelSpec, allow_degenerate: bool = True) -> ModularData:
     Omega = np.diag(om)
     Y = np.outer(om, om) * (ring.N @ (d / om))
     z = complex(np.sum(d * d * om))
+    resid = _omega_y_residual(Omega, Y, z)
+    if resid > OMEGA_Y_TOL * w:
+        raise ValueError(f"weights inconsistent with the fusion rules "
+                         f"(Omega-Y residual {resid:.3g})")
 
     if abs(z) < 1e-12 * max(w, 1.0):
         if not allow_degenerate:
@@ -269,8 +281,7 @@ def relation_residuals(md: ModularData) -> Dict[str, float]:
     nondegenerate.
     """
     out: Dict[str, float] = {}
-    Om, Y, z = md.Omega, md.Y, md.z
-    out["omega_y"] = float(np.linalg.norm(Om @ Y @ Om @ Y @ Om - z * Y))
+    out["omega_y"] = _omega_y_residual(md.Omega, md.Y, md.z)
     if not md.nondegenerate or md.S is None or md.T is None:
         return out
     S, T, C = md.S, md.T, md.C.astype(float)

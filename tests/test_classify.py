@@ -13,11 +13,13 @@ from modinv import (
     type1_decomposition,
     zn_model,
 )
+from modinv import classify
 from modinv.catalog import (
     SO16_HETEROTIC_Z,
     SO16_PARENT_MINUS,
     SO16_PARENT_PLUS,
     branching_catalog,
+    model_by_name,
     su4_charge_conjugation,
 )
 from modinv.classify import (
@@ -224,3 +226,42 @@ def test_classify_d5_automorphism():
 def test_gram_node_cap():
     with pytest.raises(RuntimeError):
         type1_decomposition(d10_matrix(), node_cap=1)
+
+
+def _parents_by_full_scan(Z, enumerated):
+    """The parent search as one loop that decomposes every symmetric P."""
+    plus = minus = None
+    for i, P in enumerate(enumerated):
+        if not vacuum_symmetry(P) or classify.type1_decomposition(P) is None:
+            continue
+        if plus is None and np.array_equal(P[:, 0], Z[:, 0]):
+            plus = i
+        if minus is None and np.array_equal(P[0, :], Z[0, :]):
+            minus = i
+    return {"plus": plus, "minus": minus}
+
+
+@pytest.mark.parametrize("name, calls_new, calls_old",
+                         [("zn:96:1", 36, 100), ("sun_currents:12:2", 4096, 4096)])
+def test_find_parents_matches_full_scan(monkeypatch, name, calls_new, calls_old):
+    # Same first indices as the full scan, with at most as many Gram
+    # decompositions.  In sun_currents:12:2 all 64 invariants share the
+    # vacuum row and column and only the last one is type I, so the scan
+    # still decomposes every candidate.
+    calls = []
+
+    def counting(P, *args, **kwargs):
+        calls.append(1)
+        return type1_decomposition(P, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "type1_decomposition", counting)
+    invs = enumerate_invariants(build(model_by_name(name)))
+    new_calls = old_calls = 0
+    for Z in invs:
+        calls.clear()
+        got = find_parents(Z, invs)
+        new_calls += len(calls)
+        calls.clear()
+        assert got == _parents_by_full_scan(Z, invs)
+        old_calls += len(calls)
+    assert (new_calls, old_calls) == (calls_new, calls_old)

@@ -303,3 +303,29 @@ def test_cli_rejects_weights_breaking_omega_y(tmp_path, capsys):
     assert main(["model", "validate", str(bad)]) == 2
     assert "Omega-Y" in capsys.readouterr().err
     assert main(["enumerate", str(bad)]) == 1
+
+
+def test_cli_rejects_non_integral_multiplicity(tmp_path, capsys):
+    data = z2_json("1/4")
+    data["fusion"][3] = [1, 1, 0, 1.7]
+    with pytest.raises(ValueError, match="non-integer"):
+        model_from_json(data)
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(data))
+    assert main(["model", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-integer" in err
+
+
+@pytest.mark.parametrize("index", [[0, 0], [0, 2]], ids=["duplicate", "gap"])
+def test_cli_rejects_label_indices_not_a_permutation(tmp_path, capsys, index):
+    data = z2_json("1/4")
+    for label, i in zip(data["labels"], index):
+        label["index"] = i
+    with pytest.raises(ValueError, match="not a permutation"):
+        model_from_json(data)
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(data))
+    assert main(["model", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not a permutation" in err

@@ -1,8 +1,12 @@
 """T-support, commutant basis, and complete invariant enumeration."""
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modinv import (
     brute_force_enumerate,
@@ -13,10 +17,11 @@ from modinv import (
     so8_level1_model,
     su2_model,
     t_support,
+    tensor_product,
     zn_model,
 )
 from modinv import commutant
-from modinv.catalog import catalog_specs
+from modinv.catalog import catalog_specs, model_by_name, zn_valid_weights
 from modinv.commutant import support_cells
 
 
@@ -265,3 +270,94 @@ def test_exact_recheck_refuses_int64_overflow():
     basis.num, basis.den = basis.num * big, basis.den * big
     with pytest.raises(RuntimeError, match="int64"):
         enumerate_invariants(md, basis=basis)
+
+
+def commutation_matrix(K, cells):
+    """Columns flatten K E_c - E_c K for the unit matrix of each cell."""
+    m = K.shape[0]
+    A = np.zeros((m * m, len(cells)), dtype=complex)
+    for c, (l, mu) in enumerate(cells):
+        col = np.zeros((m, m), dtype=complex)
+        col[:, mu] += K[:, l]
+        col[l, :] -= K[mu, :]
+        A[:, c] = col.ravel()
+    return A
+
+
+def operator_and_cells(md):
+    K, _, _ = commutant._operator(md)
+    return K, support_cells(md.spins)
+
+
+@pytest.mark.parametrize("name", ["su2:16", "zn:96:1", "so8_1", "su2:4*su2:4",
+                                  "sun_currents:6:3"])
+def test_gram_matches_explicit_product(name):
+    specs = [model_by_name(f) for f in name.split("*")]
+    md = build(specs[0] if len(specs) == 1 else tensor_product(*specs))
+    K, cells = operator_and_cells(md)
+    A = commutation_matrix(K, cells)
+    G = commutant._gram(K, cells)
+    assert np.max(np.abs(G - (A.conj().T @ A).real)) < 1e-10
+
+
+def test_basis_rank_matches_svd_on_catalog():
+    for spec in catalog_specs(28, 24):
+        md = build(spec)
+        K, cells = operator_and_cells(md)
+        A = commutation_matrix(K, cells)
+        s = np.linalg.svd(np.vstack([A.real, A.imag]), compute_uv=False)
+        rank = int(np.sum(s < commutant.RANK_TOL * max(s[0], 1.0)))
+        assert commutant_basis(md).r == rank, spec.name
+
+
+def test_basis_and_scan_memory_zn128():
+    md = build(zn_model(128, 1))
+    tracemalloc.start()
+    try:
+        invs = enumerate_invariants(md, basis=commutant_basis(md))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert invs
+    assert peak < 100 * 2 ** 20
+
+
+BRUTE_SPACE = 10 ** 5
+
+
+def brute_space(spec):
+    """Number of assignments brute_force_enumerate walks, before pruning."""
+    d = spec.ring.d
+    total = 1
+    for l, mu in support_cells(spec.spins)[1:]:
+        total *= int(math.floor(d[l] * d[mu] + 1e-9)) + 1
+    return total
+
+
+@st.composite
+def small_zn(draw, n_max):
+    n = draw(st.integers(2, n_max))
+    return zn_model(n, draw(st.sampled_from(zn_valid_weights(n))))
+
+
+def small_su2(k_max):
+    return st.integers(1, k_max).map(su2_model)
+
+
+small_specs = st.one_of(
+    small_su2(5),
+    small_zn(8),
+    st.builds(tensor_product, st.one_of(small_su2(3), small_zn(4)),
+              st.one_of(small_su2(3), small_zn(4))),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(small_specs)
+def test_enumeration_matches_brute_force(spec):
+    assume(brute_space(spec) <= BRUTE_SPACE)
+    md = build(spec)
+    got = enumerate_invariants(md)
+    want = brute_force_enumerate(md)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

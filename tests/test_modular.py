@@ -192,3 +192,11 @@ def test_weights_normalized_mod_one():
     s = SpinAssignment([Fraction(0), Fraction(7, 4), Fraction(-1, 4)])
     assert s.h[1] == Fraction(3, 4)
     assert s.h[2] == Fraction(3, 4)
+
+
+def test_build_rejects_weights_breaking_omega_y():
+    ring = zn_model(2, 1).ring
+    md = build(ModelSpec(ring, SpinAssignment([Fraction(0), Fraction(1, 4)])))
+    assert relation_residuals(md)["omega_y"] < 1e-12
+    with pytest.raises(ValueError, match="Omega-Y residual"):
+        build(ModelSpec(ring, SpinAssignment([Fraction(0), Fraction(1, 3)])))
