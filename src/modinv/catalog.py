@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .fusion import FusionRing
+from .fusion import FusionRing, fusion_tensor
 from .modular import ModelSpec, SpinAssignment, build
 
 __all__ = [
@@ -44,7 +44,7 @@ def su2_model(k: int) -> ModelSpec:
     if k < 1:
         raise ValueError("level must be a positive integer")
     m = k + 1
-    N = np.zeros((m, m, m), dtype=int)
+    N = fusion_tensor(m)
     for j1 in range(m):
         for j2 in range(m):
             lo = abs(j1 - j2)
@@ -80,7 +80,7 @@ def zn_valid_weights(n: int) -> List[int]:
 
 def _cyclic_ring(n: int) -> FusionRing:
     """Z_n fusion rules on labels [0]..[n-1]; conjugation j -> -j."""
-    N = np.zeros((n, n, n), dtype=int)
+    N = fusion_tensor(n)
     for j1 in range(n):
         for j2 in range(n):
             N[j1, j2, (j1 + j2) % n] = 1
@@ -132,7 +132,7 @@ SO16_PARENT_MINUS = np.array(
 
 def _z2z2_ring() -> FusionRing:
     names = ["0", "v", "s", "c"]
-    N = np.zeros((4, 4, 4), dtype=int)
+    N = fusion_tensor(4)
     for x in range(4):
         for y in range(4):
             N[x, y, x ^ y] = 1

@@ -5,10 +5,19 @@ current support criterion, integer Gram decompositions Z = b^T b (type I
 data), chiral index bookkeeping, and the parent search that attaches a
 pair of type I invariants to a general one through its vacuum row and
 column.
+
+The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
+(vacuum column) and sum_l Z_{0l} l (vacuum row), so they depend only on
+those two vectors and on the enumerated list.  A private index of the
+most recent list (keyed by its content) decides type I at most once per
+listed matrix and each parent once per distinct vacuum vector, which
+makes classifying a whole list linear in its length.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -106,7 +115,9 @@ def _gram_rows(
         # Build candidate rows v with v[lam] >= 1, entries bounded by the
         # diagonal and pairwise constraints, generated in descending
         # lexicographic order so the first full solution is canonical.
-        idxs = [lam] + [int(j) for j in live if j > lam]
+        # R >= 0 and v[lam] >= 1, so a j with R[lam, j] = 0 can only
+        # take the value 0: only the neighbours of lam are searched.
+        idxs = [lam] + [int(j) for j in live if j > lam and R[lam, j] > 0]
 
         def build(pos: int, v: np.ndarray):
             nodes[0] += 1
@@ -201,6 +212,67 @@ def sector_counts(Z: np.ndarray) -> Dict[str, int]:
     }
 
 
+class _ListIndex:
+    """Stacked vacuum columns and rows of one enumerated list.
+
+    Type I is decided at most once per listed matrix, on first need, and
+    the parent once per distinct vacuum vector.  A vacuum-symmetric P has
+    P[:, 0] = P[0, :], so the plus and minus searches share one memo.
+    Concurrent callers can at worst repeat a decision; the answer is the
+    same.
+    """
+
+    def __init__(self, key, mats: np.ndarray):
+        self.key = key
+        self.cols = mats[:, :, 0].copy()
+        self.rows = mats[:, 0, :].copy()
+        self.sym = np.all(self.cols == self.rows, axis=1)
+        self.tables: Dict[int, Optional[BranchingTable]] = {}
+        self.found: Dict[bytes, Optional[int]] = {}
+
+    def table(self, i: int, enumerated) -> Optional[BranchingTable]:
+        if i not in self.tables:
+            self.tables[i] = type1_decomposition(enumerated[i])
+        return self.tables[i]
+
+    def parents(self, Z: np.ndarray, enumerated) -> Dict[str, Optional[int]]:
+        return {"plus": self._parent(Z[:, 0], enumerated),
+                "minus": self._parent(Z[0, :], enumerated)}
+
+    def _parent(self, v: np.ndarray, enumerated) -> Optional[int]:
+        key = v.tobytes()
+        if key not in self.found:
+            hits = np.nonzero(self.sym & np.all(self.cols == v, axis=1))[0]
+            self.found[key] = next(
+                (int(i) for i in hits if self.table(int(i), enumerated) is not None),
+                None,
+            )
+        return self.found[key]
+
+    def branching(self, Z: np.ndarray, enumerated) -> Optional[BranchingTable]:
+        """Type I table of Z, from the memo when Z is in the list; always
+        a fresh object, so a caller's edits never reach the memo."""
+        same = np.all(self.cols == Z[:, 0], axis=1) & np.all(self.rows == Z[0], axis=1)
+        for i in np.nonzero(same)[0]:
+            if np.array_equal(enumerated[i], Z):
+                return copy.deepcopy(self.table(int(i), enumerated))
+        return type1_decomposition(Z)
+
+
+_last_index: Optional[_ListIndex] = None
+
+
+def _list_index(enumerated: Sequence[np.ndarray], m: int) -> _ListIndex:
+    """The index of `enumerated`; only the most recent list is kept."""
+    global _last_index
+    mats = np.ascontiguousarray(enumerated, dtype=np.int64).reshape(len(enumerated), m, m)
+    key = (mats.shape, hashlib.blake2b(mats, digest_size=16).digest())
+    index = _last_index
+    if index is None or index.key != key:
+        index = _last_index = _ListIndex(key, mats)
+    return index
+
+
 def find_parents(
     Z: np.ndarray, enumerated: Sequence[np.ndarray]
 ) -> Dict[str, Optional[int]]:
@@ -209,24 +281,12 @@ def find_parents(
     The plus parent is a type I invariant whose vacuum column equals the
     vacuum column of Z; the minus parent matches the vacuum row.  Returns
     indices into `enumerated` (first match each), None where no parent
-    exists in the list.
+    exists in the list.  The answer depends only on the vacuum column,
+    the vacuum row and the list, so calls for every Z of one list share
+    one index: each listed matrix is decomposed at most once.
     """
     Z = np.asarray(Z, dtype=int)
-    plus = minus = None
-    for i, P in enumerate(enumerated):
-        P = np.asarray(P, dtype=int)
-        # Decompose (the costly test) only a P that fills an empty slot.
-        fills_plus = plus is None and np.array_equal(P[:, 0], Z[:, 0])
-        fills_minus = minus is None and np.array_equal(P[0, :], Z[0, :])
-        if not (fills_plus or fills_minus) or not vacuum_symmetry(P):
-            continue
-        if type1_decomposition(P) is None:
-            continue
-        plus = i if fills_plus else plus
-        minus = i if fills_minus else minus
-        if plus is not None and minus is not None:
-            break
-    return {"plus": plus, "minus": minus}
+    return _list_index(enumerated, Z.shape[0]).parents(Z, enumerated)
 
 
 def _integer_combination(
@@ -317,7 +377,10 @@ def classify_invariant(
     ring = md.ring
     perm = permutation_test(Z, ring, md.spins)
     vac = vacuum_symmetry(Z)
-    b = type1_decomposition(Z) if vac else None
+    index = None if enumerated is None else _list_index(enumerated, Z.shape[0])
+    b = None
+    if vac:
+        b = type1_decomposition(Z) if index is None else index.branching(Z, enumerated)
     kind = "type I" if b is not None else "type II"
     return InvariantReport(
         Z=Z,
@@ -329,5 +392,5 @@ def classify_invariant(
         branching=b,
         indices=chiral_indices(Z, md),
         counts=sector_counts(Z),
-        parents=find_parents(Z, enumerated) if enumerated is not None else None,
+        parents=None if index is None else index.parents(Z, enumerated),
     )

@@ -31,7 +31,7 @@ from .extensions import (
     theta_vector,
     zn_invariant_table,
 )
-from .fusion import FusionRing, verify_axioms
+from .fusion import FusionRing, fusion_tensor, verify_axioms
 from .graphs import Graph, ade_assignment
 from .modular import ModelSpec, SpinAssignment, build
 
@@ -63,10 +63,13 @@ def model_to_json(spec: ModelSpec) -> Dict[str, object]:
 
 
 def _integers(values: Sequence[object], what: str) -> List[int]:
-    """The values as ints; a value that int() would truncate is refused."""
+    """The values as ints; a value that int() would truncate, or that does
+    not fit the int64 arrays it goes into, is refused."""
     out = [int(x) for x in values]
     if any(Fraction(str(x)) != v for x, v in zip(values, out)):
         raise ValueError(f"{what} {list(values)} has a non-integer value")
+    if any(not -2 ** 63 <= v < 2 ** 63 for v in out):
+        raise ValueError(f"{what} {list(values)} has a value beyond 64-bit integers")
     return out
 
 
@@ -88,7 +91,7 @@ def model_from_json(data: Dict[str, object]) -> ModelSpec:
     m = len(labels)
     if index != list(range(m)):
         raise ValueError(f"label indices {index} are not a permutation of 0..{m - 1}")
-    N = np.zeros((m, m, m), dtype=int)
+    N = fusion_tensor(m)
     for l, mu, nu, mult in fusion:
         if not all(0 <= x < m for x in (l, mu, nu)):
             raise ValueError(f"fusion entry {[l, mu, nu, mult]} has a label "

@@ -21,10 +21,23 @@ __all__ = [
     "verify_axioms",
     "frobenius_violations",
     "simple_currents",
+    "fusion_tensor",
 ]
 
 DIM_TOL = 1e-9
 CURRENT_TOL = 1e-6
+# Largest label count given a dense fusion tensor: m^3 int64 entries are
+# 128 MiB at 256 labels (zn:128:1 needs 16 MiB).
+MAX_LABELS = 256
+
+
+def fusion_tensor(m: int) -> np.ndarray:
+    """Zero m x m x m integer tensor for N; refuses m above MAX_LABELS
+    before allocating anything."""
+    if m > MAX_LABELS:
+        raise ValueError(f"{m} labels exceed the {MAX_LABELS}-label limit "
+                         f"of a dense fusion tensor")
+    return np.zeros((m, m, m), dtype=int)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fusion import FusionRing
+from .fusion import FusionRing, fusion_tensor
 
 __all__ = [
     "SpinAssignment",
@@ -256,7 +256,8 @@ def tensor_product(a: ModelSpec, b: ModelSpec) -> ModelSpec:
     ra, rb = a.ring, b.ring
     ma, mb = ra.size, rb.size
     m = ma * mb
-    N = np.einsum("ikp,jlq->ijklpq", ra.N, rb.N).reshape(m, m, m)
+    N = fusion_tensor(m)
+    np.einsum("ikp,jlq->ijklpq", ra.N, rb.N, out=N.reshape(ma, mb, ma, mb, ma, mb))
     names = [
         f"({ra.labels[i].name},{rb.labels[j].name})"
         for i in range(ma)

@@ -1,4 +1,6 @@
 """Invariant classification: permutations, type I/II, parents, indices."""
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from modinv.catalog import (
     SO16_PARENT_MINUS,
     SO16_PARENT_PLUS,
     branching_catalog,
+    catalog_names,
     model_by_name,
     su4_charge_conjugation,
 )
@@ -31,6 +34,7 @@ from modinv.classify import (
     zz_diagnostics,
 )
 from modinv.extensions import restrict
+from modinv.modular import tensor_product
 
 from test_commutant import d5_matrix, d10_matrix, e7_matrix
 
@@ -242,12 +246,13 @@ def _parents_by_full_scan(Z, enumerated):
 
 
 @pytest.mark.parametrize("name, calls_new, calls_old",
-                         [("zn:96:1", 36, 100), ("sun_currents:12:2", 4096, 4096)])
+                         [("zn:96:1", 10, 100), ("sun_currents:12:2", 64, 4096)])
 def test_find_parents_matches_full_scan(monkeypatch, name, calls_new, calls_old):
-    # Same first indices as the full scan, with at most as many Gram
-    # decompositions.  In sun_currents:12:2 all 64 invariants share the
-    # vacuum row and column and only the last one is type I, so the scan
-    # still decomposes every candidate.
+    # Same first indices as the full scan, with one Gram decomposition per
+    # vacuum-symmetric invariant of the list: the calls for every Z of
+    # one list share the list index.  In sun_currents:12:2 all 64
+    # invariants share the vacuum row and column and only the last one
+    # is type I, so each is decided once, not once per Z.
     calls = []
 
     def counting(P, *args, **kwargs):
@@ -255,6 +260,7 @@ def test_find_parents_matches_full_scan(monkeypatch, name, calls_new, calls_old)
         return type1_decomposition(P, *args, **kwargs)
 
     monkeypatch.setattr(classify, "type1_decomposition", counting)
+    monkeypatch.setattr(classify, "_last_index", None)
     invs = enumerate_invariants(build(model_by_name(name)))
     new_calls = old_calls = 0
     for Z in invs:
@@ -265,3 +271,120 @@ def test_find_parents_matches_full_scan(monkeypatch, name, calls_new, calls_old)
         assert got == _parents_by_full_scan(Z, invs)
         old_calls += len(calls)
     assert (new_calls, old_calls) == (calls_new, calls_old)
+
+
+def _same_table(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (np.array_equal(a.b, b.b) and a.row_names == b.row_names
+            and a.col_names == b.col_names and a.name == b.name)
+
+
+def test_list_index_does_not_leak_across_lists():
+    md_zn = build(model_by_name("zn:96:1"))
+    md_sun = build(model_by_name("sun_currents:12:2"))
+    zn = enumerate_invariants(md_zn)
+    sun = enumerate_invariants(md_sun)
+    rev = zn[::-1]
+    # Same vacuum row and column as zn[3] (type I), but not in the list.
+    outside = zn[3].copy()
+    outside[5, 7] += 1
+    assert not any(np.array_equal(outside, P) for P in zn)
+    calls = [(zn, md_zn, zn[0]), (sun, md_sun, sun[5]), (rev, md_zn, zn[0]),
+             (zn, md_zn, outside), ([], md_zn, zn[1]), (zn, md_zn, zn[3]),
+             (rev, md_zn, rev[1]), (sun, md_sun, sun[-1]), ([], md_zn, outside),
+             (rev, md_zn, outside), (zn, md_zn, zn[9])]
+    for invs, md, Z in calls:
+        expect = _parents_by_full_scan(Z, invs)
+        assert find_parents(Z, invs) == expect
+        rep = classify_invariant(Z, md, enumerated=invs)
+        assert rep.parents == expect
+        assert _same_table(rep.branching, type1_decomposition(Z))
+    assert find_parents(zn[0], rev)["plus"] == len(zn) - 1 - 3
+    assert find_parents(outside, zn) == {"plus": 3, "minus": 3}
+    assert classify_invariant(outside, md_zn, enumerated=zn).kind == "type II"
+
+
+def test_report_branching_is_fresh_per_report():
+    md = build(model_by_name("zn:96:1"))
+    invs = enumerate_invariants(md)
+    rep = classify_invariant(invs[3], md, enumerated=invs)
+    assert rep.kind == "type I"
+    kept = rep.branching.b.copy()
+    rep.branching.b[...] = 7
+    rep.branching.row_names.append("extra")
+    again = classify_invariant(invs[3], md, enumerated=invs)
+    assert np.array_equal(again.branching.b, kept)
+    assert again.branching.row_names == [f"tau{t}" for t in range(kept.shape[0])]
+    assert _same_table(again.branching, type1_decomposition(invs[3]))
+
+
+def _gram_rows_unpruned(R, node_cap):
+    """The Gram search before pruning: every live j > lam is a position."""
+    m = R.shape[0]
+    nodes = [0]
+
+    def rec(R):
+        if not R.any():
+            return []
+        diag = np.diagonal(R)
+        if np.any(diag < 0):
+            return None
+        live = np.nonzero(diag > 0)[0]
+        if len(live) == 0:
+            return None
+        lam = int(live[0])
+        idxs = [lam] + [int(j) for j in live if j > lam]
+
+        def build_rows(pos, v):
+            nodes[0] += 1
+            if nodes[0] > node_cap:
+                raise RuntimeError("node cap")
+            if pos == len(idxs):
+                yield v.copy()
+                return
+            j = idxs[pos]
+            hi = math.isqrt(int(R[j, j]))
+            for prev in idxs[:pos]:
+                if v[prev]:
+                    hi = min(hi, int(R[prev, j]) // int(v[prev]))
+            lo = 1 if j == lam else 0
+            for val in range(hi, lo - 1, -1):
+                v[j] = val
+                yield from build_rows(pos + 1, v)
+            v[j] = 0
+
+        for v in build_rows(0, np.zeros(m, dtype=int)):
+            rest = rec(R - np.outer(v, v))
+            if rest is not None:
+                return [v] + rest
+        return None
+
+    return rec(R)
+
+
+def test_gram_pruning_gives_the_same_rows():
+    # The pruned search skips positions j with R[lam, j] = 0, which can
+    # only take the value 0; the rows found must not change.
+    names = catalog_names() + ["sun_currents:12:2", "sun_currents:8:4",
+                               "su2:4*su2:4", "zn:6:1*zn:6:1"]
+    found = missing = 0
+    for name in names:
+        specs = [model_by_name(f) for f in name.split("*")]
+        spec = specs[0] if len(specs) == 1 else tensor_product(*specs)
+        for Z in enumerate_invariants(build(spec)):
+            if not vacuum_symmetry(Z) or not np.array_equal(Z, Z.T):
+                continue
+            R = Z - np.outer(Z[0], Z[0])
+            if np.any(R < 0) or np.any(R[0]):
+                continue
+            new = classify._gram_rows(R, 10 ** 7)
+            old = _gram_rows_unpruned(R, 10 ** 7)
+            if old is None:
+                assert new is None
+                missing += 1
+            else:
+                assert new is not None and len(new) == len(old)
+                assert all(np.array_equal(a, b) for a, b in zip(new, old))
+                found += 1
+    assert found > 0 and missing > 0

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON round trips, renderers."""
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from modinv.cli import (
     render_partition_function,
 )
 from modinv.classify import type1_decomposition
+from modinv.fusion import MAX_LABELS, fusion_tensor
+from modinv.modular import tensor_product
 
 from test_commutant import d5_matrix, d10_matrix
 
@@ -329,3 +332,56 @@ def test_cli_rejects_label_indices_not_a_permutation(tmp_path, capsys, index):
     assert main(["model", "validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "not a permutation" in err
+
+
+@pytest.mark.parametrize("field", ["fusion", "conjugation"])
+@pytest.mark.parametrize("value", [2 ** 70, 10 ** 30], ids=["2**70", "10**30"])
+def test_cli_rejects_values_beyond_int64(tmp_path, capsys, field, value):
+    path = tmp_path / "su2_1.json"
+    assert main(["model", "show", "su2:1", "--json", str(path)]) == 0
+    data = json.loads(path.read_text())
+    if field == "fusion":
+        data["fusion"][0][3] = value
+    else:
+        data["conjugation"][1] = value
+    with pytest.raises(ValueError, match="beyond 64-bit"):
+        model_from_json(data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["model", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "beyond 64-bit" in err
+    assert main(["enumerate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "beyond 64-bit" in err
+
+
+def test_cli_refuses_oversized_fusion_tensor(capsys):
+    # su2:100000 would need a 10^15-entry tensor: the refusal must come
+    # before any large allocation.
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "su2:100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot build model 'su2:100000'") and err.count("\n") == 1
+    assert peak < 1_000_000
+
+
+def test_fusion_tensor_limit_covers_every_builder(tmp_path, capsys):
+    assert fusion_tensor(MAX_LABELS).shape == (MAX_LABELS,) * 3
+    m = MAX_LABELS + 1
+    for build_spec in (lambda: su2_model(m - 1), lambda: zn_model(m, 2),
+                       lambda: tensor_product(su2_model(16), su2_model(16))):
+        with pytest.raises(ValueError, match=f"{MAX_LABELS}-label limit"):
+            build_spec()
+    data = {"name": "big", "fusion": [], "conjugation": list(range(m)),
+            "labels": [{"index": i, "name": str(i), "h": "0"} for i in range(m)]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert main(["model", "validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{MAX_LABELS}-label limit" in err
