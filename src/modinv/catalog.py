@@ -2,11 +2,12 @@
 
 Also hosts the branching tables of the three conformal embeddings used
 by the restriction machinery, and reference Kac-Peterson data against
-which the internally built matrices are gated on every construction.
+which the internally built matrices are gated once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,38 +140,32 @@ def _z2z2_ring() -> FusionRing:
     return FusionRing(names, N, conj=[0, 1, 2, 3])
 
 
+@functools.lru_cache(maxsize=None)
+def _so8_gate() -> Tuple[Fraction, ...]:
+    """The so(8)_1 weights, once the S built from them reproduced the
+    Kac-Peterson matrix.  Runs once per process; a failure is not cached."""
+    h = (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    md = build(ModelSpec(_z2z2_ring(), SpinAssignment(list(h)), name="so8_1"))
+    if md.S is None or np.max(np.abs(md.S - SO8_KAC_PETERSON_S)) > 1e-12:
+        raise RuntimeError("so(8)_1 self-check failed: built S != Kac-Peterson S")
+    return h
+
+
 def so8_level1_model() -> ModelSpec:
     """so(8)_1: h = (0, 1/2, 1/2, 1/2) on Z_2 x Z_2 fusion rules.
 
     The built S must reproduce the Kac-Peterson matrix exactly; this is
-    asserted on every call.
+    checked once per process (_so8_gate).  Each call returns a new spec.
     """
-    ring = _z2z2_ring()
-    spec = ModelSpec(
-        ring,
-        SpinAssignment([Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)]),
-        name="so8_1",
-    )
-    md = build(spec)
-    if md.S is None or np.max(np.abs(md.S - SO8_KAC_PETERSON_S)) > 1e-12:
-        raise RuntimeError("so(8)_1 self-check failed: built S != Kac-Peterson S")
-    return spec
+    return ModelSpec(_z2z2_ring(), SpinAssignment(list(_so8_gate())), name="so8_1")
 
 
-def so16_level1_model() -> ModelSpec:
-    """so(16)_1: h = (0, 1/2, 1, 1) on Z_2 x Z_2 fusion rules.
-
-    The spinor weights are imported (the vector weight is forced, the
-    spinor pair is external input), so the factory gates them: the three
-    reference coupling matrices must commute with the built S and Omega.
-    """
-    ring = _z2z2_ring()
-    spec = ModelSpec(
-        ring,
-        SpinAssignment([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1)]),
-        name="so16_1",
-    )
-    md = build(spec)
+@functools.lru_cache(maxsize=None)
+def _so16_gate() -> Tuple[Fraction, ...]:
+    """The so(16)_1 weights, once the reference couplings commuted with
+    the built S and Omega.  Runs once per process; a failure is not cached."""
+    h = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1))
+    md = build(ModelSpec(_z2z2_ring(), SpinAssignment(list(h)), name="so16_1"))
     if md.S is None:
         raise RuntimeError("so(16)_1 self-check failed: degenerate data")
     for Z in (SO16_HETEROTIC_Z, SO16_PARENT_PLUS, SO16_PARENT_MINUS):
@@ -178,7 +173,17 @@ def so16_level1_model() -> ModelSpec:
             raise RuntimeError("so(16)_1 self-check failed: [S, Z] != 0")
         if np.max(np.abs(md.Omega @ Z - Z @ md.Omega)) > 1e-12:
             raise RuntimeError("so(16)_1 self-check failed: [Omega, Z] != 0")
-    return spec
+    return h
+
+
+def so16_level1_model() -> ModelSpec:
+    """so(16)_1: h = (0, 1/2, 1, 1) on Z_2 x Z_2 fusion rules.
+
+    The spinor weights are imported (the vector weight is forced, the
+    spinor pair is external input), so _so16_gate checks them once per
+    process.  Each call returns a new spec.
+    """
+    return ModelSpec(_z2z2_ring(), SpinAssignment(list(_so16_gate())), name="so16_1")
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,16 @@ column.
 
 The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
 (vacuum column) and sum_l Z_{0l} l (vacuum row), so they depend only on
-those two vectors and on the enumerated list.  A private index of the
-most recent list (keyed by its content) decides type I at most once per
-listed matrix and each parent once per distinct vacuum vector, which
-makes classifying a whole list linear in its length.
+those two vectors and on which listed invariants are type I.  Whether a
+matrix is type I is a function of that matrix alone, so its Gram rows
+are memoized per matrix (keyed by its int64 bytes, at most
+TYPE1_MEMO_SIZE entries): classifying a whole list decomposes each
+listed matrix at most once, whichever lists are classified in between.
 """
 
 from __future__ import annotations
 
-import copy
-import hashlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .catalog import BranchingTable
-from .fusion import FusionRing
+from .fusion import CURRENT_TOL, FusionRing
 from .modular import ModularData, degenerate_sectors
 
 __all__ = [
@@ -41,6 +41,11 @@ __all__ = [
     "InvariantReport",
     "classify_invariant",
 ]
+
+# Node budget of one Gram decomposition search.
+GRAM_NODE_CAP = 10 ** 7
+# Matrices whose type I answer is kept; more than any classified list has.
+TYPE1_MEMO_SIZE = 1024
 
 
 def permutation_test(
@@ -85,7 +90,7 @@ def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
     pure simple-current invariants; fails for exceptional couplings.
     """
     d = ring.d
-    currents = [i for i in range(ring.size) if abs(d[i] - 1.0) < 1e-6]
+    currents = [i for i in range(ring.size) if abs(d[i] - 1.0) < CURRENT_TOL]
     reach = np.zeros((ring.size, ring.size), dtype=bool)
     for s in currents:
         reach |= ring.N[s].astype(bool)
@@ -93,9 +98,7 @@ def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
     return bool(np.all(reach[Z != 0]))
 
 
-def _gram_rows(
-    R: np.ndarray, node_cap: int
-) -> Optional[List[np.ndarray]]:
+def _gram_rows(R: np.ndarray) -> Optional[List[np.ndarray]]:
     """Peel nonnegative integer rows v (first nonzero diag anchored) with
     sum over rows of outer(v, v) = R.  Deterministic backtracking."""
     m = R.shape[0]
@@ -121,9 +124,9 @@ def _gram_rows(
 
         def build(pos: int, v: np.ndarray):
             nodes[0] += 1
-            if nodes[0] > node_cap:
+            if nodes[0] > GRAM_NODE_CAP:
                 raise RuntimeError(
-                    f"Gram decomposition exceeded {node_cap:.0e} nodes"
+                    f"Gram decomposition exceeded {GRAM_NODE_CAP:.0e} nodes"
                 )
             if pos == len(idxs):
                 yield v.copy()
@@ -148,31 +151,44 @@ def _gram_rows(
     return rec(R)
 
 
-def type1_decomposition(
-    Z: np.ndarray, node_cap: int = 10 ** 7, col_names: Optional[Sequence[str]] = None
-) -> Optional[BranchingTable]:
-    """Integer branching table b with Z = b^T b, or None.
-
-    The first row of b is the vacuum row of Z; the remaining rows vanish
-    on the vacuum and are returned sorted lexicographically descending.
-    Requires a vacuum-symmetric Z (otherwise None immediately).
-    """
-    Z = np.asarray(Z, dtype=int)
-    if not vacuum_symmetry(Z) or not np.array_equal(Z, Z.T):
+@functools.lru_cache(maxsize=TYPE1_MEMO_SIZE)
+def _type1_rows(key: bytes, m: int) -> Optional[np.ndarray]:
+    """Read-only rows b with Z = b^T b for the m x m int64 matrix Z whose
+    bytes are `key`, or None when Z is not type I."""
+    Z = np.frombuffer(key, dtype=np.int64).reshape(m, m)
+    if not np.array_equal(Z, Z.T):
         return None
-    m = Z.shape[0]
     b0 = Z[0].copy()
     R = Z - np.outer(b0, b0)
     if np.any(R < 0) or np.any(R[0, :]) or np.any(R[:, 0]):
         return None
-    rows = _gram_rows(R, node_cap)
+    rows = _gram_rows(R)
     if rows is None:
         return None
     rows.sort(key=lambda v: tuple(v), reverse=True)
-    b = np.vstack([b0] + rows) if rows else b0.reshape(1, m)
-    names = list(col_names) if col_names is not None else [str(i) for i in range(m)]
+    b = np.vstack([b0] + rows)
+    b.flags.writeable = False
+    return b
+
+
+def type1_decomposition(Z: np.ndarray) -> Optional[BranchingTable]:
+    """Integer branching table b with Z = b^T b, or None.
+
+    The first row of b is the vacuum row of Z; the remaining rows vanish
+    on the vacuum and are returned sorted lexicographically descending.
+    Requires a symmetric Z (otherwise None immediately).  The table is a
+    fresh object over a copy of the memoized rows.
+    """
+    Z = np.asarray(Z, dtype=np.int64)
+    if not np.array_equal(Z, Z.T):
+        return None
+    m = Z.shape[0]
+    b = _type1_rows(np.ascontiguousarray(Z).tobytes(), m)
+    if b is None:
+        return None
     return BranchingTable(
-        b, [f"tau{t}" for t in range(b.shape[0])], names, name="gram"
+        b.copy(), [f"tau{t}" for t in range(b.shape[0])],
+        [str(i) for i in range(m)], name="gram"
     )
 
 
@@ -212,67 +228,6 @@ def sector_counts(Z: np.ndarray) -> Dict[str, int]:
     }
 
 
-class _ListIndex:
-    """Stacked vacuum columns and rows of one enumerated list.
-
-    Type I is decided at most once per listed matrix, on first need, and
-    the parent once per distinct vacuum vector.  A vacuum-symmetric P has
-    P[:, 0] = P[0, :], so the plus and minus searches share one memo.
-    Concurrent callers can at worst repeat a decision; the answer is the
-    same.
-    """
-
-    def __init__(self, key, mats: np.ndarray):
-        self.key = key
-        self.cols = mats[:, :, 0].copy()
-        self.rows = mats[:, 0, :].copy()
-        self.sym = np.all(self.cols == self.rows, axis=1)
-        self.tables: Dict[int, Optional[BranchingTable]] = {}
-        self.found: Dict[bytes, Optional[int]] = {}
-
-    def table(self, i: int, enumerated) -> Optional[BranchingTable]:
-        if i not in self.tables:
-            self.tables[i] = type1_decomposition(enumerated[i])
-        return self.tables[i]
-
-    def parents(self, Z: np.ndarray, enumerated) -> Dict[str, Optional[int]]:
-        return {"plus": self._parent(Z[:, 0], enumerated),
-                "minus": self._parent(Z[0, :], enumerated)}
-
-    def _parent(self, v: np.ndarray, enumerated) -> Optional[int]:
-        key = v.tobytes()
-        if key not in self.found:
-            hits = np.nonzero(self.sym & np.all(self.cols == v, axis=1))[0]
-            self.found[key] = next(
-                (int(i) for i in hits if self.table(int(i), enumerated) is not None),
-                None,
-            )
-        return self.found[key]
-
-    def branching(self, Z: np.ndarray, enumerated) -> Optional[BranchingTable]:
-        """Type I table of Z, from the memo when Z is in the list; always
-        a fresh object, so a caller's edits never reach the memo."""
-        same = np.all(self.cols == Z[:, 0], axis=1) & np.all(self.rows == Z[0], axis=1)
-        for i in np.nonzero(same)[0]:
-            if np.array_equal(enumerated[i], Z):
-                return copy.deepcopy(self.table(int(i), enumerated))
-        return type1_decomposition(Z)
-
-
-_last_index: Optional[_ListIndex] = None
-
-
-def _list_index(enumerated: Sequence[np.ndarray], m: int) -> _ListIndex:
-    """The index of `enumerated`; only the most recent list is kept."""
-    global _last_index
-    mats = np.ascontiguousarray(enumerated, dtype=np.int64).reshape(len(enumerated), m, m)
-    key = (mats.shape, hashlib.blake2b(mats, digest_size=16).digest())
-    index = _last_index
-    if index is None or index.key != key:
-        index = _last_index = _ListIndex(key, mats)
-    return index
-
-
 def find_parents(
     Z: np.ndarray, enumerated: Sequence[np.ndarray]
 ) -> Dict[str, Optional[int]]:
@@ -281,12 +236,24 @@ def find_parents(
     The plus parent is a type I invariant whose vacuum column equals the
     vacuum column of Z; the minus parent matches the vacuum row.  Returns
     indices into `enumerated` (first match each), None where no parent
-    exists in the list.  The answer depends only on the vacuum column,
-    the vacuum row and the list, so calls for every Z of one list share
-    one index: each listed matrix is decomposed at most once.
+    exists in the list.  Only vacuum-symmetric entries with a matching
+    vacuum vector are tested, and each test is the memoized type I answer
+    of that one matrix, so classifying every Z of a list decomposes each
+    listed matrix at most once.
     """
     Z = np.asarray(Z, dtype=int)
-    return _list_index(enumerated, Z.shape[0]).parents(Z, enumerated)
+    m = Z.shape[0]
+    mats = np.ascontiguousarray(enumerated, dtype=np.int64).reshape(len(enumerated), m, m)
+    cols, rows = mats[:, :, 0], mats[:, 0, :]
+    sym = np.all(cols == rows, axis=1)
+
+    def first(match: np.ndarray) -> Optional[int]:
+        hits = np.nonzero(sym & match)[0]
+        return next((int(i) for i in hits
+                     if _type1_rows(mats[i].tobytes(), m) is not None), None)
+
+    return {"plus": first(np.all(cols == Z[:, 0], axis=1)),
+            "minus": first(np.all(rows == Z[0], axis=1))}
 
 
 def _integer_combination(
@@ -377,10 +344,7 @@ def classify_invariant(
     ring = md.ring
     perm = permutation_test(Z, ring, md.spins)
     vac = vacuum_symmetry(Z)
-    index = None if enumerated is None else _list_index(enumerated, Z.shape[0])
-    b = None
-    if vac:
-        b = type1_decomposition(Z) if index is None else index.branching(Z, enumerated)
+    b = type1_decomposition(Z) if vac else None
     kind = "type I" if b is not None else "type II"
     return InvariantReport(
         Z=Z,
@@ -392,5 +356,5 @@ def classify_invariant(
         branching=b,
         indices=chiral_indices(Z, md),
         counts=sector_counts(Z),
-        parents=None if index is None else index.parents(Z, enumerated),
+        parents=None if enumerated is None else find_parents(Z, enumerated),
     )

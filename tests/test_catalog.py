@@ -15,6 +15,7 @@ from modinv import (
     verify_axioms,
     zn_model,
 )
+from modinv import catalog
 from modinv.catalog import (
     SO8_KAC_PETERSON_S,
     SO8_KAC_PETERSON_T,
@@ -105,6 +106,32 @@ def test_so16_reference_matrices_commute():
         assert np.max(np.abs(md.Omega @ Z - Z @ md.Omega)) < 1e-12
     # spinor weights h = 1 are stored reduced mod 1
     assert list(so16_level1_model().spins.h) == [0, Fraction(1, 2), 0, 0]
+
+
+def test_so_factories_gate_once_per_process(monkeypatch):
+    so8_level1_model(), so16_level1_model()  # gates have run at least once
+
+    def no_build(spec):
+        raise AssertionError("build ran inside a factory")
+
+    monkeypatch.setattr(catalog, "build", no_build)
+    for factory in (so8_level1_model, so16_level1_model):
+        a, b = factory(), factory()
+        assert a is not b and a.spins is not b.spins and a.ring is not b.ring
+        assert list(a.spins.h) == list(b.spins.h)
+
+
+def test_so_factories_reject_corrupted_reference(monkeypatch):
+    monkeypatch.setattr(catalog, "SO8_KAC_PETERSON_S", -SO8_KAC_PETERSON_S)
+    catalog._so8_gate.cache_clear()
+    with pytest.raises(RuntimeError, match="Kac-Peterson"):
+        so8_level1_model()
+    off = np.zeros((4, 4), dtype=int)
+    off[0, 1] = 1  # commutes with no S whose entries are all nonzero
+    monkeypatch.setattr(catalog, "SO16_PARENT_PLUS", off)
+    catalog._so16_gate.cache_clear()
+    with pytest.raises(RuntimeError, match=r"\[S, Z\]"):
+        so16_level1_model()
 
 
 def test_so16_heterotic_row_differs_from_column():

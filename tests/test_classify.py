@@ -227,9 +227,11 @@ def test_classify_d5_automorphism():
     assert not rep.heterotic
 
 
-def test_gram_node_cap():
+def test_gram_node_cap(monkeypatch):
+    monkeypatch.setattr(classify, "GRAM_NODE_CAP", 1)
+    classify._type1_rows.cache_clear()  # a memoized answer would skip the search
     with pytest.raises(RuntimeError):
-        type1_decomposition(d10_matrix(), node_cap=1)
+        type1_decomposition(d10_matrix())
 
 
 def _parents_by_full_scan(Z, enumerated):
@@ -250,27 +252,43 @@ def _parents_by_full_scan(Z, enumerated):
 def test_find_parents_matches_full_scan(monkeypatch, name, calls_new, calls_old):
     # Same first indices as the full scan, with one Gram decomposition per
     # vacuum-symmetric invariant of the list: the calls for every Z of
-    # one list share the list index.  In sun_currents:12:2 all 64
+    # one list share the per-matrix memo.  In sun_currents:12:2 all 64
     # invariants share the vacuum row and column and only the last one
     # is type I, so each is decided once, not once per Z.
     calls = []
 
-    def counting(P, *args, **kwargs):
+    def counting(P):
         calls.append(1)
-        return type1_decomposition(P, *args, **kwargs)
+        return type1_decomposition(P)
 
-    monkeypatch.setattr(classify, "type1_decomposition", counting)
-    monkeypatch.setattr(classify, "_last_index", None)
     invs = enumerate_invariants(build(model_by_name(name)))
-    new_calls = old_calls = 0
-    for Z in invs:
-        calls.clear()
-        got = find_parents(Z, invs)
-        new_calls += len(calls)
-        calls.clear()
-        assert got == _parents_by_full_scan(Z, invs)
-        old_calls += len(calls)
-    assert (new_calls, old_calls) == (calls_new, calls_old)
+    classify._type1_rows.cache_clear()
+    got = [find_parents(Z, invs) for Z in invs]
+    new_calls = classify._type1_rows.cache_info().misses
+    monkeypatch.setattr(classify, "type1_decomposition", counting)
+    assert got == [_parents_by_full_scan(Z, invs) for Z in invs]
+    assert (new_calls, len(calls)) == (calls_new, calls_old)
+
+
+def test_interleaved_lists_decide_each_matrix_once():
+    # Classifying two lists Z by Z, alternating between them, decides each
+    # vacuum-symmetric matrix once: 10 in zn:96:1 plus 64 in
+    # sun_currents:12:2.  The answer of a matrix does not depend on which
+    # list was classified last.
+    runs = []
+    for name in ("zn:96:1", "sun_currents:12:2"):
+        md = build(model_by_name(name))
+        runs.append((md, enumerate_invariants(md)))
+    classify._type1_rows.cache_clear()
+    got = []
+    for i in range(max(len(invs) for _, invs in runs)):
+        for md, invs in runs:
+            if i < len(invs):
+                rep = classify_invariant(invs[i], md, enumerated=invs)
+                got.append((invs[i], invs, rep.parents))
+    assert classify._type1_rows.cache_info().misses == 10 + 64
+    for Z, invs, parents in got:
+        assert parents == _parents_by_full_scan(Z, invs)
 
 
 def _same_table(a, b):
@@ -317,6 +335,10 @@ def test_report_branching_is_fresh_per_report():
     assert np.array_equal(again.branching.b, kept)
     assert again.branching.row_names == [f"tau{t}" for t in range(kept.shape[0])]
     assert _same_table(again.branching, type1_decomposition(invs[3]))
+    direct = type1_decomposition(invs[3])
+    direct.b[...] = 7
+    direct.row_names.append("extra")
+    assert _same_table(type1_decomposition(invs[3]), again.branching)
 
 
 def _gram_rows_unpruned(R, node_cap):
@@ -378,7 +400,7 @@ def test_gram_pruning_gives_the_same_rows():
             R = Z - np.outer(Z[0], Z[0])
             if np.any(R < 0) or np.any(R[0]):
                 continue
-            new = classify._gram_rows(R, 10 ** 7)
+            new = classify._gram_rows(R)
             old = _gram_rows_unpruned(R, 10 ** 7)
             if old is None:
                 assert new is None
