@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .fusion import FusionRing, fusion_tensor
-from .modular import ModelSpec, SpinAssignment, build
+from .modular import ModelSpec, SpinAssignment, build, tensor_product
 
 __all__ = [
     "su2_model",
@@ -207,7 +207,11 @@ def sun_current_model(n: int, k: int) -> ModelSpec:
 # registry
 
 def model_by_name(name: str) -> ModelSpec:
-    """Parse 'su2:K', 'zn:N:A', 'sun_currents:N:K', 'so8_1', 'so16_1'."""
+    """Parse 'su2:K', 'zn:N:A', 'sun_currents:N:K', 'so8_1', 'so16_1',
+    and products 'A*B' of these (modular.tensor_product)."""
+    if "*" in name:
+        a, _, b = name.partition("*")
+        return tensor_product(model_by_name(a), model_by_name(b))
     if name == "so8_1":
         return so8_level1_model()
     if name == "so16_1":

@@ -3,7 +3,7 @@ graph assignment, extension and restriction reports.
 
 Exit codes: 0 on success, 1 on usage errors (bad arguments, unknown
 model), 2 when a verification step fails (model validation, oracle
-cross-check).  All output is deterministic.
+cross-check, a refused commutant basis).  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ def _integers(values: Sequence[object], what: str) -> List[int]:
 
 def model_from_json(data: Dict[str, object]) -> ModelSpec:
     """Inverse of model_to_json; the label indices, the ring axioms and
-    the Omega-Y relation are re-verified.  Malformed or inconsistent
-    input raises ValueError."""
+    the Omega-Y relation are re-verified, and a built-in model name must
+    name this very ring and weights.  Malformed or inconsistent input
+    raises ValueError."""
     try:
         labels = sorted(data["labels"], key=lambda l: int(l["index"]))
         index = _integers([l["index"] for l in labels], "label index list")
@@ -103,6 +104,13 @@ def model_from_json(data: Dict[str, object]) -> ModelSpec:
         raise ValueError("; ".join(problems))
     spec = ModelSpec(ring, SpinAssignment(h), name=str(data.get("name", "")))
     build(spec)  # raises ValueError on weights that break the Omega-Y relation
+    # Commands key tables on a built-in name, so such a name must be the model.
+    families = {f.partition(":")[0] for f in spec.name.split("*")}
+    if families & {"su2", "zn", "sun_currents", "so8_1", "so16_1"}:
+        ref = model_by_name(spec.name)
+        if not (np.array_equal(ref.ring.N, N) and np.array_equal(ref.ring.conj, conj)
+                and ref.spins.h == spec.spins.h):
+            raise ValueError(f"model data does not match the built-in model '{spec.name}'")
     return spec
 
 
@@ -207,6 +215,11 @@ def _load_model(name: str) -> ModelSpec:
         raise _UsageError(exc) from None
 
 
+def _family(spec: ModelSpec) -> str:
+    """'su2', 'zn', ... for a single built-in model; '' for a product."""
+    return "" if "*" in spec.name else spec.name.partition(":")[0]
+
+
 def _fmt_complex(x: complex) -> str:
     return f"{x.real:+.6f}{x.imag:+.6f}i"
 
@@ -222,6 +235,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         print("  sun_currents:N:K current sector of su(N)_K")
         print("  so8_1            so(8) level 1")
         print("  so16_1           so(16) level 1")
+        print("  A*B              product of two models")
         return EXIT_OK
 
     if args.action == "validate":
@@ -268,13 +282,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     md = build(spec)
     basis = commutant_basis(md)
     invs = enumerate_invariants(md, basis=basis)
-    print(
-        f"{spec.name}: commutant rank {basis.r} ({basis.kind}"
-        f"{', float basis' if not basis.exact else ''}), "
-        f"{len(invs)} physical invariants"
-    )
-    if basis.warning:
-        print(f"warning: {basis.warning}")
+    print(f"{spec.name}: commutant rank {basis.r} ({basis.kind}), "
+          f"{len(invs)} physical invariants")
     for i, Z in enumerate(invs):
         print(f"invariant {i}: trace {int(np.trace(Z))}")
         for row in Z:
@@ -325,7 +334,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_graphs(args: argparse.Namespace) -> int:
     spec = _load_model(args.model)
-    if not spec.name.startswith("su2:"):
+    if _family(spec) != "su2":
         print("graph assignment covers su2 models only", file=sys.stderr)
         return EXIT_USAGE
     md = build(spec)
@@ -358,14 +367,14 @@ def cmd_extend(args: argparse.Namespace) -> int:
             f"  gen {r.generator} order {r.order} h={r.h_generator} [{flag}] "
             f"theta={theta_vector(r).tolist()}"
         )
-    parts = spec.name.split(":")
-    if parts[0] == "zn":
-        n, a = int(parts[1]), int(parts[2])
+    family = _family(spec)
+    if family == "zn":
+        n, a = map(int, spec.name.split(":")[1:])
         print("divisor invariants:")
         for delta, Z in sorted(zn_invariant_table(n, a).items()):
             print(f"  Z^({delta}): trace {int(np.trace(Z))}")
-    if parts[0] == "sun_currents":
-        n, k = int(parts[1]), int(parts[2])
+    if family == "sun_currents":
+        n, k = map(int, spec.name.split(":")[1:])
         tab = sun_divisor_table(n, k)
         print(f"admissible orders: {tab['orders']}")
         print(f"locality by order: {tab['locality']}")

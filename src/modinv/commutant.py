@@ -7,14 +7,15 @@ by eigh and put into reduced row echelon form; and the integer points
 are scanned, on the cell values alone, through the pivot cells with
 Perron-Frobenius bounds Z_{lm} <= d_l d_m and sum Z <= w.
 
-The echelon basis is rationalized (small-denominator reconstruction) so
-that the accepted matrices can be re-verified exactly; if that fails we
-fall back to the float basis and say so in the returned warning.
+The echelon basis is rationalized (small-denominator reconstruction)
+and rechecked against K once; a basis that does not rationalize or fails
+that recheck is refused with RuntimeError.  The scan then decides every
+candidate in int64 on the exact rows num / den: range, integrality and
+the sum bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,6 @@ __all__ = [
 RANK_TOL = 1e-9
 EXACT_TOL = 1e-8
 FINAL_TOL = 1e-7
-INT_TOL = 1e-6
 MAX_DEN = 10 ** 6
 NODE_CAP = 10 ** 8
 BRUTE_NODE_CAP = 10 ** 7
@@ -65,19 +65,18 @@ class CommutantBasis:
     """Echelonized basis of the commutant restricted to the T-support.
 
     kind is "modular" (commutant of S) or "Y-commutant" (degenerate
-    data, Y replaces S).  mats is the float basis stacked (r, m, m).
-    When the rationalization verified, the exact echelon rows over
-    `cells` are num / den: num an int64 (r, len(cells)) array and den
-    the common denominator; otherwise num is None and `warning` explains.
+    data, Y replaces S).  The echelon rows over `cells` are exactly
+    num / den: num an int64 (r, len(cells)) array and den the common
+    denominator.  mats is num / den scattered to (r, m, m) floats.  The
+    basis is exact or refused: commutant_basis never returns a float one.
     """
 
     kind: str
     cells: List[Tuple[int, int]]
     pivot_cells: List[Tuple[int, int]]
     mats: np.ndarray
-    num: Optional[np.ndarray]
+    num: np.ndarray
     den: int = 1
-    warning: Optional[str] = None
 
     @property
     def r(self) -> int:
@@ -85,7 +84,8 @@ class CommutantBasis:
 
     @property
     def exact(self) -> bool:
-        return self.num is not None
+        """Always True; kept for reports that state the exactness."""
+        return True
 
 
 def _operator(md: ModularData) -> Tuple[np.ndarray, str, float]:
@@ -177,17 +177,15 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     pivot_cells = [cells[c] for c in piv_idx]
 
     exact = _rationalize(R)
-    warning = "rationalization failed; using float basis"
-    if exact is not None:
-        num, den = exact
-        mats = _scatter(num / den, cells, m)
-        scale = max(1.0, float(np.linalg.norm(K)))
-        worst = max(float(np.linalg.norm(K @ B - B @ K)) for B in mats)
-        if worst <= EXACT_TOL * scale:
-            return CommutantBasis(kind, cells, pivot_cells, mats, num, den)
-        warning = "rationalized basis failed commutation recheck; using float basis"
-    return CommutantBasis(kind, cells, pivot_cells, _scatter(R, cells, m), None,
-                          warning=warning)
+    if exact is None:
+        raise RuntimeError("commutant basis has no small-denominator rationalization")
+    num, den = exact
+    mats = _scatter(num / den, cells, m)
+    scale = max(1.0, float(np.linalg.norm(K)))
+    worst = max(float(np.linalg.norm(K @ B - B @ K)) for B in mats)
+    if not worst <= EXACT_TOL * scale:
+        raise RuntimeError("rationalized commutant basis fails the commutation recheck")
+    return CommutantBasis(kind, cells, pivot_cells, mats, num, den)
 
 
 def enumerate_invariants(
@@ -209,52 +207,39 @@ def enumerate_invariants(
     if not basis.pivot_cells or basis.pivot_cells[0] != (0, 0):
         raise RuntimeError("echelon basis does not pivot on the vacuum cell")
 
-    d = ring.d
-    w = md.w
     K, _, tol = _operator(md)
+    d = ring.d
+    l, mu = np.array(basis.cells).T
+    bound = np.floor(d[l] * d[mu] + 1e-9).astype(np.int64)
+    w_max = math.floor(md.w + 1e-6)
 
-    ranges: List[range] = [range(1, 2)]
-    total = 1
-    for l, mu in basis.pivot_cells[1:]:
-        b = int(math.floor(d[l] * d[mu] + 1e-9))
-        ranges.append(range(0, b + 1))
-        total *= b + 1
-        if total > NODE_CAP:
-            raise RuntimeError(
-                f"search space exceeds {NODE_CAP:.0e} candidate assignments"
-            )
-    # The exact recheck compares A @ num with Z * den in int64.
-    if basis.num is not None:
-        top = int(np.abs(basis.num).max()) * basis.den
-        if sum(rg.stop - 1 for rg in ranges) * top > INT64_MAX:
-            raise RuntimeError("exact recheck would overflow int64")
+    # Pivot 0 is the vacuum, fixed to 1; pivot i > 0 runs over 0..bound.
+    radix = [int(bound[basis.cells.index(c)]) + 1 for c in basis.pivot_cells[1:]]
+    total = math.prod(radix)
+    if total > NODE_CAP:
+        raise RuntimeError(
+            f"search space exceeds {NODE_CAP:.0e} candidate assignments"
+        )
+    # The scan decides A @ num against bound * den in int64.
+    top = int(np.abs(basis.num).max()) * basis.den
+    if (1 + sum(radix) - len(radix)) * top > INT64_MAX:
+        raise RuntimeError("exact recheck would overflow int64")
+    cap = bound * basis.den
 
     # Every basis matrix vanishes off `cells`: scan the cell values only.
-    l, mu = np.array(basis.cells).T
-    B = basis.mats[:, l, mu]
-    dd = np.outer(d, d)[l, mu]
     out: List[np.ndarray] = []
-    combos = itertools.product(*ranges)
-    while True:
-        block = list(itertools.islice(combos, 4096))
-        if not block:
-            break
-        A = np.asarray(block, dtype=float)
-        Zs = A @ B
-        Zr = np.round(Zs)
-        ok = np.all(np.abs(Zs - Zr) < INT_TOL, axis=1)
-        ok &= np.all(Zr >= 0.0, axis=1)
-        ok &= np.all(Zr <= dd[None, :] + 1e-9, axis=1)
-        ok &= Zr.sum(axis=1) <= w + 1e-6
-        idx = np.nonzero(ok)[0]
-        Zi = Zr[idx].astype(int)
-        if basis.num is not None:
-            same = A[idx].astype(np.int64) @ basis.num == Zi * basis.den
-            Zi = Zi[np.all(same, axis=1)]
+    for start in range(0, total, 4096):
+        k = np.arange(start, min(start + 4096, total), dtype=np.int64)
+        A = np.ones((len(k), r), dtype=np.int64)
+        for i in range(r - 1, 0, -1):  # mixed radix, last pivot fastest
+            k, A[:, i] = np.divmod(k, radix[i - 1])
+        N = A @ basis.num
+        N = N[np.all((N >= 0) & (N <= cap), axis=1)]
+        Zi, rem = np.divmod(N, basis.den)
+        Zi = Zi[~rem.any(axis=1) & (Zi.sum(axis=1) <= w_max)]
         for Z in _scatter(Zi, basis.cells, m):
-            if np.linalg.norm(K @ Z - Z @ K) >= tol:
-                continue
-            out.append(Z)
+            if np.linalg.norm(K @ Z - Z @ K) < tol:
+                out.append(Z)
     out.sort(key=lambda Z: tuple(Z.ravel()))
     return out
 

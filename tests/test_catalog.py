@@ -12,6 +12,7 @@ from modinv import (
     so8_level1_model,
     so16_level1_model,
     su2_model,
+    tensor_product,
     verify_axioms,
     zn_model,
 )
@@ -190,6 +191,16 @@ def test_model_by_name_roundtrip():
     assert model_by_name("sun_currents:4:6").spins.h[1] == Fraction(1, 4)
     assert model_by_name("so8_1").name == "so8_1"
     for bad in ("su3:4", "zn:4:2", "su2", "zn:10", ""):
+        with pytest.raises(ValueError):
+            model_by_name(bad)
+
+
+def test_model_by_name_products():
+    spec = model_by_name("su2:4*zn:3:2")
+    ref = tensor_product(su2_model(4), zn_model(3, 2))
+    assert spec.name == "su2:4*zn:3:2" and spec.ring.size == 15
+    assert np.array_equal(spec.ring.N, ref.ring.N) and spec.spins.h == ref.spins.h
+    for bad in ("su2:4*", "*su2:4", "su2:4*su3:1"):
         with pytest.raises(ValueError):
             model_by_name(bad)
 

@@ -385,3 +385,45 @@ def test_fusion_tensor_limit_covers_every_builder(tmp_path, capsys):
     assert main(["model", "validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{MAX_LABELS}-label limit" in err
+
+
+def test_cli_refuses_an_inexact_basis(monkeypatch, capsys):
+    import modinv.commutant
+
+    monkeypatch.setattr(modinv.commutant, "_rationalize", lambda R: None)
+    assert main(["enumerate", "su2:6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_product_model_names(capsys):
+    assert main(["enumerate", "su2:4*su2:4"]) == 0
+    assert "13 physical invariants" in capsys.readouterr().out
+    assert main(["graphs", "su2:4*su2:4"]) == 1
+    assert "su2 models only" in capsys.readouterr().err
+    assert main(["extend", "zn:6:1*zn:6:1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("zn:6:1*zn:6:1: cyclic current subgroups")
+    assert "divisor invariants" not in out and "admissible orders" not in out
+
+
+@pytest.mark.parametrize("name, message", [
+    ("zn:x:2", "cannot build model 'zn:x:2'"),
+    ("sun_currents:3", "unknown model name 'sun_currents:3'"),
+    ("zn:7:2", "model data does not match the built-in model 'zn:7:2'"),
+])
+def test_model_file_with_a_false_builtin_name(tmp_path, capsys, name, message):
+    data = model_to_json(zn_model(3, 2))
+    data["name"] = name
+    with pytest.raises(ValueError, match=message):
+        model_from_json(data)
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(data))
+    assert main(["extend", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert main(["model", "validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    data["name"] = "z3 renamed"
+    assert model_from_json(data).name == "z3 renamed"

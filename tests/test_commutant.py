@@ -82,7 +82,6 @@ def test_commutant_rank_su2_level6():
     assert basis.r == 2
     assert basis.kind == "modular"
     assert basis.exact
-    assert basis.warning is None
 
 
 def test_commutant_rank_so8():
@@ -248,19 +247,15 @@ def test_exact_rows_reproduce_float_basis():
         assert np.array_equal(mats, basis.mats), spec.name
 
 
-def test_float_basis_fallbacks_enumerate_the_same(monkeypatch):
+def test_inexact_basis_is_refused(monkeypatch):
     md = build(su2_model(16))
-    want = enumerate_invariants(md)
     monkeypatch.setattr(commutant, "EXACT_TOL", -1.0)
-    basis = commutant_basis(md)
-    assert not basis.exact and "commutation recheck" in basis.warning
-    got = enumerate_invariants(md, basis=basis)
-    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(RuntimeError, match="commutation recheck"):
+        commutant_basis(md)
+    monkeypatch.undo()
     monkeypatch.setattr(commutant, "_rationalize", lambda R: None)
-    basis = commutant_basis(md)
-    assert not basis.exact and basis.warning == "rationalization failed; using float basis"
-    got = enumerate_invariants(md, basis=basis)
-    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    with pytest.raises(RuntimeError, match="rationalization"):
+        commutant_basis(md)
 
 
 def test_exact_recheck_refuses_int64_overflow():
@@ -292,12 +287,26 @@ def operator_and_cells(md):
 @pytest.mark.parametrize("name", ["su2:16", "zn:96:1", "so8_1", "su2:4*su2:4",
                                   "sun_currents:6:3"])
 def test_gram_matches_explicit_product(name):
-    specs = [model_by_name(f) for f in name.split("*")]
-    md = build(specs[0] if len(specs) == 1 else tensor_product(*specs))
+    md = build(model_by_name(name))
     K, cells = operator_and_cells(md)
     A = commutation_matrix(K, cells)
     G = commutant._gram(K, cells)
     assert np.max(np.abs(G - (A.conj().T @ A).real)) < 1e-10
+
+
+@pytest.mark.parametrize("a, b, den, count", [("su2:4", "su2:4", 2, 13),
+                                              ("zn:6:1", "zn:6:1", 1, 16)])
+def test_product_lists_contain_the_factor_products(a, b, den, count):
+    # su2:4*su2:4 is the one model known to scan with den = 2; brute force
+    # cannot reach it, so the product property pins that path.
+    md = build(model_by_name(f"{a}*{b}"))
+    assert commutant_basis(md).den == den
+    invs = enumerate_invariants(md)
+    assert len(invs) == count
+    keys = {sort_key(Z) for Z in invs}
+    for X in enumerate_invariants(build(model_by_name(a))):
+        for Y in enumerate_invariants(build(model_by_name(b))):
+            assert sort_key(np.kron(X, Y)) in keys
 
 
 def test_basis_rank_matches_svd_on_catalog():
