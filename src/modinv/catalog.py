@@ -22,6 +22,7 @@ __all__ = [
     "su2_model",
     "zn_model",
     "zn_valid_weights",
+    "zn_weight_valid",
     "so8_level1_model",
     "so16_level1_model",
     "sun_current_model",
@@ -61,22 +62,21 @@ def su2_model(k: int) -> ModelSpec:
 # ---------------------------------------------------------------------------
 # Z_n spin models
 
-def zn_valid_weights(n: int) -> List[int]:
-    """Residues a mod 2n giving a consistent Z_n spin model.
-
-    Requires gcd(a, n) = 1, and a even when n is odd; a = 0 is the
-    unique choice for n = 1.
-    """
+def zn_weight_valid(n: int, a: int) -> bool:
+    """Whether a mod 2n gives a consistent Z_n spin model: gcd(a, n) = 1,
+    and a even when n is odd (a = 0 is the unique choice for n = 1).
+    O(1) in n; raises ValueError for n < 1."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    out = []
-    for a in range(2 * n):
-        if math.gcd(a, n) != 1:
-            continue
-        if n % 2 == 1 and a % 2 == 1:
-            continue
-        out.append(a)
-    return out
+    a %= 2 * n
+    return math.gcd(a, n) == 1 and (n % 2 == 0 or a % 2 == 0)
+
+
+def zn_valid_weights(n: int) -> List[int]:
+    """Residues a mod 2n giving a consistent Z_n spin model (zn_weight_valid)."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return [a for a in range(2 * n) if zn_weight_valid(n, a)]
 
 
 def _cyclic_ring(n: int) -> FusionRing:
@@ -95,12 +95,12 @@ def zn_model(n: int, a: int) -> ModelSpec:
     The weight must be coprime to n, and even when n is odd, so that
     h is well defined on Z_n and conjugation symmetric.
     """
-    valid = zn_valid_weights(n)  # raises ValueError for n < 1
-    a = a % (2 * n)
-    if a not in valid:
-        raise ValueError(f"invalid weight a={a} for Z_{n}")
+    if not zn_weight_valid(n, a):  # raises ValueError for n < 1
+        raise ValueError(f"invalid weight a={a % (2 * n)} for Z_{n}")
+    a %= 2 * n
+    ring = _cyclic_ring(n)  # refuses n > MAX_LABELS before the O(n) weights
     h = [Fraction(a * j * j, 2 * n) for j in range(n)]
-    return ModelSpec(_cyclic_ring(n), SpinAssignment(h), name=f"zn:{n}:{a}")
+    return ModelSpec(ring, SpinAssignment(h), name=f"zn:{n}:{a}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,9 @@ def sun_current_model(n: int, k: int) -> ModelSpec:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
+    ring = _cyclic_ring(n)  # refuses n > MAX_LABELS before the O(n) weights
     h = [Fraction(k * j * (n - j), 2 * n) for j in range(n)]
-    return ModelSpec(_cyclic_ring(n), SpinAssignment(h), name=f"sun_currents:{n}:{k}")
+    return ModelSpec(ring, SpinAssignment(h), name=f"sun_currents:{n}:{k}")
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,12 @@ def _rationalize(R: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
     """Integer rows num and a common denominator den with num / den = R,
     or None when some entry has no small-denominator reconstruction.
 
-    A value is accepted as exact only when two reconstructions with very
-    different denominator caps agree; an irrational entry fails this.
+    Each distinct value is decided once: exact only when reconstructions
+    with denominator caps 10^4 and MAX_DEN agree (an irrational one fails).
     """
+    vals, inverse = np.unique(R, return_inverse=True)
     fracs: List[Fraction] = []
-    for x in R.ravel().tolist():
+    for x in vals.tolist():
         f = Fraction(x).limit_denominator(10 ** 4)
         if f != Fraction(x).limit_denominator(MAX_DEN) or abs(float(f) - x) > 1e-9:
             return None
@@ -156,7 +157,7 @@ def _rationalize(R: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
     ints = [f.numerator * (den // f.denominator) for f in fracs]
     if max(den, *map(abs, ints)) > INT64_MAX:
         return None
-    return np.array(ints, dtype=np.int64).reshape(R.shape), den
+    return np.array(ints, dtype=np.int64)[inverse].reshape(R.shape), den
 
 
 def commutant_basis(md: ModularData) -> CommutantBasis:

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .catalog import BranchingTable, branching_catalog, zn_valid_weights
-from .fusion import simple_currents
+from .catalog import BranchingTable, branching_catalog, zn_weight_valid
+from .fusion import MAX_LABELS, simple_currents
 from .modular import ModelSpec
 
 __all__ = [
@@ -97,9 +97,10 @@ def zn_invariant(n: int, a: int, delta: int) -> np.ndarray:
     depend on the Bezout representative; the canonical one makes runs
     reproducible.
     """
-    valid = zn_valid_weights(n)  # raises ValueError for n < 1
-    if a % (2 * n) not in valid:
+    if not zn_weight_valid(n, a):  # raises ValueError for n < 1
         raise ValueError(f"invalid weight a={a % (2 * n)} for Z_{n}")
+    if n > MAX_LABELS:
+        raise ValueError(f"{n} labels exceed the {MAX_LABELS}-label limit")
     nt = n if n % 2 == 1 else n // 2
     if delta < 1 or nt % delta != 0:
         raise ValueError(f"delta={delta} does not divide {nt}")

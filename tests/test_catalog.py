@@ -1,4 +1,5 @@
 """Built-in models and the three embedding branching tables."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from modinv.catalog import (
     catalog_specs,
     su4_charge_conjugation,
     zn_valid_weights,
+    zn_weight_valid,
 )
 
 
@@ -78,6 +80,16 @@ def test_zn_parameter_constraints():
     assert zn_valid_weights(3) == [2, 4]
     assert all(a % 2 == 0 for a in zn_valid_weights(9))
     assert len(zn_valid_weights(12)) == 8
+
+
+def test_zn_weight_rule_matches_the_listing_loop():
+    for n in range(1, 61):
+        loop = [a for a in range(2 * n)
+                if math.gcd(a, n) == 1 and not (n % 2 == 1 and a % 2 == 1)]
+        assert zn_valid_weights(n) == loop
+        assert all(zn_weight_valid(n, a) == (a % (2 * n) in loop) for a in range(-2 * n, 4 * n))
+    with pytest.raises(ValueError):
+        zn_weight_valid(0, 1)
 
 
 def test_zn_weight_taken_mod_2n():

@@ -1,5 +1,7 @@
 """Command line surface: exit codes, JSON round trips, renderers."""
 import json
+import pathlib
+import shlex
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from modinv.cli import (
     render_partition_function,
 )
 from modinv.classify import type1_decomposition
+from modinv.extensions import zn_invariant
 from modinv.fusion import MAX_LABELS, fusion_tensor
 from modinv.modular import tensor_product
 
@@ -369,6 +372,62 @@ def test_cli_refuses_oversized_fusion_tensor(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot build model 'su2:100000'") and err.count("\n") == 1
     assert peak < 1_000_000
+
+
+def traced_peak(call):
+    """(result of call(), tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["zn:1000000000000:1", "sun_currents:1000000000000:1"])
+def test_cli_refuses_huge_cyclic_models_before_any_o_n_work(capsys, name):
+    code, peak = traced_peak(lambda: main(["enumerate", name]))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot build model '{name}'") and err.count("\n") == 1
+    assert f"{MAX_LABELS}-label limit" in err
+    assert peak < 1_000_000
+
+
+def test_zn_invariant_refuses_huge_n_before_allocating():
+    def call():
+        with pytest.raises(ValueError, match=f"{MAX_LABELS}-label limit"):
+            zn_invariant(10 ** 12, 1, 1)
+    assert traced_peak(call)[1] < 1_000_000
+
+
+def test_model_file_with_a_huge_builtin_name(tmp_path, capsys):
+    data = model_to_json(zn_model(3, 2))
+    data["name"] = "zn:1000000000000:1"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, peak = traced_peak(lambda: main(["model", "validate", str(path)]))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid model: cannot build model") and err.count("\n") == 1
+    assert peak < 1_000_000
+
+
+def readme_commands():
+    """The `modinv ...` lines of the README's "Command line" block."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("modinv ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:  # in order: 'model validate' reads what 'model show' wrote
+        assert main(argv) == 0, argv
+        assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def test_fusion_tensor_limit_covers_every_builder(tmp_path, capsys):

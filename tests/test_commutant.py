@@ -1,4 +1,5 @@
 """T-support, commutant basis, and complete invariant enumeration."""
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -258,6 +259,66 @@ def test_inexact_basis_is_refused(monkeypatch):
         commutant_basis(md)
 
 
+def per_entry_rationalize(R):
+    """Reference for commutant._rationalize: the same two-cap decision
+    and int64 guard, made on every entry of R in turn."""
+    fracs = []
+    for x in R.ravel().tolist():
+        f = Fraction(x).limit_denominator(10 ** 4)
+        if f != Fraction(x).limit_denominator(commutant.MAX_DEN) or abs(float(f) - x) > 1e-9:
+            return None
+        fracs.append(f)
+    den = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    if max(den, *map(abs, ints)) > commutant.INT64_MAX:
+        return None
+    return np.array(ints, dtype=np.int64).reshape(R.shape), den
+
+
+def same_rationalization(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return (got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+            and np.array_equal(got[0], want[0]) and got[1] == want[1])
+
+
+def test_rationalize_matches_the_per_entry_reference_on_the_catalog(monkeypatch):
+    rows = []
+    rationalize = commutant._rationalize
+    monkeypatch.setattr(commutant, "_rationalize", lambda R: rows.append(R) or rationalize(R))
+    for spec in catalog_specs(28, 24):
+        commutant_basis(build(spec))
+    assert len(rows) == 273
+    for R in rows:
+        assert same_rationalization(rationalize(R), per_entry_rationalize(R))
+
+
+@pytest.mark.parametrize("R, accepted", [
+    (np.array([[1.0, 0.5, math.sqrt(2)]]), False),  # irrational
+    # within 1e-10 of 1/9973, but exact with denominator 997301: the caps disagree
+    (np.array([[1.0, 100 / 997301]]), False),
+    (np.array([[1.0, 0.0, 2.0 ** 63]]), False),  # integral, beyond int64
+    (np.array([[1.0, -0.0, 0.5, 1 / 3], [0.0, 1 / 3, -0.5, 0.5]]), True),
+    (np.array([[1.0, 0.0, -0.0, 0.25], [0.0, 1.0, 0.25, -0.0]]), True),
+])
+def test_rationalize_matches_the_per_entry_reference_on_crafted_rows(R, accepted):
+    got = commutant._rationalize(R)
+    assert same_rationalization(got, per_entry_rationalize(R))
+    assert (got is not None) == accepted
+    if accepted:
+        num, den = got
+        assert np.array_equal(num / den, R)
+
+
+def test_scan_rejects_a_basis_that_is_not_integral_over_den():
+    # Halving a real basis puts 1/2 on the vacuum cell of every candidate:
+    # only the remainder filter of N / den and the commutation check keep
+    # such candidates out of the list.
+    md = build(su2_model(4))
+    half = dataclasses.replace(commutant_basis(md), den=2)
+    assert enumerate_invariants(md, basis=half) == []
+
+
 def test_exact_recheck_refuses_int64_overflow():
     md = build(su2_model(6))
     basis = commutant_basis(md)
@@ -370,3 +431,55 @@ def test_enumeration_matches_brute_force(spec):
     want = brute_force_enumerate(md)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def scan_space(md, basis):
+    """Candidates enumerate_invariants scans: the PF ranges of the pivots."""
+    d = md.ring.d
+    return math.prod(int(math.floor(d[l] * d[mu] + 1e-9)) + 1
+                     for l, mu in basis.pivot_cells[1:])
+
+
+def assert_symmetric_list(md, invs, factors=()):
+    """The list holds the identity, is closed under Z -> Z^T and Z -> CZ,
+    and, for a product, holds kron(X, Y) of every pair of factor invariants."""
+    keys = {sort_key(Z) for Z in invs}
+    assert sort_key(np.eye(md.ring.size, dtype=int)) in keys
+    for Z in invs:
+        assert sort_key(Z.T) in keys
+        assert sort_key(md.C @ Z) in keys
+    if factors:
+        a, b = (enumerate_invariants(build(f)) for f in factors)
+        for X in a:
+            for Y in b:
+                assert sort_key(np.kron(X, Y)) in keys
+
+
+factor_pairs = st.tuples(st.one_of(small_su2(4), small_zn(6)),
+                         st.one_of(small_su2(4), small_zn(6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(small_su2(10).map(lambda s: (s,)), small_zn(12).map(lambda s: (s,)),
+                 factor_pairs))
+def test_enumerated_lists_hold_the_identity_symmetries_and_products(factors):
+    spec = factors[0] if len(factors) == 1 else tensor_product(*factors)
+    md = build(spec)
+    assume(md.nondegenerate)
+    basis = commutant_basis(md)
+    assume(scan_space(md, basis) <= 10 ** 5)
+    invs = enumerate_invariants(md, basis=basis)
+    assert_symmetric_list(md, invs, factors if len(factors) == 2 else ())
+
+
+@pytest.mark.parametrize("name", ["sun_currents:4:2", "sun_currents:5:5",
+                                  "sun_currents:6:3", "sun_currents:10:4",
+                                  "sun_currents:4:2*zn:3:2",
+                                  "sun_currents:3:3*sun_currents:2:2"])
+def test_y_commutant_lists_hold_the_same_symmetries(name):
+    # Y is symmetric and C Y C = Y, so the Y-commutant is closed under
+    # Z -> Z^T and Z -> CZ as the S-commutant is.
+    md = build(model_by_name(name))
+    assert not md.nondegenerate
+    factors = [model_by_name(f) for f in name.split("*")] if "*" in name else ()
+    assert_symmetric_list(md, enumerate_invariants(md), factors)

@@ -1,8 +1,11 @@
 """Graph catalog, nimreps, spectral assignment, orbifolds."""
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modinv import (
     ade_assignment,
@@ -13,6 +16,7 @@ from modinv import (
     pz_graph,
     su2_model,
 )
+from modinv import graphs
 from modinv.graphs import (
     Graph,
     pz_quotient_reference,
@@ -92,6 +96,86 @@ def test_nimrep_d5_valid_and_pf_gate():
     # wrong level: PF eigenvalue gate
     assert su2_nimrep_from_graph(5, graph_catalog("A", 7)) is None
     assert su2_nimrep_from_graph(6, graph_catalog("A", 6)) is None
+
+
+@functools.lru_cache(maxsize=None)
+def su2_fusion(k):
+    return su2_model(k).ring.N
+
+
+def einsum_nimrep(k, graph):
+    """Reference for su2_nimrep_from_graph: the same PF gate and
+    nonnegative recursion, then the whole tower checked against the
+    su(2)_k fusion tensor, G_i G_j = sum_l N_ij^l G_l for all i, j."""
+    A = graph.adjacency
+    if abs(graph.pf_eigenvalue() - 2.0 * math.cos(math.pi / (k + 2))) > graphs.PF_TOL:
+        return None
+    mats = [np.eye(A.shape[0], dtype=int), A.copy()]
+    for _ in range(2, k + 1):
+        nxt = A @ mats[-1] - mats[-2]
+        if np.any(nxt < 0):
+            return None
+        mats.append(nxt)
+    G = np.stack(mats)
+    lhs = np.einsum("iab,jbc->ijac", G, G)
+    rhs = np.einsum("ijn,nac->ijac", su2_fusion(k), G)
+    return mats if np.array_equal(lhs, rhs) else None
+
+
+def same_tower(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# Every family and size ade_assignment can ask for at k <= 40, and more.
+CATALOG_GRAPHS = (
+    [graph_catalog("A", n) for n in range(1, 42)]
+    + [graph_catalog("D", n) for n in range(4, 24)]
+    + [graph_catalog("E", n) for n in (6, 7, 8)]
+    + [graph_catalog("T", n) for n in range(1, 22)]
+)
+
+
+def test_nimrep_matches_the_einsum_check_on_the_catalog():
+    towers = 0
+    for k in range(1, 41):
+        for g in CATALOG_GRAPHS:
+            got = su2_nimrep_from_graph(k, g)
+            assert same_tower(got, einsum_nimrep(k, g)), (k, g.name)
+            towers += got is not None
+    # A_{k+1} at each level, D_{k/2+2} at even k >= 4, E6/E7/E8 at
+    # 10/16/28, T_{(k+1)/2} at odd k: 40 + 19 + 3 + 20 towers.
+    assert towers == 82
+
+
+def test_nimrep_matches_the_einsum_check_on_the_catalog_without_the_pf_gate(monkeypatch):
+    # Every pair reaches the recursion and the U_{k+1}(A) = 0 test; the
+    # sizes are cut because the reference einsum costs k^2 n^3.
+    monkeypatch.setattr(graphs, "PF_TOL", math.inf)
+    for k in range(1, 17):
+        for g in CATALOG_GRAPHS:
+            if g.size <= 18:
+                assert same_tower(su2_nimrep_from_graph(k, g), einsum_nimrep(k, g)), (k, g.name)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    n = draw(st.integers(1, 4))
+    upper = draw(st.lists(st.integers(0, 2), min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    A = np.zeros((n, n), dtype=int)
+    A[np.triu_indices(n)] = upper
+    return Graph(A + np.triu(A, 1).T, [str(i) for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), symmetric_graphs())
+def test_nimrep_matches_the_einsum_check_without_the_pf_gate(k, graph):
+    # Entries <= 2 on <= 4 vertices keep the tower (PF <= 8) well inside int64.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "PF_TOL", math.inf)
+        assert same_tower(su2_nimrep_from_graph(k, graph), einsum_nimrep(k, graph))
 
 
 def test_spectrum_match_diagonal_and_block():
