@@ -284,10 +284,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     invs = enumerate_invariants(md, basis=basis)
     print(f"{spec.name}: commutant rank {basis.r} ({basis.kind}), "
           f"{len(invs)} physical invariants")
+    fmt = "  " + " ".join(["%2d"] * md.ring.size)
     for i, Z in enumerate(invs):
         print(f"invariant {i}: trace {int(np.trace(Z))}")
-        for row in Z:
-            print("  " + " ".join(f"{int(x):2d}" for x in row))
+        print("\n".join(fmt % tuple(row) for row in Z.tolist()))
     if args.oracle:
         ref = brute_force_enumerate(md)
         same = len(ref) == len(invs) and all(

@@ -4,14 +4,15 @@ The search space is cut down in three stages: the exact spin classes
 (T-support) restrict the allowed cells; the real S-commutant on them is
 the nullspace of a closed-form |cells| x |cells| Gram matrix, found once
 by eigh and put into reduced row echelon form; and the integer points
-are scanned, on the cell values alone, through the pivot cells with
-Perron-Frobenius bounds Z_{lm} <= d_l d_m and sum Z <= w.
+are searched depth first over the pivot values, with Perron-Frobenius
+bounds Z_{lm} <= d_l d_m and sum Z <= w.
 
 The echelon basis is rationalized (small-denominator reconstruction)
 and rechecked against K once; a basis that does not rationalize or fails
-that recheck is refused with RuntimeError.  The scan then decides every
-candidate in int64 on the exact rows num / den: range, integrality and
-the sum bound.
+that recheck is refused with RuntimeError.  The search then works in
+int64 on the exact rows num / den: a partial sum is cut as soon as the
+pivots still open cannot bring some cell, or the row sum, into range,
+and each complete one is decided by range, integrality and the sum bound.
 """
 
 from __future__ import annotations
@@ -200,48 +201,62 @@ def enumerate_invariants(
     """
     if basis is None:
         basis = commutant_basis(md)
-    r = basis.r
-    ring = md.ring
-    m = ring.size
+    r, m = basis.r, md.ring.size
     if r == 0:
         return []
     if not basis.pivot_cells or basis.pivot_cells[0] != (0, 0):
         raise RuntimeError("echelon basis does not pivot on the vacuum cell")
 
     K, _, tol = _operator(md)
-    d = ring.d
+    d = md.ring.d
     l, mu = np.array(basis.cells).T
     bound = np.floor(d[l] * d[mu] + 1e-9).astype(np.int64)
     w_max = math.floor(md.w + 1e-6)
+    num, den = basis.num, basis.den
 
-    # Pivot 0 is the vacuum, fixed to 1; pivot i > 0 runs over 0..bound.
-    radix = [int(bound[basis.cells.index(c)]) + 1 for c in basis.pivot_cells[1:]]
-    total = math.prod(radix)
-    if total > NODE_CAP:
-        raise RuntimeError(
-            f"search space exceeds {NODE_CAP:.0e} candidate assignments"
-        )
-    # The scan decides A @ num against bound * den in int64.
-    top = int(np.abs(basis.num).max()) * basis.den
-    if (1 + sum(radix) - len(radix)) * top > INT64_MAX:
+    # Pivot 0 is the vacuum, fixed to 1; pivot i > 0 runs over 0..b_i.
+    b = bound[[basis.cells.index(c) for c in basis.pivot_cells]]
+    # Every int64 value formed below (partial sums on the cells and on the row
+    # sum, suffix bounds, caps bound * den and w * den, a cap plus a suffix
+    # bound) is at most 2 * top; a spare 2 absorbs the rounding of top.
+    top = max(float(b @ np.abs(num).sum(axis=1, dtype=float)), w_max, bound.max()) * den
+    if 4 * top > INT64_MAX:
         raise RuntimeError("exact recheck would overflow int64")
-    cap = bound * basis.den
 
-    # Every basis matrix vanishes off `cells`: scan the cell values only.
+    # The row sum is one more column, capped like a cell.  Pivots j > i
+    # add between sum b_j min(row_j, 0) and sum b_j max(row_j, 0), so a
+    # partial sum over pivots 0..i outside [lo_i, hi_i] is cut.
+    rows = np.column_stack([num, num.sum(axis=1)])
+    up = b[:, None] * np.maximum(rows, 0)
+    down = b[:, None] * np.minimum(rows, 0)
+    lo = up - np.cumsum(up[::-1], axis=0)[::-1]
+    hi = np.append(bound, w_max) * den + down - np.cumsum(down[::-1], axis=0)[::-1]
     out: List[np.ndarray] = []
-    for start in range(0, total, 4096):
-        k = np.arange(start, min(start + 4096, total), dtype=np.int64)
-        A = np.ones((len(k), r), dtype=np.int64)
-        for i in range(r - 1, 0, -1):  # mixed radix, last pivot fastest
-            k, A[:, i] = np.divmod(k, radix[i - 1])
-        N = A @ basis.num
-        N = N[np.all((N >= 0) & (N <= cap), axis=1)]
-        Zi, rem = np.divmod(N, basis.den)
-        Zi = Zi[~rem.any(axis=1) & (Zi.sum(axis=1) <= w_max)]
-        for Z in _scatter(Zi, basis.cells, m):
-            if np.linalg.norm(K @ Z - Z @ K) < tol:
-                out.append(Z)
-    out.sort(key=lambda Z: tuple(Z.ravel()))
+    expanded = 0
+
+    def search(i: int, N: np.ndarray) -> None:
+        # Depth first: cut the rows N (pivots 0..i fixed), then extend the
+        # survivors by pivot i + 1 in blocks of at most 4096 rows.
+        nonlocal expanded
+        N = N[((lo[i] <= N) & (N <= hi[i])).all(axis=1)]
+        if i == r - 1:
+            Zi, rem = np.divmod(N[:, :-1], den)
+            for Z in _scatter(Zi[~rem.any(axis=1)], basis.cells, m):
+                if np.linalg.norm(K @ Z - Z @ K) < tol:
+                    out.append(Z)
+            return
+        vals = np.arange(b[i + 1] + 1)[:, None]
+        step = max(1, 4096 // len(vals))
+        for s in range(0, len(N), step):
+            expanded += min(step, len(N) - s) * len(vals)
+            if expanded > NODE_CAP:
+                raise RuntimeError(f"frontier search exceeds {NODE_CAP:.0e} rows")
+            # Unnamed, so the block is freed as soon as the callee cuts it.
+            search(i + 1, (N[s:s + step, None] + vals * rows[i + 1])
+                   .reshape(-1, rows.shape[1]))
+
+    search(0, rows[:1])
+    out.sort(key=lambda Z: Z.ravel().tolist())
     return out
 
 
@@ -258,17 +273,9 @@ def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:
     cells = support_cells(md.spins)
     K, _, tol = _operator(md)
 
-    bounds = []
-    total = 1
-    for l, mu in cells:
-        b = 1 if (l, mu) == (0, 0) else int(math.floor(d[l] * d[mu] + 1e-9))
-        bounds.append(b)
-        if (l, mu) != (0, 0):
-            total *= b + 1
-            if total > BRUTE_NODE_CAP:
-                raise RuntimeError(
-                    f"brute-force space exceeds {BRUTE_NODE_CAP:.0e} assignments"
-                )
+    bounds = [1] + [int(math.floor(d[l] * d[mu] + 1e-9)) for l, mu in cells[1:]]
+    if math.prod(b + 1 for b in bounds[1:]) > BRUTE_NODE_CAP:
+        raise RuntimeError(f"brute-force space exceeds {BRUTE_NODE_CAP:.0e} assignments")
 
     out: List[np.ndarray] = []
     Z = np.zeros((m, m), dtype=int)
@@ -316,13 +323,6 @@ def is_invariant(md: ModularData, Z: np.ndarray) -> Tuple[bool, Dict[str, object
     rep["pf_bounds"] = bool(np.all(Z <= np.outer(d, d) + 1e-9))
     rep["sum_bound"] = bool(Z.sum() <= md.w + 1e-6)
     rep["commutation"] = float(np.linalg.norm(K @ Z - Z @ K))
-    ok = (
-        rep["integer"]
-        and rep["nonnegative"]
-        and rep["vacuum"]
-        and rep["t_support"]
-        and rep["pf_bounds"]
-        and rep["sum_bound"]
-        and rep["commutation"] < tol
-    )
+    flags = ("integer", "nonnegative", "vacuum", "t_support", "pf_bounds", "sum_bound")
+    ok = all(rep[f] for f in flags) and rep["commutation"] < tol
     return bool(ok), rep

@@ -467,6 +467,13 @@ def test_cli_product_model_names(capsys):
     assert "divisor invariants" not in out and "admissible orders" not in out
 
 
+def test_cli_enumerates_a_product_beyond_the_product_scan(capsys):
+    assert main(["enumerate", "su2:8*su2:8"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("su2:8*su2:8: commutant rank 13 (modular), 13 physical invariants\n")
+    assert out.count("invariant ") == 13 and out.count("\n") == 1 + 13 * (1 + 81)
+
+
 @pytest.mark.parametrize("name, message", [
     ("zn:x:2", "cannot build model 'zn:x:2'"),
     ("sun_currents:3", "unknown model name 'sun_currents:3'"),

@@ -1,6 +1,7 @@
 """T-support, commutant basis, and complete invariant enumeration."""
 import dataclasses
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -22,8 +23,10 @@ from modinv import (
     zn_model,
 )
 from modinv import commutant
-from modinv.catalog import catalog_specs, model_by_name, zn_valid_weights
+from modinv.catalog import catalog_names, catalog_specs, model_by_name, zn_valid_weights
+from modinv.cli import main
 from modinv.commutant import support_cells
+from product_scan import product_scan_enumerate
 
 
 def d5_matrix():
@@ -227,11 +230,16 @@ def test_degenerate_model_enumerates_against_y():
         assert np.array_equal(x, y)
 
 
-def test_node_cap_guards(monkeypatch):
+def test_node_cap_guards(monkeypatch, capsys):
+    # NODE_CAP caps the frontier rows the search expands, i.e. its work;
+    # the CLI reports the refusal as one error line with exit 2.
     md = build(su2_model(6))
     monkeypatch.setattr(commutant, "NODE_CAP", 1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="frontier search exceeds"):
         enumerate_invariants(md)
+    assert main(["enumerate", "su2:6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: frontier search exceeds") and err.count("\n") == 1
     monkeypatch.setattr(commutant, "BRUTE_NODE_CAP", 2)
     with pytest.raises(RuntimeError):
         brute_force_enumerate(md)
@@ -324,6 +332,25 @@ def test_exact_recheck_refuses_int64_overflow():
     basis = commutant_basis(md)
     big = 2 ** 40
     basis.num, basis.den = basis.num * big, basis.den * big
+    with pytest.raises(RuntimeError, match="int64"):
+        enumerate_invariants(md, basis=basis)
+
+
+def test_frontier_refuses_an_int64_overflow_through_the_row_sum():
+    # Scaled so that the product scan's guard (1 + sum b_i) max|num| den
+    # holds with room 8: every partial sum on a cell fits in int64 with
+    # room to spare, but the row sums of su2:24 (up to 12.5 times larger)
+    # do not fit.
+    md = build(su2_model(24))
+    basis = commutant_basis(md)
+    d = md.ring.d
+    b = [1] + [int(math.floor(d[l] * d[mu] + 1e-9)) for l, mu in basis.pivot_cells[1:]]
+    rows = basis.num.tolist()
+    big = commutant.INT64_MAX // (8 * sum(b) * int(np.abs(basis.num).max()) * basis.den)
+    cells = [sum(bj * abs(row[c]) for bj, row in zip(b, rows)) for c in range(len(rows[0]))]
+    assert 8 * max(cells) * big <= commutant.INT64_MAX
+    assert max(abs(sum(row)) for row in rows) * big > commutant.INT64_MAX
+    basis.num = basis.num * big
     with pytest.raises(RuntimeError, match="int64"):
         enumerate_invariants(md, basis=basis)
 
@@ -434,7 +461,8 @@ def test_enumeration_matches_brute_force(spec):
 
 
 def scan_space(md, basis):
-    """Candidates enumerate_invariants scans: the PF ranges of the pivots."""
+    """Size of the pivot box (the PF ranges of the pivots), which bounds
+    the work of enumerate_invariants."""
     d = md.ring.d
     return math.prod(int(math.floor(d[l] * d[mu] + 1e-9)) + 1
                      for l, mu in basis.pivot_cells[1:])
@@ -483,3 +511,43 @@ def test_y_commutant_lists_hold_the_same_symmetries(name):
     assert not md.nondegenerate
     factors = [model_by_name(f) for f in name.split("*")] if "*" in name else ()
     assert_symmetric_list(md, enumerate_invariants(md), factors)
+
+
+def list_bytes(invs):
+    return [(Z.dtype.str, Z.shape, Z.tobytes()) for Z in invs]
+
+
+def test_frontier_matches_the_product_scan_on_the_catalog_and_dense_models():
+    names = catalog_names() + ["sun_currents:12:2", "sun_currents:8:4",
+                               "su2:4*su2:4", "zn:6:1*zn:6:1"]
+    assert len(names) == 277
+    for name in names:
+        md = build(model_by_name(name))
+        basis = commutant_basis(md)
+        got = enumerate_invariants(md, basis=basis)
+        assert list_bytes(got) == list_bytes(product_scan_enumerate(md, basis)), name
+
+
+@pytest.mark.parametrize("name, count, den, seconds, megabytes", [
+    ("su2:8*su2:8", 13, 2, 5, 32),
+    ("sun_currents:6:3*su2:1", 864, 1, 5, 32),
+    ("su2:10*su2:10", 27, 1, 20, 160),
+    ("sun_currents:24:2", 8192, 1, 20, 150),
+])
+def test_frontier_finishes_models_beyond_the_product_scan(name, count, den, seconds,
+                                                          megabytes):
+    # Pivot boxes of 1.8e8, 3.4e7, 1.2e24 and 8.6e9 candidates.
+    md = build(model_by_name(name))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        basis = commutant_basis(md)
+        invs = enumerate_invariants(md, basis=basis)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(invs), basis.den) == (count, den)
+    assert elapsed < seconds and peak < megabytes * 2 ** 20, (elapsed, peak)
+    if "*" in name:
+        assert_symmetric_list(md, invs, [model_by_name(f) for f in name.split("*")])
