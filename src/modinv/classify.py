@@ -11,8 +11,10 @@ The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
 those two vectors and on which listed invariants are type I.  Whether a
 matrix is type I is a function of that matrix alone, so its Gram rows
 are memoized per matrix (keyed by its int64 bytes, at most
-TYPE1_MEMO_SIZE entries): classifying a whole list decomposes each
-listed matrix at most once, whichever lists are classified in between.
+TYPE1_MEMO_SIZE entries).  Classifying a list of at most that many
+matrices decomposes each one once; a longer list evicts answers it still
+needs.  Each parent search reads the whole list, so classifying every Z
+of a list costs time quadratic in its length.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ __all__ = [
 
 # Node budget of one Gram decomposition search.
 GRAM_NODE_CAP = 10 ** 7
-# Matrices whose type I answer is kept; more than any classified list has.
+# Matrices whose type I answer is kept.  Some lists are as long or longer:
+# sun_currents:20:2 has 1,024 invariants and sun_currents:24:2 has 8,192.
 TYPE1_MEMO_SIZE = 1024
 
 
@@ -58,19 +61,17 @@ def permutation_test(
     A non-permutation Z yields None.
     """
     Z = np.asarray(Z)
-    m = Z.shape[0]
     if not (
         np.all((Z == 0) | (Z == 1))
         and np.all(Z.sum(axis=0) == 1)
         and np.all(Z.sum(axis=1) == 1)
     ):
         return None
-    theta = np.array([int(np.argmax(Z[i])) for i in range(m)])
+    theta = Z.argmax(axis=1)
     rep: Dict[str, object] = {"theta": theta, "fixes_vacuum": bool(theta[0] == 0)}
-    Np = ring.N[theta][:, theta][:, :, theta]
-    rep["fusion_ok"] = bool(np.array_equal(Np, ring.N))
+    rep["fusion_ok"] = bool(np.array_equal(ring.N[np.ix_(theta, theta, theta)], ring.N))
     if spins is not None:
-        rep["spin_ok"] = all(spins.h[int(theta[i])] == spins.h[i] for i in range(m))
+        rep["spin_ok"] = [spins.h[t] for t in theta.tolist()] == list(spins.h)
     rep["consistent"] = bool(
         rep["fixes_vacuum"] and rep["fusion_ok"] and rep.get("spin_ok", True)
     )
@@ -89,13 +90,9 @@ def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
     That is, some current sigma has N_{sigma l}^m = 1.  Holds for all
     pure simple-current invariants; fails for exceptional couplings.
     """
-    d = ring.d
-    currents = [i for i in range(ring.size) if abs(d[i] - 1.0) < CURRENT_TOL]
-    reach = np.zeros((ring.size, ring.size), dtype=bool)
-    for s in currents:
-        reach |= ring.N[s].astype(bool)
-    Z = np.asarray(Z)
-    return bool(np.all(reach[Z != 0]))
+    (currents,) = np.nonzero(np.abs(ring.d - 1.0) < CURRENT_TOL)
+    lam, mu = np.nonzero(np.asarray(Z))
+    return bool(np.all(np.any(ring.N[currents[:, None], lam, mu] != 0, axis=0)))
 
 
 def _gram_rows(R: np.ndarray) -> Optional[List[np.ndarray]]:
@@ -238,8 +235,7 @@ def find_parents(
     indices into `enumerated` (first match each), None where no parent
     exists in the list.  Only vacuum-symmetric entries with a matching
     vacuum vector are tested, and each test is the memoized type I answer
-    of that one matrix, so classifying every Z of a list decomposes each
-    listed matrix at most once.
+    of that one matrix (see TYPE1_MEMO_SIZE for when it is evicted).
     """
     Z = np.asarray(Z, dtype=int)
     m = Z.shape[0]

@@ -115,7 +115,7 @@ def model_from_json(data: Dict[str, object]) -> ModelSpec:
 
 
 def matrix_to_json(Z: np.ndarray) -> List[List[int]]:
-    return [[int(x) for x in row] for row in np.asarray(Z)]
+    return np.asarray(Z).astype(int).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +123,10 @@ def matrix_to_json(Z: np.ndarray) -> List[List[int]]:
 
 def _chi(name: str) -> str:
     return f"χ{name}"
+
+
+def _mult(c: int) -> str:
+    return f"{c}" if c > 1 else ""
 
 
 def render_partition_function(
@@ -133,8 +137,9 @@ def render_partition_function(
     """Character-sum form of a coupling matrix.
 
     With a branching table the blocks are rendered as |chi+...|^2 with
-    multiplicities for repeated rows; otherwise diagonal terms come
-    first (ascending), then off-diagonal terms row-major.
+    multiplicities for repeated rows, in first-seen order; otherwise
+    diagonal terms come first (ascending), then off-diagonal terms
+    row-major.
     """
     Z = np.asarray(Z, dtype=int)
     m = Z.shape[0]
@@ -145,37 +150,25 @@ def render_partition_function(
         b = branching.b
         if not np.array_equal(b.T @ b, Z):
             raise ValueError("branching table does not reproduce the matrix")
-        terms: List[str] = []
-        seen: List[int] = []
-        for t in range(b.shape[0]):
-            if t in seen:
-                continue
-            dup = [u for u in range(b.shape[0]) if np.array_equal(b[u], b[t])]
-            seen.extend(dup)
-            inner = []
-            for lam in range(m):
-                c = int(b[t, lam])
-                if c == 0:
-                    continue
-                inner.append(f"{c if c > 1 else ''}{_chi(names[lam])}")
-            pre = f"{len(dup)}" if len(dup) > 1 else ""
-            terms.append(f"{pre}|{' + '.join(inner)}|²")
-        return " + ".join(terms)
+        repeats: Dict[tuple, int] = {}
+        for row in map(tuple, b.tolist()):
+            repeats[row] = repeats.get(row, 0) + 1
+        blocks = np.array(list(repeats), dtype=int)
+        t, lam = np.nonzero(blocks)
+        inner: List[List[str]] = [[] for _ in repeats]
+        for i, l, c in zip(t.tolist(), lam.tolist(), blocks[t, lam].tolist()):
+            inner[i].append(f"{_mult(c)}{_chi(names[l])}")
+        return " + ".join(f"{_mult(k)}|{' + '.join(chis)}|²"
+                          for k, chis in zip(repeats.values(), inner))
 
-    terms = []
-    for lam in range(m):
-        c = int(Z[lam, lam])
-        if c:
-            pre = f"{c}" if c > 1 else ""
-            terms.append(f"{pre}|{_chi(names[lam])}|²")
-    for lam in range(m):
-        for mu in range(m):
-            if lam == mu:
-                continue
-            c = int(Z[lam, mu])
-            if c:
-                pre = f"{c}" if c > 1 else ""
-                terms.append(f"{pre}{_chi(names[lam])}{_chi(names[mu])}*")
+    diag = Z.diagonal()
+    (lam,) = np.nonzero(diag)
+    terms = [f"{_mult(c)}|{_chi(names[l])}|²"
+             for l, c in zip(lam.tolist(), diag[lam].tolist())]
+    off = Z - np.diag(diag)
+    lam, mu = np.nonzero(off)
+    terms += [f"{_mult(c)}{_chi(names[l])}{_chi(names[u])}*"
+              for l, u, c in zip(lam.tolist(), mu.tolist(), off[lam, mu].tolist())]
     return " + ".join(terms) if terms else "0"
 
 

@@ -243,61 +243,52 @@ def simple_currents(ring: FusionRing, tol: float = CURRENT_TOL) -> SimpleCurrent
     decomposition is greedy on element order and is validated by
     comparing the product of the factor orders with the group order.
     """
-    d = ring.d
-    elems = [i for i in range(ring.size) if abs(d[i] - 1.0) < tol]
-    pos = {g: k for k, g in enumerate(elems)}
+    (currents,) = np.nonzero(np.abs(ring.d - 1.0) < tol)
+    elems = currents.tolist()
     n = len(elems)
 
+    acts = np.all(ring.N.sum(axis=2) == 1, axis=1) & (ring.N.max(axis=(1, 2)) == 1)
     for g in elems:
-        A = ring.N[g]
-        if not (np.all(A.sum(axis=1) == 1) and A.max() == 1):
+        if not acts[g]:
             raise ValueError(f"simple current {g} does not act as a permutation")
 
-    table = np.full((n, n), -1, dtype=int)
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            prod = int(np.nonzero(ring.N[g, h])[0][0])
-            if prod not in pos:
-                raise ValueError("simple currents do not close under fusion")
-            table[i, j] = pos[prod]
-    for g in elems:
-        if int(ring.conj[g]) not in pos:
-            raise ValueError("simple currents do not close under conjugation")
+    # pos[label] = position in elems, -1 off the currents; each current
+    # row N[g, h] has one nonzero entry, the product label.
+    pos = np.full(ring.size, -1)
+    pos[currents] = np.arange(n)
+    table = pos[(ring.N[np.ix_(currents, currents)] != 0).argmax(axis=2)]
+    if np.any(table < 0):
+        raise ValueError("simple currents do not close under fusion")
+    if np.any(pos[ring.conj[currents]] < 0):
+        raise ValueError("simple currents do not close under conjugation")
 
-    def elt_order(i: int) -> int:
-        k, x = 1, i
-        while x != 0:
-            x = int(table[x, i])
-            k += 1
-        return k
+    # orders[i] = least k >= 1 with i^k = 0, found for all i at once.
+    orders = np.zeros(n, dtype=int)
+    x = np.arange(n)
+    for k in range(1, n + 1):
+        orders[(x == 0) & (orders == 0)] = k
+        if orders.all():
+            break
+        x = table[x, np.arange(n)]
 
-    orders = [elt_order(pos[g]) for g in elems]
-
+    # Greedy: the first element of largest order whose powers meet the
+    # span only in the vacuum generates the next cyclic factor.
+    by_order = np.argsort(-orders, kind="stable").tolist()
     factors: List[Tuple[int, int]] = []
     span = {0}
     while len(span) < n:
-        best = None
-        for i in range(n):
-            if i in span:
-                continue
+        for i in by_order:
             powers = []
             x = i
-            while x != 0:
+            while x != 0 and x not in span:
                 powers.append(x)
                 x = int(table[x, i])
-            if any(p in span for p in powers):
-                continue
-            if best is None or len(powers) + 1 > best[1]:
-                best = (i, len(powers) + 1, powers)
-        if best is None:
+            if x == 0 and powers:
+                break
+        else:
             raise ValueError("no cyclic decomposition found for the current group")
-        i, k, powers = best
-        factors.append((elems[i], k))
-        closure = set(span)
-        for s in span:
-            for p in powers:
-                closure.add(int(table[s, p]))
-        span = closure
+        factors.append((elems[i], len(powers) + 1))
+        span |= set(table[np.ix_(list(span), powers)].ravel().tolist())
 
     prod_orders = 1
     for _, k in factors:
@@ -306,5 +297,5 @@ def simple_currents(ring: FusionRing, tol: float = CURRENT_TOL) -> SimpleCurrent
         raise ValueError("cyclic decomposition does not exhaust the group")
 
     return SimpleCurrentGroup(
-        elements=elems, table=table, orders=orders, cyclic_factors=factors
+        elements=elems, table=table, orders=orders.tolist(), cyclic_factors=factors
     )

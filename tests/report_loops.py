@@ -1,0 +1,163 @@
+"""Test-only references for the report layer: the per-label loops that
+render_partition_function, matrix_to_json, simple_currents,
+permutation_test and simple_current_test were written as before they
+became whole-array operations.  The package must match them exactly.
+
+`report_models()` enumerates the 273 catalog models and the large_modular
+and dense_search benchmark models once per test process.
+"""
+
+import functools
+
+import numpy as np
+
+from modinv import build, enumerate_invariants
+from modinv.catalog import catalog_names, model_by_name
+from modinv.fusion import CURRENT_TOL
+
+WORKLOAD_MODELS = ["su2:28", "zn:96:1", "zn:128:1", "sun_currents:12:2",
+                   "sun_currents:8:4", "su2:4*su2:4", "zn:6:1*zn:6:1"]
+
+
+@functools.lru_cache(maxsize=1)
+def report_models():
+    """(name, modular data, invariants) of every catalog and workload model."""
+    out = []
+    for name in catalog_names() + WORKLOAD_MODELS:
+        md = build(model_by_name(name))
+        out.append((name, md, enumerate_invariants(md)))
+    return out
+
+
+def matrix_to_json_loop(Z):
+    return [[int(x) for x in row] for row in np.asarray(Z)]
+
+
+def render_loop(Z, names=None, branching=None):
+    Z = np.asarray(Z, dtype=int)
+    m = Z.shape[0]
+    if names is None:
+        names = [str(i) for i in range(m)]
+    if branching is not None:
+        b = branching.b
+        if not np.array_equal(b.T @ b, Z):
+            raise ValueError("branching table does not reproduce the matrix")
+        terms = []
+        seen = []
+        for t in range(b.shape[0]):
+            if t in seen:
+                continue
+            dup = [u for u in range(b.shape[0]) if np.array_equal(b[u], b[t])]
+            seen.extend(dup)
+            inner = []
+            for lam in range(m):
+                c = int(b[t, lam])
+                if c == 0:
+                    continue
+                inner.append(f"{c if c > 1 else ''}χ{names[lam]}")
+            pre = f"{len(dup)}" if len(dup) > 1 else ""
+            terms.append(f"{pre}|{' + '.join(inner)}|²")
+        return " + ".join(terms)
+    terms = []
+    for lam in range(m):
+        c = int(Z[lam, lam])
+        if c:
+            pre = f"{c}" if c > 1 else ""
+            terms.append(f"{pre}|χ{names[lam]}|²")
+    for lam in range(m):
+        for mu in range(m):
+            if lam == mu:
+                continue
+            c = int(Z[lam, mu])
+            if c:
+                pre = f"{c}" if c > 1 else ""
+                terms.append(f"{pre}χ{names[lam]}χ{names[mu]}*")
+    return " + ".join(terms) if terms else "0"
+
+
+def simple_currents_loop(ring, tol=CURRENT_TOL):
+    """(elements, table, orders, cyclic_factors), or the ValueError text."""
+    d = ring.d
+    elems = [i for i in range(ring.size) if abs(d[i] - 1.0) < tol]
+    pos = {g: k for k, g in enumerate(elems)}
+    n = len(elems)
+    for g in elems:
+        A = ring.N[g]
+        if not (np.all(A.sum(axis=1) == 1) and A.max() == 1):
+            return f"simple current {g} does not act as a permutation"
+    table = np.full((n, n), -1, dtype=int)
+    for i, g in enumerate(elems):
+        for j, h in enumerate(elems):
+            prod = int(np.nonzero(ring.N[g, h])[0][0])
+            if prod not in pos:
+                return "simple currents do not close under fusion"
+            table[i, j] = pos[prod]
+    for g in elems:
+        if int(ring.conj[g]) not in pos:
+            return "simple currents do not close under conjugation"
+
+    def elt_order(i):
+        k, x = 1, i
+        while x != 0:
+            x = int(table[x, i])
+            k += 1
+        return k
+
+    orders = [elt_order(pos[g]) for g in elems]
+    factors = []
+    span = {0}
+    while len(span) < n:
+        best = None
+        for i in range(n):
+            if i in span:
+                continue
+            powers = []
+            x = i
+            while x != 0:
+                powers.append(x)
+                x = int(table[x, i])
+            if any(p in span for p in powers):
+                continue
+            if best is None or len(powers) + 1 > best[1]:
+                best = (i, len(powers) + 1, powers)
+        if best is None:
+            return "no cyclic decomposition found for the current group"
+        i, k, powers = best
+        factors.append((elems[i], k))
+        closure = set(span)
+        for s in span:
+            for p in powers:
+                closure.add(int(table[s, p]))
+        span = closure
+    prod_orders = 1
+    for _, k in factors:
+        prod_orders *= k
+    if prod_orders != n:
+        return "cyclic decomposition does not exhaust the group"
+    return elems, table, orders, factors
+
+
+def permutation_test_loop(Z, ring, spins=None):
+    Z = np.asarray(Z)
+    m = Z.shape[0]
+    if not (np.all((Z == 0) | (Z == 1)) and np.all(Z.sum(axis=0) == 1)
+            and np.all(Z.sum(axis=1) == 1)):
+        return None
+    theta = np.array([int(np.argmax(Z[i])) for i in range(m)])
+    rep = {"theta": theta, "fixes_vacuum": bool(theta[0] == 0)}
+    Np = ring.N[theta][:, theta][:, :, theta]
+    rep["fusion_ok"] = bool(np.array_equal(Np, ring.N))
+    if spins is not None:
+        rep["spin_ok"] = all(spins.h[int(theta[i])] == spins.h[i] for i in range(m))
+    rep["consistent"] = bool(
+        rep["fixes_vacuum"] and rep["fusion_ok"] and rep.get("spin_ok", True))
+    return rep
+
+
+def simple_current_test_loop(Z, ring):
+    d = ring.d
+    currents = [i for i in range(ring.size) if abs(d[i] - 1.0) < CURRENT_TOL]
+    reach = np.zeros((ring.size, ring.size), dtype=bool)
+    for s in currents:
+        reach |= ring.N[s].astype(bool)
+    return bool(np.all(reach[np.asarray(Z) != 0]))

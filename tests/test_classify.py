@@ -36,6 +36,7 @@ from modinv.classify import (
 from modinv.extensions import restrict
 from modinv.modular import tensor_product
 
+from report_loops import permutation_test_loop, report_models, simple_current_test_loop
 from test_commutant import d5_matrix, d10_matrix, e7_matrix
 
 
@@ -43,6 +44,30 @@ def su4_block_invariant():
     """The embedding invariant b^T b over the 28 carried weights."""
     tab = branching_catalog()["su10_to_su4"]
     return tab.b.T @ tab.b, tab
+
+
+def same_permutation_report(got, want):
+    if want is None:
+        return got is None
+    return (got.keys() == want.keys()
+            and got["theta"].dtype == want["theta"].dtype
+            and np.array_equal(got["theta"], want["theta"])
+            and all(got[k] is want[k] for k in want if k != "theta"))
+
+
+def test_permutation_and_current_tests_match_the_per_label_loops():
+    for name, md, invs in report_models():
+        for Z in invs:
+            assert same_permutation_report(permutation_test(Z, md.ring, md.spins),
+                                           permutation_test_loop(Z, md.ring, md.spins)), name
+            assert simple_current_test(Z, md.ring) == simple_current_test_loop(Z, md.ring)
+    spec = zn_model(4, 1)
+    shift = np.roll(np.eye(4, dtype=int), 1, axis=1)  # lam -> lam + 1 moves the vacuum
+    for spins in (None, spec.spins):
+        rep = permutation_test(shift, spec.ring, spins)
+        assert not rep["fixes_vacuum"] and not rep["consistent"]
+        assert same_permutation_report(rep, permutation_test_loop(shift, spec.ring, spins))
+    assert simple_current_test(shift, spec.ring) == simple_current_test_loop(shift, spec.ring)
 
 
 def test_permutation_test_d5():

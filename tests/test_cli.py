@@ -4,12 +4,13 @@ import pathlib
 import shlex
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from modinv import build, enumerate_invariants, graph_catalog, pz_graph, su2_model, zn_model
-from modinv.catalog import model_by_name, so8_level1_model
+from modinv.catalog import BranchingTable, branching_catalog, model_by_name, so8_level1_model
 from modinv.cli import (
     graph_to_dot,
     main,
@@ -18,11 +19,12 @@ from modinv.cli import (
     model_to_json,
     render_partition_function,
 )
-from modinv.classify import type1_decomposition
-from modinv.extensions import zn_invariant
+from modinv.classify import classify_invariant, type1_decomposition
+from modinv.extensions import restrict, zn_invariant
 from modinv.fusion import MAX_LABELS, fusion_tensor
 from modinv.modular import tensor_product
 
+from report_loops import matrix_to_json_loop, render_loop, report_models
 from test_commutant import d5_matrix, d10_matrix
 
 
@@ -107,6 +109,40 @@ def test_render_identity_and_empty():
     with pytest.raises(ValueError):
         render_partition_function(
             np.eye(17, dtype=int), branching=type1_decomposition(d10_matrix()))
+
+
+def test_render_and_json_match_the_per_label_loops():
+    for name, md, invs in report_models():
+        for Z in invs:
+            b = classify_invariant(Z, md).branching
+            assert render_partition_function(Z) == render_loop(Z), name
+            if b is not None:
+                assert render_partition_function(Z, branching=b) == render_loop(Z, branching=b)
+            assert json.dumps(matrix_to_json(Z)) == json.dumps(matrix_to_json_loop(Z))
+    for table in branching_catalog().values():  # named columns, repeated rows
+        Z = restrict(table, np.eye(table.rows, dtype=int))
+        for b in (None, table):
+            assert (render_partition_function(Z, names=table.col_names, branching=b)
+                    == render_loop(Z, names=table.col_names, branching=b))
+    b = np.array([[1, 0, 0, 0], [0, 2, 1, 0], [0, 0, 0, 1], [0, 2, 1, 0], [0, 0, 0, 1]])
+    table = BranchingTable(b, [f"tau{t}" for t in range(5)], list("abcd"))
+    Z = b.T @ b
+    out = render_partition_function(Z, names=table.col_names, branching=table)
+    assert out == render_loop(Z, names=table.col_names, branching=table)
+    assert out == "|χa|² + 2|2χb + χc|² + 2|χd|²"
+    zero = np.zeros((4, 4), dtype=int)
+    assert render_partition_function(zero) == render_loop(zero) == "0"
+    assert matrix_to_json(zero) == matrix_to_json_loop(zero)
+
+
+def test_render_compares_a_branching_table_once():
+    n = 256
+    table = BranchingTable(np.eye(n, dtype=int), [f"tau{t}" for t in range(n)],
+                           [str(i) for i in range(n)])
+    with mock.patch.object(np, "array_equal", wraps=np.array_equal) as spy:
+        out = render_partition_function(np.eye(n, dtype=int), branching=table)
+    assert spy.call_count == 1  # the b^T b = Z check
+    assert out == " + ".join(f"|χ{i}|²" for i in range(n))
 
 
 def test_graph_to_dot():

@@ -1,11 +1,15 @@
 """Fusion ring axioms, quantum dimensions and simple currents."""
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from modinv import su2_model, zn_model, so8_level1_model, verify_axioms
 from modinv.fusion import FusionRing, frobenius_violations, simple_currents
+
+from report_loops import report_models, simple_currents_loop
 
 
 def test_su2_ring_axioms_clean():
@@ -122,6 +126,43 @@ def test_current_group_closure():
         for a in range(g.order):
             for b in range(g.order):
                 assert g.elements[g.table[a, b]] in elems
+
+
+def test_simple_currents_match_the_nonzero_loop():
+    for name, md, _ in report_models():
+        g, ref = simple_currents(md.ring), simple_currents_loop(md.ring)
+        elems, table, orders, factors = ref
+        assert json.dumps([g.elements, g.orders, g.cyclic_factors]) == json.dumps(
+            [elems, orders, factors]), name
+        assert g.table.dtype == table.dtype and np.array_equal(g.table, table), name
+
+
+def cyclic_ring(n):
+    N = np.zeros((n, n, n), dtype=int)
+    for a in range(n):
+        for b in range(n):
+            N[a, b, (a + b) % n] = 1
+    return FusionRing([str(j) for j in range(n)], N)
+
+
+def test_simple_currents_that_do_not_close_are_refused():
+    ring = cyclic_ring(4)
+    ring._d = np.array([1.0, 1.0, 2.0, 1.0])  # 1 + 1 = 2 is no current
+    message = "simple currents do not close under fusion"
+    assert simple_currents_loop(ring) == message
+    with pytest.raises(ValueError, match=message):
+        simple_currents(ring)
+
+
+def nonzero_calls(ring):
+    ring.d
+    with mock.patch.object(np, "nonzero", wraps=np.nonzero) as spy:
+        simple_currents(ring)
+    return spy.call_count
+
+
+def test_simple_current_table_is_not_built_cell_by_cell():
+    assert nonzero_calls(zn_model(128, 1).ring) == nonzero_calls(zn_model(4, 1).ring)
 
 
 def test_frobenius_reciprocity_holds_on_catalog():
