@@ -57,8 +57,8 @@ def permutation_test(
     """If Z is a permutation matrix, return the permutation and checks.
 
     The permutation must fix the vacuum; the report records whether it
-    preserves the fusion rules and (when spins are given) the weights.
-    A non-permutation Z yields None.
+    preserves the fusion rules (checked on supp N, enough for a bijection)
+    and, when spins are given, the weights.  A non-permutation Z yields None.
     """
     Z = np.asarray(Z)
     if not (
@@ -69,7 +69,8 @@ def permutation_test(
         return None
     theta = Z.argmax(axis=1)
     rep: Dict[str, object] = {"theta": theta, "fixes_vacuum": bool(theta[0] == 0)}
-    rep["fusion_ok"] = bool(np.array_equal(ring.N[np.ix_(theta, theta, theta)], ring.N))
+    nz = np.array(np.nonzero(ring.N))
+    rep["fusion_ok"] = bool(np.array_equal(ring.N[tuple(theta[nz])], ring.N[tuple(nz)]))
     if spins is not None:
         rep["spin_ok"] = [spins.h[t] for t in theta.tolist()] == list(spins.h)
     rep["consistent"] = bool(

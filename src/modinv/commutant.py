@@ -7,12 +7,12 @@ by eigh and put into reduced row echelon form; and the integer points
 are searched depth first over the pivot values, with Perron-Frobenius
 bounds Z_{lm} <= d_l d_m and sum Z <= w.
 
-The echelon basis is rationalized (small-denominator reconstruction)
-and rechecked against K once; a basis that does not rationalize or fails
-that recheck is refused with RuntimeError.  The search then works in
-int64 on the exact rows num / den: a partial sum is cut as soon as the
-pivots still open cannot bring some cell, or the row sum, into range,
-and each complete one is decided by range, integrality and the sum bound.
+The echelon basis is rationalized by a whole-array snap to n/q, q <= 12
+(values it leaves open keep the exact two-cap decision), and rechecked
+against K once; a basis failing either is refused with RuntimeError.
+The search then works in int64 on the exact rows num / den: a partial
+sum is cut once the open pivots cannot bring a cell or the row sum into
+range, and a complete one is decided by range, integrality and sum <= w.
 """
 
 from __future__ import annotations
@@ -130,9 +130,8 @@ def _rref(rows: np.ndarray) -> Tuple[np.ndarray, List[int]]:
             continue
         R[[row, piv]] = R[[piv, row]]
         R[row] = R[row] / R[row, col]
-        for rr in range(nr):
-            if rr != row:
-                R[rr] = R[rr] - R[rr, col] * R[row]
+        f = np.where(np.arange(nr) == row, 0.0, R[:, col])
+        R -= f[:, None] * R[row]
         pivots.append(col)
         row += 1
     R = R[:row]
@@ -144,21 +143,31 @@ def _rationalize(R: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
     """Integer rows num and a common denominator den with num / den = R,
     or None when some entry has no small-denominator reconstruction.
 
-    Each distinct value is decided once: exact only when reconstructions
-    with denominator caps 10^4 and MAX_DEN agree (an irrational one fails).
+    A distinct value x is exact when its reconstructions with denominator
+    caps 10^4 and MAX_DEN agree within 1e-9.  Values |x| < 2^16 are first
+    snapped, whole-array, to n/q (q <= 12) on |x q - n| < q 1e-12: then
+    |x - n/q| < 2.4e-10, as fl(x q) is within 2^-32 of x q, while any other
+    fraction with denominator <= MAX_DEN is >= 1/(12 MAX_DEN) ~ 8.3e-8 from
+    n/q, so both caps give n/q.  Only the values left open meet the caps.
     """
     vals, inverse = np.unique(R, return_inverse=True)
-    fracs: List[Fraction] = []
-    for x in vals.tolist():
-        f = Fraction(x).limit_denominator(10 ** 4)
-        if f != Fraction(x).limit_denominator(MAX_DEN) or abs(float(f) - x) > 1e-9:
+    nums, dens = np.zeros((2, len(vals)), dtype=np.int64)  # dens 0: still open
+    q, todo = 1, np.flatnonzero(np.abs(vals) < 2.0 ** 16)
+    while todo.size and q <= 12:
+        xq = vals[todo] * q
+        hit = np.abs(xq - np.rint(xq)) < q * 1e-12
+        nums[todo[hit]], dens[todo[hit]] = np.rint(xq[hit]), q
+        q, todo = q + 1, todo[~hit]
+    for i in np.flatnonzero(dens == 0).tolist():
+        f, g = (Fraction(vals[i]).limit_denominator(c) for c in (10 ** 4, MAX_DEN))
+        if f != g or abs(float(f) - vals[i]) > 1e-9 or abs(f.numerator) > INT64_MAX:
             return None
-        fracs.append(f)
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
-    if max(den, *map(abs, ints)) > INT64_MAX:
+        nums[i], dens[i] = f.numerator, f.denominator
+    nums, dens = np.stack([nums, dens]) // np.gcd(nums, dens)
+    den = math.lcm(*set(dens.tolist()))
+    if den > INT64_MAX or (np.abs(nums) > INT64_MAX // (den // dens)).any():
         return None
-    return np.array(ints, dtype=np.int64)[inverse].reshape(R.shape), den
+    return (nums * (den // dens))[inverse].reshape(R.shape), den
 
 
 def commutant_basis(md: ModularData) -> CommutantBasis:
@@ -184,7 +193,7 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     num, den = exact
     mats = _scatter(num / den, cells, m)
     scale = max(1.0, float(np.linalg.norm(K)))
-    worst = max(float(np.linalg.norm(K @ B - B @ K)) for B in mats)
+    worst = float(np.linalg.norm(K @ mats - mats @ K, axis=(1, 2)).max())
     if not worst <= EXACT_TOL * scale:
         raise RuntimeError("rationalized commutant basis fails the commutation recheck")
     return CommutantBasis(kind, cells, pivot_cells, mats, num, den)

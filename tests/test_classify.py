@@ -1,5 +1,6 @@
 """Invariant classification: permutations, type I/II, parents, indices."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_permutation_and_current_tests_match_the_per_label_loops():
         assert not rep["fixes_vacuum"] and not rep["consistent"]
         assert same_permutation_report(rep, permutation_test_loop(shift, spec.ring, spins))
     assert simple_current_test(shift, spec.ring) == simple_current_test_loop(shift, spec.ring)
+
+
+def test_permutation_test_memory_is_linear_in_the_fusion_support():
+    # Charge conjugation of Z_128 preserves N; N has 128^2 nonzero cells of
+    # 128^3, and a permuted copy of N would take 16 MiB.
+    spec = zn_model(128, 1)
+    m = spec.ring.size
+    Z = np.eye(m, dtype=int)[-np.arange(m) % m]
+    tracemalloc.start()
+    try:
+        rep = permutation_test(Z, spec.ring, spec.spins)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["consistent"] and rep["fusion_ok"]
+    assert peak < m ** 3 * 8 // 8, peak
 
 
 def test_permutation_test_d5():

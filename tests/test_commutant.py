@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from modinv.catalog import catalog_names, catalog_specs, model_by_name, zn_valid
 from modinv.cli import main
 from modinv.commutant import support_cells
 from product_scan import product_scan_enumerate
+from report_loops import report_models
+from rref_loop import rref_loop
 
 
 def d5_matrix():
@@ -308,14 +311,92 @@ def test_rationalize_matches_the_per_entry_reference_on_the_catalog(monkeypatch)
     (np.array([[1.0, 0.0, 2.0 ** 63]]), False),  # integral, beyond int64
     (np.array([[1.0, -0.0, 0.5, 1 / 3], [0.0, 1 / 3, -0.5, 0.5]]), True),
     (np.array([[1.0, 0.0, -0.0, 0.25], [0.0, 1.0, 0.25, -0.0]]), True),
+    # "near": accepted as n/q within 1e-9, not equal to R.  The snap takes
+    # |x q - n| < q 1e-12, so n/q +- 0.99e-12 is snapped and n/q +- 1.01e-12
+    # is left to the two caps, for q = 1, 2 and 12; q = 13 is never snapped.
+    (np.array([[1.0, 3 + 0.99e-12, 3 - 0.99e-12]]), "near"),
+    (np.array([[1.0, 3 + 1.01e-12, 3 - 1.01e-12]]), "near"),
+    (np.array([[1.0, -2.5 + 0.99e-12, -2.5 - 0.99e-12]]), "near"),
+    (np.array([[1.0, -2.5 + 1.01e-12, -2.5 - 1.01e-12]]), "near"),
+    (np.array([[1.0, 7 / 12 + 0.99e-12, 7 / 12 - 0.99e-12]]), "near"),
+    (np.array([[1.0, 7 / 12 + 1.01e-12, 7 / 12 - 1.01e-12]]), "near"),
+    (np.array([[1.0, 5 / 13 + 0.99e-12, 5 / 13 - 0.99e-12]]), "near"),
+    (np.array([[1.0, 5 / 13 + 1.01e-12, 5 / 13 - 1.01e-12]]), "near"),
+    (np.array([[1.0, 0.5 + 3e-13, -0.0]]), "near"),
+    # |x| < 2^16 is snapped, |x| >= 2^16 goes to the caps
+    (np.array([[1.0, 65535.5, -65535.75]]), True),
+    (np.array([[1.0, 65536.0, -65536.5]]), True),
+    (np.array([[1.0, np.nextafter(65535.5, 0.0)]]), "near"),  # one ulp: not snapped
+    # fl(3 x) is an integer, yet the caps refuse x: why large values are not snapped
+    (np.array([[1.0, 2.0 ** 33 + 1 / 3]]), False),
+    # first snapped at 3/9 (q = 3 just misses it): den 3, not 9
+    (np.array([[1.0, 0.33333333333433335]]), "near"),
+    # left to the caps
+    (np.array([[1.0, 1 / 9999, 355 / 113]]), True),
+    (np.array([[1.0, 1 / 7 + 1e-11]]), "near"),
+    # the int64 guard over snapped and capped values together
+    (np.array([[0.5, 2.0 ** 61]]), True),
+    (np.array([[0.5, 2.0 ** 62]]), False),
+    (np.array([[1.0, 1 / 9973, 1 / 9967, 1 / 9949, 1 / 9941, 1 / 9931]]), False),  # lcm
 ])
 def test_rationalize_matches_the_per_entry_reference_on_crafted_rows(R, accepted):
     got = commutant._rationalize(R)
     assert same_rationalization(got, per_entry_rationalize(R))
-    assert (got is not None) == accepted
+    assert (got is not None) == bool(accepted)
     if accepted:
         num, den = got
-        assert np.array_equal(num / den, R)
+        if accepted is True:
+            assert np.array_equal(num / den, R)
+        else:
+            assert 0 < np.abs(num / den - R).max() <= 1e-9
+
+
+def near_fractions():
+    """p/q + eps with q <= 10^4 and |eps| <= 1e-8, often exact or within
+    the snap tolerance, and -0.0."""
+    q = st.one_of(st.integers(1, 13), st.integers(1, 10 ** 4))
+    eps = st.one_of(st.just(0.0), st.floats(-2e-12, 2e-12), st.floats(-1e-8, 1e-8))
+    near = st.builds(lambda p, q, e: p / q + e, st.integers(-10 ** 5, 10 ** 5), q, eps)
+    return st.one_of(near, st.just(-0.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(near_fractions(), min_size=1, max_size=6))
+def test_rationalize_matches_the_per_entry_reference_near_small_fractions(row):
+    R = np.array([row, row[::-1]])
+    assert same_rationalization(commutant._rationalize(R), per_entry_rationalize(R))
+    for x in row:
+        R = np.array([[1.0, x]])
+        assert same_rationalization(commutant._rationalize(R), per_entry_rationalize(R))
+
+
+def test_catalog_bases_never_reach_the_two_cap_reconstruction():
+    with mock.patch.object(Fraction, "limit_denominator", autospec=True,
+                           side_effect=Fraction.limit_denominator) as calls:
+        for _, md, _ in report_models()[:273]:
+            commutant_basis(md)
+        assert calls.call_count == 0
+        assert commutant._rationalize(np.array([[1.0, 100 / 997301]])) is None
+        assert calls.call_count == 2
+
+
+def test_rref_matches_the_row_by_row_loop_on_the_gram_nullspaces():
+    nullspaces = []
+    rref = commutant._rref
+    with mock.patch.object(commutant, "_rref",
+                           side_effect=lambda rows: nullspaces.append(rows) or rref(rows)):
+        for _, md, _ in report_models():
+            commutant_basis(md)
+    assert len(nullspaces) == 280
+    rng = np.random.default_rng(0)
+    # rank 3 in 4 rows: some columns hold no pivot and a zero row is dropped
+    nullspaces += [rng.standard_normal((4, 3)) @ rng.integers(-2, 3, (3, 9)).astype(float)
+                   for _ in range(20)]
+    for rows in nullspaces:
+        got, want = rref(rows), rref_loop(rows)
+        assert got[1] == want[1]
+        assert (got[0].dtype, got[0].shape, got[0].tobytes()) == \
+            (want[0].dtype, want[0].shape, want[0].tobytes())
 
 
 def test_scan_rejects_a_basis_that_is_not_integral_over_den():
