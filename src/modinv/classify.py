@@ -1,10 +1,10 @@
 """Structural analysis of a physical invariant Z.
 
 Covers the permutation (automorphism) test, vacuum symmetry, the simple
-current support criterion, integer Gram decompositions Z = b^T b (type I
-data), chiral index bookkeeping, and the parent search that attaches a
-pair of type I invariants to a general one through its vacuum row and
-column.
+current support criterion (currents read exactly off N), integer Gram
+decompositions Z = b^T b (type I data), chiral index bookkeeping, and the
+parent search that attaches a pair of type I invariants to a general one
+through its vacuum row and column.
 
 The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
 (vacuum column) and sum_l Z_{0l} l (vacuum row), so they depend only on
@@ -20,7 +20,6 @@ of a list costs time quadratic in its length.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .catalog import BranchingTable
-from .fusion import CURRENT_TOL, FusionRing
+from .fusion import FusionRing
 from .modular import ModularData, degenerate_sectors
 
 __all__ = [
@@ -88,10 +87,11 @@ def vacuum_symmetry(Z: np.ndarray) -> bool:
 def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
     """Every nonzero cell (l, m) is connected by a simple current.
 
-    That is, some current sigma has N_{sigma l}^m = 1.  Holds for all
-    pure simple-current invariants; fails for exceptional couplings.
+    That is, some current sigma (fusion with sigma permutes the labels)
+    has N_{sigma l}^m = 1.  Holds for all pure simple-current invariants;
+    fails for exceptional couplings.
     """
-    (currents,) = np.nonzero(np.abs(ring.d - 1.0) < CURRENT_TOL)
+    (currents,) = np.nonzero(ring.is_current)
     lam, mu = np.nonzero(np.asarray(Z))
     return bool(np.all(np.any(ring.N[currents[:, None], lam, mu] != 0, axis=0)))
 
@@ -178,8 +178,6 @@ def type1_decomposition(Z: np.ndarray) -> Optional[BranchingTable]:
     fresh object over a copy of the memoized rows.
     """
     Z = np.asarray(Z, dtype=np.int64)
-    if not np.array_equal(Z, Z.T):
-        return None
     m = Z.shape[0]
     b = _type1_rows(np.ascontiguousarray(Z).tobytes(), m)
     if b is None:
@@ -254,31 +252,26 @@ def find_parents(
 
 
 def _integer_combination(
-    target: np.ndarray, named: List[Tuple[str, np.ndarray]], cap: int = 10 ** 5
+    target: np.ndarray, named: List[Tuple[str, np.ndarray]]
 ) -> Optional[Dict[str, int]]:
-    """Nonnegative integer coefficients c with sum c_i M_i = target."""
-    if not named:
+    """Nonnegative integer c with sum c_i M_i = target (M_i >= 0), or None
+    when there is none.  Exact depth-first search: c_i runs down from the
+    largest value keeping the remainder >= 0 on the support of M_i."""
+    def solve(i: int, rem: np.ndarray) -> Optional[Dict[str, int]]:
+        if not rem.any():
+            return {}
+        if i == len(named):
+            return None
+        nm, M = named[i]
+        supp = M > 0
+        hi = int((rem[supp] // M[supp]).min()) if supp.any() else 0
+        for c in range(hi, -1, -1):
+            rest = solve(i + 1, rem - c * M)
+            if rest is not None:
+                return {nm: c, **rest} if c else rest
         return None
-    A = np.stack([M.ravel().astype(float) for _, M in named], axis=1)
-    t = target.ravel().astype(float)
-    c, *_ = np.linalg.lstsq(A, t, rcond=None)
-    ci = np.round(c).astype(int)
-    if np.all(ci >= 0) and np.array_equal(
-        sum(int(x) * M for x, (_, M) in zip(ci, named)), target
-    ):
-        return {nm: int(x) for x, (nm, _) in zip(ci, named) if x}
-    # Bounded exhaustive fallback for degenerate candidate sets.
-    hi = int(target.max())
-    total = (hi + 1) ** len(named)
-    if total > cap:
-        return None
-    for combo in itertools.product(range(hi + 1), repeat=len(named)):
-        acc = np.zeros_like(target)
-        for c, (_, M) in zip(combo, named):
-            acc = acc + c * M
-        if np.array_equal(acc, target):
-            return {nm: c for c, (nm, _) in zip(combo, named) if c}
-    return None
+
+    return solve(0, target)
 
 
 def zz_diagnostics(
@@ -289,8 +282,9 @@ def zz_diagnostics(
     """Z^T Z and Z Z^T with decompositions over natural candidates.
 
     Candidates are the identity, Z itself, and (when C is given) C, CZ
-    and ZC, plus any (name, matrix) pairs in `extra`.  Decompositions
-    are nonnegative integer combinations; None when there is none.
+    and ZC, plus any (name, matrix) pairs in `extra`; all must be
+    nonnegative.  Decompositions are nonnegative integer combinations,
+    decided exactly; None when there is none.
     """
     Z = np.asarray(Z, dtype=int)
     m = Z.shape[0]
@@ -305,6 +299,8 @@ def zz_diagnostics(
     for nm, M in named:
         if not any(np.array_equal(M, M2) for _, M2 in uniq):
             uniq.append((nm, M))
+    if any(np.any(M < 0) for _, M in uniq):
+        raise ValueError("Z Z^T candidates must be nonnegative matrices")
     ZtZ = Z.T @ Z
     ZZt = Z @ Z.T
     return {

@@ -89,6 +89,8 @@ def model_from_json(data: Dict[str, object]) -> ModelSpec:
         raise ValueError(f"model has no {exc} entry") from None
     except TypeError as exc:
         raise ValueError(f"malformed model: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError("malformed model: a weight has denominator 0") from None
     m = len(labels)
     if index != list(range(m)):
         raise ValueError(f"label indices {index} are not a permutation of 0..{m - 1}")

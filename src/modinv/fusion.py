@@ -8,6 +8,7 @@ data, invariant enumeration) consumes the interface defined here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,7 +26,6 @@ __all__ = [
 ]
 
 DIM_TOL = 1e-9
-CURRENT_TOL = 1e-6
 # Largest label count given a dense fusion tensor: m^3 int64 entries are
 # 128 MiB at 256 labels (zn:128:1 needs 16 MiB).
 MAX_LABELS = 256
@@ -98,6 +98,13 @@ class FusionRing:
             self._d = quantum_dimensions(self)
         return self._d
 
+    @functools.cached_property
+    def is_current(self) -> np.ndarray:
+        """Mask of the simple currents: labels g whose fusion permutes the
+        labels (each row of N[g] is a unit vector; in a ring, d_g = 1)."""
+        rows = (self.N.sum(axis=2) == 1) & (self.N.min(axis=2) >= 0)
+        return rows.all(axis=1)
+
     @property
     def global_index(self) -> float:
         """w = sum of squared quantum dimensions."""
@@ -119,11 +126,11 @@ def _conjugation_from_tensor(N: np.ndarray) -> np.ndarray:
     return conj
 
 
-def quantum_dimensions(ring: FusionRing, tol: float = DIM_TOL) -> np.ndarray:
+def quantum_dimensions(ring: FusionRing) -> np.ndarray:
     """Common Perron-Frobenius eigenvector of all fusion matrices.
 
     Returns d with d[0] = 1 and N_lam d = d_lam d for every lam, up to a
-    residual below tol.  Raises ValueError for an ill-conditioned ring.
+    residual below DIM_TOL.  Raises ValueError for an ill-conditioned ring.
     """
     N = ring.N
     M = N.sum(axis=0).astype(float)
@@ -141,9 +148,9 @@ def quantum_dimensions(ring: FusionRing, tol: float = DIM_TOL) -> np.ndarray:
         u = M @ d
         d = u / u[0]
     resid = float(np.max(np.abs(np.einsum("lmn,n->lm", N, d) - np.outer(d, d))))
-    if resid > tol:
+    if resid > DIM_TOL:
         raise ValueError(
-            f"ill-conditioned fusion ring: PF residual {resid:.3e} exceeds {tol:.1e}"
+            f"ill-conditioned fusion ring: PF residual {resid:.3e} exceeds {DIM_TOL:.1e}"
         )
     return d
 
@@ -235,22 +242,18 @@ class SimpleCurrentGroup:
         return len(self.elements)
 
 
-def simple_currents(ring: FusionRing, tol: float = CURRENT_TOL) -> SimpleCurrentGroup:
-    """Detect the simple currents (d_sigma = 1) and their group structure.
+def simple_currents(ring: FusionRing) -> SimpleCurrentGroup:
+    """Detect the simple currents (`FusionRing.is_current`, exact) and
+    their group structure.
 
-    Each current must act as a permutation (fusion with it is free); the
-    currents must close under product and conjugation.  The cyclic
-    decomposition is greedy on element order and is validated by
-    comparing the product of the factor orders with the group order.
+    The currents must close under product and conjugation (a ring not
+    passed through verify_axioms may fail to).  The cyclic decomposition
+    is greedy on element order and is validated by comparing the product
+    of the factor orders with the group order.
     """
-    (currents,) = np.nonzero(np.abs(ring.d - 1.0) < tol)
+    (currents,) = np.nonzero(ring.is_current)
     elems = currents.tolist()
     n = len(elems)
-
-    acts = np.all(ring.N.sum(axis=2) == 1, axis=1) & (ring.N.max(axis=(1, 2)) == 1)
-    for g in elems:
-        if not acts[g]:
-            raise ValueError(f"simple current {g} does not act as a permutation")
 
     # pos[label] = position in elems, -1 off the currents; each current
     # row N[g, h] has one nonzero entry, the product label.

@@ -145,7 +145,6 @@ def spectrum_match(
     mats: Sequence[np.ndarray],
     S: np.ndarray,
     Z: np.ndarray,
-    tol: float = PF_TOL,
     labels: Optional[Sequence[int]] = None,
 ) -> Tuple[bool, Dict[str, object]]:
     """Eigenvalues of each G_lam must be {S_{lam rho}/S_{0 rho}} with
@@ -172,7 +171,7 @@ def spectrum_match(
         order = np.lexsort((np.round(expect.imag, 8), np.round(expect.real, 8)))
         expect = expect[order]
         got = _sorted_eigs(mat)
-        if len(got) != len(expect) or np.max(np.abs(got - expect)) > tol:
+        if len(got) != len(expect) or np.max(np.abs(got - expect)) > PF_TOL:
             info["reason"] = f"spectrum mismatch at label {lam}"
             return False, info
     return True, info

@@ -125,7 +125,7 @@ class ModularData:
         return np.diag(self.Omega)
 
 
-def _charge_conjugation_from_s(S: np.ndarray, tol: float = UNITARITY_TOL) -> Optional[np.ndarray]:
+def _charge_conjugation_from_s(S: np.ndarray) -> Optional[np.ndarray]:
     """Extract the permutation matrix C = S^2, or None if S^2 is not one."""
     m = S.shape[0]
     S2 = S @ S
@@ -135,7 +135,7 @@ def _charge_conjugation_from_s(S: np.ndarray, tol: float = UNITARITY_TOL) -> Opt
         j = int(np.argmax(np.abs(row)))
         e = np.zeros(m)
         e[j] = 1.0
-        if np.max(np.abs(row - e)) > tol:
+        if np.max(np.abs(row - e)) > UNITARITY_TOL:
             return None
         C[i, j] = 1
     if not np.array_equal(C.sum(axis=0), np.ones(m, dtype=int)):
@@ -239,7 +239,7 @@ def verlinde_check(md: ModularData) -> float:
     return float(np.max(np.abs(rec - md.ring.N)))
 
 
-def degenerate_sectors(md: ModularData, tol: float = DEGENERATE_TOL) -> List[int]:
+def degenerate_sectors(md: ModularData) -> List[int]:
     """Labels lam with Y_{lam mu} = d_lam d_mu for all mu.
 
     For nondegenerate data this is just the vacuum; extra labels signal
@@ -248,7 +248,7 @@ def degenerate_sectors(md: ModularData, tol: float = DEGENERATE_TOL) -> List[int
     d = md.ring.d
     dd = np.outer(d, d)
     dev = np.max(np.abs(md.Y - dd), axis=1)
-    return [int(i) for i in np.nonzero(dev < tol)[0]]
+    return [int(i) for i in np.nonzero(dev < DEGENERATE_TOL)[0]]
 
 
 def tensor_product(a: ModelSpec, b: ModelSpec) -> ModelSpec:

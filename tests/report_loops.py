@@ -13,7 +13,10 @@ import numpy as np
 
 from modinv import build, enumerate_invariants
 from modinv.catalog import catalog_names, model_by_name
-from modinv.fusion import CURRENT_TOL
+
+# The float current test the package used before it read currents exactly
+# off N: |d - 1| below this bound.
+CURRENT_TOL = 1e-6
 
 WORKLOAD_MODELS = ["su2:28", "zn:96:1", "zn:128:1", "sun_currents:12:2",
                    "sun_currents:8:4", "su2:4*su2:4", "zn:6:1*zn:6:1"]
@@ -75,10 +78,10 @@ def render_loop(Z, names=None, branching=None):
     return " + ".join(terms) if terms else "0"
 
 
-def simple_currents_loop(ring, tol=CURRENT_TOL):
+def simple_currents_loop(ring):
     """(elements, table, orders, cyclic_factors), or the ValueError text."""
     d = ring.d
-    elems = [i for i in range(ring.size) if abs(d[i] - 1.0) < tol]
+    elems = [i for i in range(ring.size) if abs(d[i] - 1.0) < CURRENT_TOL]
     pos = {g: k for k, g in enumerate(elems)}
     n = len(elems)
     for g in elems:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modinv import (
     build,
@@ -136,6 +138,8 @@ def test_type1_decomposition_failures():
     assert type1_decomposition(e7_matrix()) is None  # type II
     assert type1_decomposition(d5_matrix()) is None  # automorphism, not block
     assert type1_decomposition(SO16_HETEROTIC_Z) is None  # not vacuum symmetric
+    # vacuum symmetric but Z != Z^T
+    assert type1_decomposition(np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1]])) is None
 
 
 def test_type1_decomposition_identity():
@@ -215,6 +219,38 @@ def test_zz_identity_permutations():
     assert rep["ZtZ_combo"] == {"I": 1}
     rep = zz_diagnostics(np.eye(4, dtype=int))
     assert rep["ZtZ_combo"] == {"I": 1}
+    # Z^T Z = 25 I = 5 Z with I and Z collinear: only an exact solve decides it
+    P = np.eye(3, dtype=int)[[0, 2, 1]]
+    Z = 5 * np.eye(3, dtype=int)
+    rep = zz_diagnostics(Z, C=P)
+    named = {"I": np.eye(3, dtype=int), "Z": Z, "C": P, "CZ": P @ Z}
+    for key in ("ZtZ", "ZZt"):
+        combo = rep[key + "_combo"]
+        assert np.array_equal(sum(c * named[nm] for nm, c in combo.items()), rep[key])
+    with pytest.raises(ValueError, match="nonnegative"):
+        zz_diagnostics(np.eye(2, dtype=int), extra=[("N", -np.eye(2, dtype=int))])
+
+
+@st.composite
+def combinations(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)
+    mats = [np.array(draw(cells)).reshape(n, n) for _ in range(k)]
+    coeffs = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    return [(f"M{i}", M) for i, M in enumerate(mats)], coeffs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(combinations())
+def test_integer_combination_finds_every_reachable_target(case):
+    named, coeffs = case
+    target = sum(c * M for c, (_, M) in zip(coeffs, named))
+    combo = classify._integer_combination(target, named)
+    assert combo is not None and all(c > 0 for c in combo.values())
+    mats = dict(named)
+    assert np.array_equal(sum((c * mats[nm] for nm, c in combo.items()),
+                              np.zeros_like(target)), target)
 
 
 def test_index_identities_across_models():
@@ -240,6 +276,23 @@ def test_permutation_set_equivalences():
             is_perm = permutation_test(Z, spec.ring, spec.spins) is not None
             x_plus_one = sector_counts(Z)["x_plus"] == 1
             assert row_trivial == col_trivial == is_perm == x_plus_one
+
+
+def test_consistent_automorphisms_act_on_the_list():
+    # A permutation invariant P that preserves fusion, weights and the
+    # vacuum maps invariants to invariants by Z -> P Z P^T, P Z and Z P.
+    pairs = 0
+    for name, md, invs in report_models():
+        listed = {np.asarray(Z, dtype=np.int64).tobytes() for Z in invs}
+        for P in invs:
+            rep = permutation_test(P, md.ring, md.spins)
+            if rep is None or not rep["consistent"]:
+                continue
+            for Z in invs:
+                for W in (P @ Z @ P.T, P @ Z, Z @ P):
+                    assert np.asarray(W, dtype=np.int64).tobytes() in listed, name
+                pairs += 1
+    assert pairs > 3000
 
 
 def test_classify_invariant_reports():

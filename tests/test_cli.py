@@ -335,6 +335,15 @@ def test_cli_malformed_model_files(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 2 and "Traceback" not in err
 
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(z2_json("1/0")))
+    with pytest.raises(ValueError, match="denominator 0"):
+        model_from_json(z2_json("1/0"))
+    assert main(["model", "validate", str(zero)]) == 2
+    assert main(["enumerate", str(zero)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+
 
 def test_cli_rejects_weights_breaking_omega_y(tmp_path, capsys):
     good = tmp_path / "good.json"

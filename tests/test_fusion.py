@@ -129,6 +129,7 @@ def test_current_group_closure():
 
 
 def test_simple_currents_match_the_nonzero_loop():
+    # The exact current mask against the float test |d - 1| < CURRENT_TOL.
     for name, md, _ in report_models():
         g, ref = simple_currents(md.ring), simple_currents_loop(md.ring)
         elems, table, orders, factors = ref
@@ -137,21 +138,19 @@ def test_simple_currents_match_the_nonzero_loop():
         assert g.table.dtype == table.dtype and np.array_equal(g.table, table), name
 
 
-def cyclic_ring(n):
-    N = np.zeros((n, n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            N[a, b, (a + b) % n] = 1
-    return FusionRing([str(j) for j in range(n)], N)
-
-
 def test_simple_currents_that_do_not_close_are_refused():
-    ring = cyclic_ring(4)
-    ring._d = np.array([1.0, 1.0, 2.0, 1.0])  # 1 + 1 = 2 is no current
-    message = "simple currents do not close under fusion"
-    assert simple_currents_loop(ring) == message
-    with pytest.raises(ValueError, match=message):
+    # Not associative: fusion with 1 permutes the labels and 1 x 1 = 2,
+    # but 2 x 2 = 1 + 2, so 2 is no current.
+    N = np.zeros((3, 3, 3), dtype=int)
+    N[0] = N[:, 0] = np.eye(3, dtype=int)
+    N[1, 1, 2] = N[1, 2, 0] = N[2, 1, 0] = N[2, 2, 1] = N[2, 2, 2] = 1
+    ring = FusionRing(["0", "1", "2"], N)
+    assert ring.is_current.tolist() == [True, True, False]
+    with pytest.raises(ValueError, match="simple currents do not close under fusion"):
         simple_currents(ring)
+    N[2, 2] = [1, 1, -1]  # each row of N[2] sums to 1, but one is no unit vector
+    ring = FusionRing(["0", "1", "2"], N, conj=[0, 2, 1])
+    assert ring.is_current.tolist() == [True, True, False]
 
 
 def nonzero_calls(ring):
