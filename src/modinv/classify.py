@@ -251,27 +251,47 @@ def find_parents(
             "minus": first(np.all(rows == Z[0], axis=1))}
 
 
+def _combination_search(
+    rem: np.ndarray, steps: List[Tuple[str, np.ndarray, Optional[np.ndarray]]]
+) -> Optional[Dict[str, int]]:
+    """Depth-first step of _integer_combination over the (name, M_i, u_i) left."""
+    if not rem.any():
+        return {}
+    if not steps:
+        return None
+    nm, M, u = steps[0]
+    supp = M > 0
+    hi = int((rem[supp] // M[supp]).min()) if supp.any() else 0
+    cs = range(hi, -1, -1)
+    if u is not None:  # u is orthogonal to the later M_j, so c_i is forced
+        c, r = divmod(u.dot(rem.ravel()), u.dot(M.ravel()))
+        cs = [int(c)] if r == 0 and 0 <= c <= hi else []
+    for c in cs:
+        rest = _combination_search(rem - c * M, steps[1:])
+        if rest is not None:
+            return {nm: c, **rest} if c else rest
+    return None
+
+
 def _integer_combination(
     target: np.ndarray, named: List[Tuple[str, np.ndarray]]
 ) -> Optional[Dict[str, int]]:
     """Nonnegative integer c with sum c_i M_i = target (M_i >= 0), or None
     when there is none.  Exact depth-first search: c_i runs down from the
-    largest value keeping the remainder >= 0 on the support of M_i."""
-    def solve(i: int, rem: np.ndarray) -> Optional[Dict[str, int]]:
-        if not rem.any():
-            return {}
-        if i == len(named):
-            return None
-        nm, M = named[i]
-        supp = M > 0
-        hi = int((rem[supp] // M[supp]).min()) if supp.any() else 0
-        for c in range(hi, -1, -1):
-            rest = solve(i + 1, rem - c * M)
-            if rest is not None:
-                return {nm: c, **rest} if c else rest
-        return None
-
-    return solve(0, target)
+    largest value keeping the remainder >= 0 on the support of M_i, and is
+    the one value <u_i, rem>/<u_i, M_i> where M_i has a nonzero part u_i
+    orthogonal to the later candidates, so only candidates in their span
+    branch.  u_i comes from exact Gram-Schmidt in Python ints, last to first,
+    up to a positive factor."""
+    parts: List[Optional[np.ndarray]] = []
+    for _, M in reversed(named):
+        v = M.ravel().astype(object)
+        for w in (p for p in parts if p is not None):
+            v = w.dot(w) * v - v.dot(w) * w
+            v //= math.gcd(*v) or 1
+        parts.append(v if v.any() else None)
+    steps = [(nm, M, u) for (nm, M), u in zip(named, parts[::-1])]
+    return _combination_search(np.asarray(target), steps)
 
 
 def zz_diagnostics(

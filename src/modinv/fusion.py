@@ -79,7 +79,6 @@ class FusionRing:
         self.conj = np.asarray(conj, dtype=int)
         if sorted(self.conj.tolist()) != list(range(m)):
             raise ValueError("conjugation is not a permutation")
-        self._d: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -91,12 +90,10 @@ class FusionRing:
             raise IndexError(f"label {lam} out of range")
         return self.N[lam]
 
-    @property
+    @functools.cached_property
     def d(self) -> np.ndarray:
         """Quantum dimensions (cached)."""
-        if self._d is None:
-            self._d = quantum_dimensions(self)
-        return self._d
+        return quantum_dimensions(self)
 
     @functools.cached_property
     def is_current(self) -> np.ndarray:

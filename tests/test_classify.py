@@ -1,6 +1,7 @@
 """Invariant classification: permutations, type I/II, parents, indices."""
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +230,25 @@ def test_zz_identity_permutations():
         assert np.array_equal(sum(c * named[nm] for nm, c in combo.items()), rep[key])
     with pytest.raises(ValueError, match="nonnegative"):
         zz_diagnostics(np.eye(2, dtype=int), extra=[("N", -np.eye(2, dtype=int))])
+    # Large coefficients on independent candidates (I, Z, C after CZ = ZC = Z
+    # are dropped): each coefficient is forced, so the search visits at most
+    # one node per candidate and call, with a combination or without one.
+    P = np.eye(6, dtype=int)[[0, 2, 1, 3, 4, 5]]
+    nines = np.full((6, 6), 9)
+    off = nines.copy()
+    off[5, 5] = 8
+    search = classify._combination_search
+
+    def budgeted(*args):
+        nodes.append(args)
+        assert len(nodes) <= 2 * 4, "the search branches on a forced coefficient"
+        return search(*args)
+
+    for Z, want in ((nines, {"Z": 54}), (off, None)):
+        nodes = []
+        with mock.patch.object(classify, "_combination_search", budgeted):
+            rep = zz_diagnostics(Z, C=P)
+        assert rep["ZtZ_combo"] == rep["ZZt_combo"] == want
 
 
 @st.composite
