@@ -1,15 +1,15 @@
-"""Enumeration of nonnegative-integer matrices commuting with (S, Omega).
+"""Enumeration of nonnegative-integer matrices commuting with (Y, Omega).
 
-The search space is cut down in three stages: the exact spin classes
-(T-support) restrict the allowed cells; the real S-commutant on them is
-the nullspace of a closed-form |cells| x |cells| Gram matrix, found once
-by eigh and put into reduced row echelon form; and the integer points
-are searched depth first over the pivot values, with Perron-Frobenius
+Three stages cut down the search: the exact spin classes (T-support)
+restrict the cells; the real Y-commutant on them (the S-commutant too,
+S = Y / |z|) is the nullspace of a closed-form |cells| x |cells| Gram
+matrix, found once by eigh and put into reduced row echelon form; the
+integer points are searched depth first over the pivot values, with
 bounds Z_{lm} <= d_l d_m and sum Z <= w.
 
 The echelon basis is rationalized by a whole-array snap to n/q, q <= 12
 (values it leaves open keep the exact two-cap decision), and rechecked
-against K once; a basis failing either is refused with RuntimeError.
+against Y once; a basis failing either is refused with RuntimeError.
 The search then works in int64 on the exact rows num / den: a partial
 sum is cut once the open pivots cannot bring a cell or the row sum into
 range, and a complete one is decided by range, integrality and sum <= w.
@@ -63,25 +63,24 @@ def support_cells(spins: SpinAssignment) -> List[Tuple[int, int]]:
 
 @dataclass
 class CommutantBasis:
-    """Echelonized basis of the commutant restricted to the T-support.
+    """Echelonized basis of the Y-commutant restricted to the T-support.
 
-    kind is "modular" (commutant of S) or "Y-commutant" (degenerate
-    data, Y replaces S).  The echelon rows over `cells` are exactly
-    num / den: num an int64 (r, len(cells)) array and den the common
-    denominator.  mats is num / den scattered to (r, m, m) floats.  The
-    basis is exact or refused: commutant_basis never returns a float one.
+    kind is "modular" (nondegenerate data) or "Y-commutant".  The echelon
+    rows B_i over `cells` are exactly num / den: num an int64 (r, len(cells))
+    array and den the common denominator; residual[i] = ||Y B_i - B_i Y||.
+    The basis is exact or refused: commutant_basis never returns a float one.
     """
 
     kind: str
     cells: List[Tuple[int, int]]
     pivot_cells: List[Tuple[int, int]]
-    mats: np.ndarray
     num: np.ndarray
+    residual: np.ndarray
     den: int = 1
 
     @property
     def r(self) -> int:
-        return int(self.mats.shape[0])
+        return int(self.num.shape[0])
 
     @property
     def exact(self) -> bool:
@@ -90,11 +89,10 @@ class CommutantBasis:
 
 
 def _operator(md: ModularData) -> Tuple[np.ndarray, str, float]:
-    """The operator K the invariants commute with, its kind, and the
-    tolerance on ||KZ - ZK||: S for nondegenerate data, else Y."""
-    if md.nondegenerate and md.S is not None:
-        return md.S, "modular", FINAL_TOL
-    return md.Y, "Y-commutant", FINAL_TOL * max(1.0, float(np.linalg.norm(md.Y)))
+    """The operator K = Y the invariants commute with, its kind, and the
+    tolerance on ||KZ - ZK||: FINAL_TOL on [S, Z] scaled by |z| = sqrt(w)."""
+    kind = "modular" if md.nondegenerate else "Y-commutant"
+    return md.Y, kind, FINAL_TOL * math.sqrt(md.w)
 
 
 def _scatter(rows: np.ndarray, cells: Sequence[Tuple[int, int]], m: int) -> np.ndarray:
@@ -171,18 +169,15 @@ def _rationalize(R: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
 
 
 def commutant_basis(md: ModularData) -> CommutantBasis:
-    """Deterministic echelon basis of {Z real : KZ = ZK, supp Z in cells}.
-
-    K is S for nondegenerate data and Y otherwise.
-    """
+    """Deterministic echelon basis of {Z real : YZ = ZY, supp Z in cells}."""
     K, kind, _ = _operator(md)
     m = K.shape[0]
     cells = support_cells(md.spins)
     lam, V = np.linalg.eigh(_gram(K, cells))
     null = V[:, lam < RANK_TOL * max(float(lam[-1]), 1.0)].T
     if null.shape[0] == 0:
-        return CommutantBasis(kind, cells, [], np.zeros((0, m, m)),
-                              np.zeros((0, len(cells)), dtype=np.int64))
+        return CommutantBasis(kind, cells, [], np.zeros((0, len(cells)), dtype=np.int64),
+                              np.zeros(0))
 
     R, piv_idx = _rref(null)
     pivot_cells = [cells[c] for c in piv_idx]
@@ -192,17 +187,16 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
         raise RuntimeError("commutant basis has no small-denominator rationalization")
     num, den = exact
     mats = _scatter(num / den, cells, m)
-    scale = max(1.0, float(np.linalg.norm(K)))
-    worst = float(np.linalg.norm(K @ mats - mats @ K, axis=(1, 2)).max())
-    if not worst <= EXACT_TOL * scale:
+    residual = np.linalg.norm(K @ mats - mats @ K, axis=(1, 2))
+    if not residual.max() <= EXACT_TOL * float(np.linalg.norm(K)):
         raise RuntimeError("rationalized commutant basis fails the commutation recheck")
-    return CommutantBasis(kind, cells, pivot_cells, mats, num, den)
+    return CommutantBasis(kind, cells, pivot_cells, num, residual, den)
 
 
 def enumerate_invariants(
     md: ModularData, basis: Optional[CommutantBasis] = None
 ) -> List[np.ndarray]:
-    """All physical invariants: integer Z >= 0, Z_00 = 1, [S, Z] = 0,
+    """All physical invariants: integer Z >= 0, Z_00 = 1, [Y, Z] = 0,
     supp Z in the T-support, Z_lm <= d_l d_m, sum Z <= w.
 
     `basis` is commutant_basis(md), computed here when not given.
@@ -216,7 +210,7 @@ def enumerate_invariants(
     if not basis.pivot_cells or basis.pivot_cells[0] != (0, 0):
         raise RuntimeError("echelon basis does not pivot on the vacuum cell")
 
-    K, _, tol = _operator(md)
+    _, _, tol = _operator(md)
     d = md.ring.d
     l, mu = np.array(basis.cells).T
     bound = np.floor(d[l] * d[mu] + 1e-9).astype(np.int64)
@@ -225,6 +219,10 @@ def enumerate_invariants(
 
     # Pivot 0 is the vacuum, fixed to 1; pivot i > 0 runs over 0..b_i.
     b = bound[[basis.cells.index(c) for c in basis.pivot_cells]]
+    # So every Z below is sum a_i B_i with 0 <= a_i <= b_i, and one bound
+    # ||YZ - ZY|| <= sum b_i ||Y B_i - B_i Y|| certifies the whole list.
+    if not (worst := float(b @ basis.residual)) < tol:
+        raise RuntimeError(f"basis residuals bound ||YZ - ZY|| by {worst:.3g} >= {tol:.3g}")
     # Every int64 value formed below (partial sums on the cells and on the row
     # sum, suffix bounds, caps bound * den and w * den, a cap plus a suffix
     # bound) is at most 2 * top; a spare 2 absorbs the rounding of top.
@@ -240,7 +238,7 @@ def enumerate_invariants(
     down = b[:, None] * np.minimum(rows, 0)
     lo = up - np.cumsum(up[::-1], axis=0)[::-1]
     hi = np.append(bound, w_max) * den + down - np.cumsum(down[::-1], axis=0)[::-1]
-    out: List[np.ndarray] = []
+    out = [np.zeros((0, len(basis.cells)), dtype=np.int64)]
     expanded = 0
 
     def search(i: int, N: np.ndarray) -> None:
@@ -250,9 +248,7 @@ def enumerate_invariants(
         N = N[((lo[i] <= N) & (N <= hi[i])).all(axis=1)]
         if i == r - 1:
             Zi, rem = np.divmod(N[:, :-1], den)
-            for Z in _scatter(Zi[~rem.any(axis=1)], basis.cells, m):
-                if np.linalg.norm(K @ Z - Z @ K) < tol:
-                    out.append(Z)
+            out.append(Zi[~rem.any(axis=1)])
             return
         vals = np.arange(b[i + 1] + 1)[:, None]
         step = max(1, 4096 // len(vals))
@@ -265,8 +261,9 @@ def enumerate_invariants(
                    .reshape(-1, rows.shape[1]))
 
     search(0, rows[:1])
-    out.sort(key=lambda Z: Z.ravel().tolist())
-    return out
+    # Cells are row-major and Z is 0 off them: this is the flattened order.
+    Z = np.concatenate(out)
+    return list(_scatter(Z[np.lexsort(Z.T[::-1])], basis.cells, m))
 
 
 def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:

@@ -70,6 +70,8 @@ class FusionRing:
         ]
         self.N = np.asarray(N, dtype=int)
         m = len(self.labels)
+        if not m:
+            raise ValueError("fusion ring has no labels")
         if self.N.shape != (m, m, m):
             raise ValueError(
                 f"fusion tensor shape {self.N.shape} does not match {m} labels"

@@ -324,6 +324,16 @@ def test_cli_malformed_model_files(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: model has no 'labels' entry\n"
 
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"labels": [], "fusion": [], "conjugation": []}))
+    with pytest.raises(ValueError, match="no labels"):
+        model_from_json(json.loads(empty.read_text()))
+    assert main(["model", "validate", str(empty)]) == 2
+    assert main(["enumerate", str(empty)]) == 1
+    assert main(["classify", str(empty)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 3 and "Traceback" not in err
+
     data = {"labels": [{"index": 0, "name": "0", "h": "0"}],
             "fusion": [[0, 0, 5, 1]], "conjugation": [0]}
     with pytest.raises(ValueError, match="outside"):
@@ -475,6 +485,17 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         assert "Traceback" not in capsys.readouterr().err, argv
 
 
+def test_readme_quick_tour_runs():
+    # Runs the "Quick tour" block and checks the values its comments state.
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    assert len(scope["invs"]) == 3
+    assert scope["rep"].kind == "type II"
+    assert scope["rep"].parents == {"plus": 2, "minus": 2}
+
+
 def test_fusion_tensor_limit_covers_every_builder(tmp_path, capsys):
     assert fusion_tensor(MAX_LABELS).shape == (MAX_LABELS,) * 3
     m = MAX_LABELS + 1
@@ -498,6 +519,16 @@ def test_cli_refuses_an_inexact_basis(monkeypatch, capsys):
     assert main(["enumerate", "su2:6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    monkeypatch.undo()
+    # With no room for the basis residuals, the one bound that certifies
+    # the whole list fails.
+    monkeypatch.setattr(modinv.commutant, "FINAL_TOL", 0.0)
+    with pytest.raises(RuntimeError, match="basis residuals bound"):
+        enumerate_invariants(build(su2_model(6)))
+    assert main(["enumerate", "su2:6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis residuals bound") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

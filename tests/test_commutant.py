@@ -1,5 +1,6 @@
 """T-support, commutant basis, and complete invariant enumeration."""
 import dataclasses
+import hashlib
 import math
 import time
 import tracemalloc
@@ -30,6 +31,7 @@ from modinv.commutant import support_cells
 from product_scan import product_scan_enumerate
 from report_loops import report_models
 from rref_loop import rref_loop
+from s_basis import s_commutant_basis
 
 
 def d5_matrix():
@@ -103,7 +105,7 @@ def test_commutant_rank_so8():
     stack = np.stack([Z.ravel() for Z in invs]).astype(float)
     assert np.linalg.matrix_rank(stack) == 5
     # every invariant lies in the basis span
-    B = basis.mats.reshape(basis.r, -1).T
+    B = commutant._scatter(basis.num / basis.den, basis.cells, 4).reshape(basis.r, -1).T
     for Z in invs:
         coef, res, *_ = np.linalg.lstsq(B, Z.ravel().astype(float), rcond=None)
         assert np.max(np.abs(B @ coef - Z.ravel())) < 1e-9
@@ -248,15 +250,50 @@ def test_node_cap_guards(monkeypatch, capsys):
         brute_force_enumerate(md)
 
 
-def test_exact_rows_reproduce_float_basis():
+def test_exact_rows_reproduce_float_basis(monkeypatch):
+    # num / den is within 1e-9 of the float echelon rows it was snapped
+    # from, and residual holds ||Y B_i - B_i Y|| of each exact row B_i.
+    echelons = []
+    rref = commutant._rref
+    monkeypatch.setattr(commutant, "_rref",
+                        lambda null: echelons.append(rref(null)) or echelons[-1])
     for spec in catalog_specs(28, 24):
-        basis = commutant_basis(build(spec))
+        md = build(spec)
+        echelons.clear()
+        basis = commutant_basis(md)
         assert basis.exact, spec.name
-        m = spec.ring.size
-        mats = np.zeros((basis.r, m, m))
-        for c, (l, mu) in enumerate(basis.cells):
-            mats[:, l, mu] = basis.num[:, c] / basis.den
-        assert np.array_equal(mats, basis.mats), spec.name
+        assert basis.residual.shape == (basis.r,), spec.name
+        if not basis.r:
+            continue
+        assert np.abs(basis.num / basis.den - echelons[0][0]).max() <= 1e-9, spec.name
+        m, Y = spec.ring.size, md.Y
+        for row, r in zip(basis.num, basis.residual):
+            B = np.zeros((m, m))
+            for c, (l, mu) in enumerate(basis.cells):
+                B[l, mu] = row[c] / basis.den
+            direct = np.linalg.norm(Y @ B - B @ Y)
+            assert abs(r - direct) <= 1e-12 * np.linalg.norm(Y), spec.name
+            assert r <= commutant.EXACT_TOL * np.linalg.norm(Y), spec.name
+
+
+def test_y_basis_equals_the_s_basis_on_nondegenerate_models():
+    # S = Y / |z|: the S-commutant path with its own recheck gives the
+    # same exact rows and pivots as the one Y path.
+    names = catalog_names() + ["sun_currents:12:2", "sun_currents:8:4",
+                               "su2:4*su2:4", "zn:6:1*zn:6:1"]
+    seen = 0
+    for name in names:
+        md = build(model_by_name(name))
+        if not md.nondegenerate:
+            continue
+        seen += 1
+        basis = commutant_basis(md)
+        num, den, pivot_cells = s_commutant_basis(md)
+        assert basis.kind == "modular", name
+        assert (basis.num.dtype, basis.num.shape, basis.num.tobytes(), basis.den,
+                basis.pivot_cells) == (num.dtype, num.shape, num.tobytes(), den,
+                                       pivot_cells), name
+    assert seen == 275  # all but the two sun_currents models
 
 
 def test_inexact_basis_is_refused(monkeypatch):
@@ -401,8 +438,8 @@ def test_rref_matches_the_row_by_row_loop_on_the_gram_nullspaces():
 
 def test_scan_rejects_a_basis_that_is_not_integral_over_den():
     # Halving a real basis puts 1/2 on the vacuum cell of every candidate:
-    # only the remainder filter of N / den and the commutation check keep
-    # such candidates out of the list.
+    # the remainder filter of N / den alone keeps them out of the list, as
+    # no commutation check runs per candidate.
     md = build(su2_model(4))
     half = dataclasses.replace(commutant_basis(md), den=2)
     assert enumerate_invariants(md, basis=half) == []
@@ -602,11 +639,18 @@ def test_frontier_matches_the_product_scan_on_the_catalog_and_dense_models():
     names = catalog_names() + ["sun_currents:12:2", "sun_currents:8:4",
                                "su2:4*su2:4", "zn:6:1*zn:6:1"]
     assert len(names) == 277
+    digest = hashlib.sha256()
     for name in names:
         md = build(model_by_name(name))
         basis = commutant_basis(md)
         got = enumerate_invariants(md, basis=basis)
         assert list_bytes(got) == list_bytes(product_scan_enumerate(md, basis)), name
+        digest.update(name.encode())
+        for Z in got:
+            digest.update(f"{Z.dtype.str}{Z.shape}".encode() + Z.tobytes())
+    # Pins every list byte for byte, so list drift fails here.
+    assert digest.hexdigest() == \
+        "090304e488609b00053d68df504fd4c94e9781dbf2a0908dbd53c7aad1b2e457"
 
 
 @pytest.mark.parametrize("name, count, den, seconds, megabytes", [
