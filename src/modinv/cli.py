@@ -235,13 +235,9 @@ def cmd_model(args: argparse.Namespace) -> int:
 
     if args.action == "validate":
         try:
-            with open(args.name) as f:
-                spec = model_from_json(json.load(f))
+            spec = _load_model(args.name)
             md = build(spec)
-        except OSError as exc:
-            print(f"cannot read model: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
-        except ValueError as exc:
+        except (_UsageError, ValueError) as exc:
             print(f"invalid model: {exc}", file=sys.stderr)
             return EXIT_VERIFY
         print(f"model ok: {spec.name or args.name} (m={spec.ring.size}, "
@@ -261,7 +257,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     d = ring.d
     for i, lab in enumerate(ring.labels):
         print(f"  {i:3d}  {lab.name:>10s}  h={str(spec.spins.h[i]):>8s}  d={d[i]:.6f}")
-    if md.S is not None and ring.size <= 8:
+    if md.nondegenerate and ring.size <= 8:
         print("S:")
         for row in md.S:
             print("  [" + "  ".join(_fmt_complex(x) for x in row) + "]")
@@ -415,10 +411,7 @@ def cmd_restrict(args: argparse.Namespace) -> int:
         print("  " + " ".join(f"{int(x):2d}" for x in row))
     print(f"trace {int(np.trace(Z))}, sum {int(Z.sum())}")
     b = table if args.invariant in ("identity", "sweep") else None
-    try:
-        print("Z = " + render_partition_function(Z, names=table.col_names, branching=b))
-    except ValueError:
-        print("Z = " + render_partition_function(Z, names=table.col_names))
+    print("Z = " + render_partition_function(Z, names=table.col_names, branching=b))
     return EXIT_OK
 
 

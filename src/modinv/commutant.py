@@ -61,7 +61,7 @@ def support_cells(spins: SpinAssignment) -> List[Tuple[int, int]]:
     return sorted(cells)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommutantBasis:
     """Echelonized basis of the Y-commutant restricted to the T-support.
 
@@ -69,6 +69,8 @@ class CommutantBasis:
     rows B_i over `cells` are exactly num / den: num an int64 (r, len(cells))
     array and den the common denominator; residual[i] = ||Y B_i - B_i Y||.
     The basis is exact or refused: commutant_basis never returns a float one.
+    It is frozen and num, residual are read-only, so the residuals that
+    certify an enumeration stay those of num / den.
     """
 
     kind: str
@@ -77,6 +79,10 @@ class CommutantBasis:
     num: np.ndarray
     residual: np.ndarray
     den: int = 1
+
+    def __post_init__(self):
+        self.num.setflags(write=False)
+        self.residual.setflags(write=False)
 
     @property
     def r(self) -> int:

@@ -184,7 +184,7 @@ def ade_assignment(md: ModularData, Z: np.ndarray) -> List[Graph]:
     their levels, and T_{(k+1)/2} for odd k.
     """
     k = md.ring.size - 1
-    if md.S is None:
+    if not md.nondegenerate:
         raise ValueError("spectrum assignment needs nondegenerate data")
     cands: List[Graph] = [graph_catalog("A", k + 1)]
     if k % 2 == 0 and k >= 4:
@@ -202,7 +202,9 @@ def ade_assignment(md: ModularData, Z: np.ndarray) -> List[Graph]:
         mats = su2_nimrep_from_graph(k, g)
         if mats is None:
             continue
-        ok, _ = spectrum_match(mats, md.S, Z)
+        # G_j = U_j(A) and S_{j rho}/S_{0 rho} = U_j(S_{1 rho}/S_{0 rho}), so
+        # by spectral mapping the spectrum of A = G_1 decides every label.
+        ok, _ = spectrum_match(mats[1:2], md.S, Z, labels=[1])
         if ok:
             out.append(g)
     return out

@@ -88,11 +88,12 @@ class ModelSpec:
 
 @dataclass
 class ModularData:
-    """Output of build(): Omega, Y, z, and (if z != 0) c, S, T.
+    """Output of build(): Omega, Y, z, C and (if z != 0) c, S, T.
 
-    For a degenerate model (vanishing Gauss sum, or failed unitarity /
-    charge-conjugation extraction) S, T, c are None and `nondegenerate`
-    is False; Y and Omega are always available.
+    Omega, Y and C (the ring's conjugation matrix) are always available.
+    S, T, c are None only when the Gauss sum vanishes; otherwise they are
+    set, and `nondegenerate` tells whether S is modular (see build).  A
+    degenerate model can carry an S that is not, e.g. sun_currents:4:2.
     """
 
     spec: ModelSpec
@@ -125,40 +126,42 @@ class ModularData:
         return np.diag(self.Omega)
 
 
-def _charge_conjugation_from_s(S: np.ndarray) -> Optional[np.ndarray]:
-    """Extract the permutation matrix C = S^2, or None if S^2 is not one."""
-    m = S.shape[0]
-    S2 = S @ S
-    C = np.zeros((m, m), dtype=int)
-    for i in range(m):
-        row = S2[i]
-        j = int(np.argmax(np.abs(row)))
-        e = np.zeros(m)
-        e[j] = 1.0
-        if np.max(np.abs(row - e)) > UNITARITY_TOL:
-            return None
-        C[i, j] = 1
-    if not np.array_equal(C.sum(axis=0), np.ones(m, dtype=int)):
-        return None
-    return C
-
-
-def _conj_matrix(ring: FusionRing) -> np.ndarray:
-    m = ring.size
-    C = np.zeros((m, m), dtype=int)
-    C[np.arange(m), ring.conj] = 1
-    return C
-
-
 def _omega_y_residual(Omega: np.ndarray, Y: np.ndarray, z: complex) -> float:
     return float(np.linalg.norm(Omega @ Y @ Omega @ Y @ Omega - z * Y))
+
+
+def _nondegeneracy(
+    z: complex, w: float, S: Optional[np.ndarray], C: np.ndarray
+) -> Tuple[Optional[str], Dict[str, float]]:
+    """The one nondegeneracy rule: (reason, residuals), reason None when
+    the data is nondegenerate.  S is None exactly when the Gauss sum
+    vanishes; otherwise the tests run in order on the residuals gauss =
+    | |z|^2 - w |, unitarity = ||S S^dag - 1||_F and s2_c_max = max |S^2 - C|.
+    """
+    m = C.shape[0]
+    resid = {"gauss": abs(abs(z) ** 2 - w), "unitarity": math.inf, "s2_c_max": math.inf}
+    if S is None:
+        return "vanishing Gauss sum", resid
+    resid["unitarity"] = float(np.linalg.norm(S @ S.conj().T - np.eye(m)))
+    resid["s2_c_max"] = float(np.max(np.abs(S @ S - C)))
+    if not resid["gauss"] < GAUSS_TOL * w:
+        return "Gauss sum modulus mismatch", resid
+    if not resid["unitarity"] < UNITARITY_TOL * m:
+        return "S not unitary", resid
+    if resid["s2_c_max"] > UNITARITY_TOL:
+        return "S^2 is not the charge conjugation", resid
+    return None, resid
 
 
 def build(spec: ModelSpec, allow_degenerate: bool = True) -> ModularData:
     """Assemble the modular data of a spec.
 
-    Weights that break the Omega-Y relation raise ValueError.  With
-    allow_degenerate=True (default) a vanishing Gauss sum yields a
+    Weights that break the Omega-Y relation raise ValueError.  C is the
+    ring's conjugation matrix.  The data is nondegenerate when, in this
+    order, the Gauss sum z does not vanish, | |z|^2 - w | < GAUSS_TOL w,
+    ||S S^dag - 1||_F < UNITARITY_TOL m and max |S^2 - C| <= UNITARITY_TOL,
+    with S = Y/|z|; the first test that fails is the degenerate_reason.
+    With allow_degenerate=True (default) a vanishing Gauss sum yields a
     ModularData with S = T = c = None; with False it raises ValueError.
     """
     ring = spec.ring
@@ -174,57 +177,31 @@ def build(spec: ModelSpec, allow_degenerate: bool = True) -> ModularData:
         raise ValueError(f"weights inconsistent with the fusion rules "
                          f"(Omega-Y residual {resid:.3g})")
 
-    if abs(z) < 1e-12 * max(w, 1.0):
-        if not allow_degenerate:
-            raise ValueError("vanishing Gauss sum: c, S, T are undefined")
-        return ModularData(
-            spec=spec, Omega=Omega, Y=Y, z=z, c=None, S=None, T=None,
-            C=_conj_matrix(ring), nondegenerate=False, w=w,
-            degenerate_reason="vanishing Gauss sum",
-        )
-
-    c = (4.0 * cmath.phase(z) / math.pi) % 8.0
-    S = Y / abs(z)
-    T = cmath.exp(-1j * math.pi * c / 12.0) * Omega
-
-    gauss_ok = abs(abs(z) ** 2 - w) < GAUSS_TOL * w
-    unit_ok = (
-        np.linalg.norm(S @ S.conj().T - np.eye(m)) < UNITARITY_TOL * m
-    )
-    reason = None
-    nondeg = gauss_ok and unit_ok
-    if nondeg:
-        C = _charge_conjugation_from_s(S)
-        if C is None:
-            nondeg = False
-            reason = "S^2 is not a permutation matrix"
-            C = _conj_matrix(ring)
-    else:
-        reason = "Gauss sum modulus mismatch" if not gauss_ok else "S not unitary"
-        C = _conj_matrix(ring)
-
+    C = np.zeros((m, m), dtype=int)
+    C[np.arange(m), ring.conj] = 1
+    c = S = T = None
+    if abs(z) >= 1e-12 * max(w, 1.0):
+        c = (4.0 * cmath.phase(z) / math.pi) % 8.0
+        S = Y / abs(z)
+        T = cmath.exp(-1j * math.pi * c / 12.0) * Omega
+    elif not allow_degenerate:
+        raise ValueError("vanishing Gauss sum: c, S, T are undefined")
+    reason, _ = _nondegeneracy(z, w, S, C)
     return ModularData(
         spec=spec, Omega=Omega, Y=Y, z=z, c=c, S=S, T=T, C=C,
-        nondegenerate=nondeg, w=w, degenerate_reason=reason,
+        nondegenerate=reason is None, w=w, degenerate_reason=reason,
     )
 
 
 def is_nondegenerate(md: ModularData) -> Tuple[bool, Dict[str, float]]:
-    """Recompute the nondegeneracy residuals from scratch.
+    """Recompute the nondegeneracy rule of build from md.
 
-    Returns (flag, residuals) with gauss = | |z|^2 - w | and unitarity =
-    ||S S^dag - 1||_F (inf when S is undefined).
+    Returns (flag, residuals): flag equals md.nondegenerate for data from
+    build; gauss = | |z|^2 - w |, unitarity = ||S S^dag - 1||_F and
+    s2_c_max = max |S^2 - C| (the last two inf when S is undefined).
     """
-    resid = {"gauss": abs(abs(md.z) ** 2 - md.w)}
-    if md.S is None:
-        resid["unitarity"] = math.inf
-        return False, resid
-    m = md.ring.size
-    resid["unitarity"] = float(
-        np.linalg.norm(md.S @ md.S.conj().T - np.eye(m))
-    )
-    flag = resid["gauss"] < GAUSS_TOL * md.w and resid["unitarity"] < UNITARITY_TOL * m
-    return flag, resid
+    reason, resid = _nondegeneracy(md.z, md.w, md.S, md.C)
+    return reason is None, resid
 
 
 def verlinde_check(md: ModularData) -> float:
@@ -232,7 +209,7 @@ def verlinde_check(md: ModularData) -> float:
 
     Only defined for nondegenerate data.
     """
-    if not md.nondegenerate or md.S is None:
+    if not md.nondegenerate:
         raise ValueError("Verlinde check requires nondegenerate modular data")
     S = md.S
     rec = np.einsum("lr,mr,nr->lmn", S, S, S.conj() / S[0], optimize=True)
@@ -283,7 +260,7 @@ def relation_residuals(md: ModularData) -> Dict[str, float]:
     """
     out: Dict[str, float] = {}
     out["omega_y"] = _omega_y_residual(md.Omega, md.Y, md.z)
-    if not md.nondegenerate or md.S is None or md.T is None:
+    if not md.nondegenerate:
         return out
     S, T, C = md.S, md.T, md.C.astype(float)
     ST = S @ T

@@ -2,6 +2,8 @@
 render_partition_function, matrix_to_json, simple_currents,
 permutation_test and simple_current_test were written as before they
 became whole-array operations.  The package must match them exactly.
+`charge_conjugation_from_s` is the per-row loop build once read C from
+S^2 with; C now comes from the ring, and must equal it on modular data.
 
 `report_models()` enumerates the 273 catalog models and the large_modular
 and dense_search benchmark models once per test process.
@@ -13,6 +15,7 @@ import numpy as np
 
 from modinv import build, enumerate_invariants
 from modinv.catalog import catalog_names, model_by_name
+from modinv.modular import UNITARITY_TOL
 
 # The float current test the package used before it read currents exactly
 # off N: |d - 1| below this bound.
@@ -30,6 +33,24 @@ def report_models():
         md = build(model_by_name(name))
         out.append((name, md, enumerate_invariants(md)))
     return out
+
+
+def charge_conjugation_from_s(S):
+    """The permutation matrix C = S^2, or None if S^2 is not one."""
+    m = S.shape[0]
+    S2 = S @ S
+    C = np.zeros((m, m), dtype=int)
+    for i in range(m):
+        row = S2[i]
+        j = int(np.argmax(np.abs(row)))
+        e = np.zeros(m)
+        e[j] = 1.0
+        if np.max(np.abs(row - e)) > UNITARITY_TOL:
+            return None
+        C[i, j] = 1
+    if not np.array_equal(C.sum(axis=0), np.ones(m, dtype=int)):
+        return None
+    return C
 
 
 def matrix_to_json_loop(Z):

@@ -184,7 +184,11 @@ def test_cli_model_errors(capsys):
     assert main(["model", "show", "nosuch"]) == 1
     assert "error" in capsys.readouterr().err
     assert main(["model", "show"]) == 1
-    assert main(["model", "validate", "/nonexistent/x.json"]) == 2
+    capsys.readouterr()
+    for name in ("/nonexistent/x.json", "nosuch", "zn:x:2"):
+        assert main(["model", "validate", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid model: ") and err.count("\n") == 1, name
     assert main([]) == 1
     assert main(["model", "frobnicate", "su2:6"]) == 1
 
@@ -196,6 +200,8 @@ def test_cli_model_json_and_validate(tmp_path, capsys):
     assert main(["model", "validate", str(path)]) == 0
     out = capsys.readouterr().out
     assert "model ok" in out and "nondegenerate=True" in out
+    assert main(["model", "validate", "su2:6"]) == 0
+    assert capsys.readouterr().out == "model ok: su2:6 (m=7, nondegenerate=True)\n"
     # corrupt the conjugation: loader must reject it
     data = json.loads(path.read_text())
     data["conjugation"] = [0] * 7
@@ -289,6 +295,17 @@ def test_cli_restrict(capsys):
     assert main(["restrict", "su10_to_su4", "bogus"]) == 1
     assert main(["restrict", "so8_to_su3", "conjugation"]) == 1
     assert main(["restrict", "e6_to_su3", "sweep"]) == 1
+    capsys.readouterr()
+    # Every pair that succeeds renders its matrix in one "Z = " line;
+    # identity and sweep go through the branching table, with no fallback.
+    for argv in (["su10_to_su4", "identity"], ["su10_to_su4", "conjugation"],
+                 ["so8_to_su3", "identity"], ["so8_to_su3", "sweep"],
+                 ["e6_to_su3", "identity"], ["e6_to_su3", "conjugation"]):
+        assert main(["restrict", *argv]) == 0, argv
+        out = capsys.readouterr()
+        assert out.err == "" and out.out.count("\nZ = ") == 1, argv
+        if argv[1] != "conjugation":
+            assert "|²" in out.out.splitlines()[-1] and "*" not in out.out, argv
 
 
 def test_cli_enumerate_builds_basis_once(monkeypatch, capsys):

@@ -445,11 +445,22 @@ def test_scan_rejects_a_basis_that_is_not_integral_over_den():
     assert enumerate_invariants(md, basis=half) == []
 
 
+def test_a_basis_cannot_be_edited_after_it_is_certified():
+    # Its residuals certify num / den, so neither may change in place.
+    basis = commutant_basis(build(su2_model(6)))
+    with pytest.raises(ValueError, match="read-only"):
+        basis.num[1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        basis.residual[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.den = 3
+
+
 def test_exact_recheck_refuses_int64_overflow():
     md = build(su2_model(6))
     basis = commutant_basis(md)
     big = 2 ** 40
-    basis.num, basis.den = basis.num * big, basis.den * big
+    basis = dataclasses.replace(basis, num=basis.num * big, den=basis.den * big)
     with pytest.raises(RuntimeError, match="int64"):
         enumerate_invariants(md, basis=basis)
 
@@ -468,7 +479,7 @@ def test_frontier_refuses_an_int64_overflow_through_the_row_sum():
     cells = [sum(bj * abs(row[c]) for bj, row in zip(b, rows)) for c in range(len(rows[0]))]
     assert 8 * max(cells) * big <= commutant.INT64_MAX
     assert max(abs(sum(row)) for row in rows) * big > commutant.INT64_MAX
-    basis.num = basis.num * big
+    basis = dataclasses.replace(basis, num=basis.num * big)
     with pytest.raises(RuntimeError, match="int64"):
         enumerate_invariants(md, basis=basis)
 

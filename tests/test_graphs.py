@@ -15,6 +15,7 @@ from modinv import (
     orbifold_quotient,
     pz_graph,
     su2_model,
+    sun_current_model,
 )
 from modinv import graphs
 from modinv.graphs import (
@@ -27,6 +28,7 @@ from modinv.graphs import (
     tadpole_exclusion,
 )
 
+from report_loops import report_models
 from su4_oracle import build_su4
 from test_commutant import d5_matrix, e7_matrix
 
@@ -202,6 +204,38 @@ def test_ade_assignment_k6():
     md = build(su2_model(6))
     assert [g.name for g in ade_assignment(md, np.eye(7, dtype=int))] == ["A7"]
     assert [g.name for g in ade_assignment(md, d5_matrix())] == ["D5"]
+
+
+def test_ade_assignment_matches_the_all_label_spectra():
+    # ade_assignment tests the label-1 spectrum only.  On every su(2)
+    # catalog invariant it must name exactly the catalog graphs whose
+    # towers match diag Z at all k + 1 labels.
+    models = {name: (md, invs) for name, md, invs in report_models()
+              if name.startswith("su2:") and "*" not in name}
+    assert len(models) == 28
+    seen = 0
+    for name, (md, invs) in models.items():
+        k = md.ring.size - 1
+        towers = []
+        for family, sizes in (("A", range(1, k + 2)), ("D", range(4, k + 2)),
+                              ("E", (6, 7, 8)), ("T", range(1, k + 2))):
+            for n in sizes:
+                mats = su2_nimrep_from_graph(k, graph_catalog(family, n))
+                if mats is not None:
+                    towers.append((f"{family}{n}", mats))
+        for Z in invs:
+            ref = [g for g, mats in towers if spectrum_match(mats, md.S, Z)[0]]
+            assert [g.name for g in ade_assignment(md, Z)] == ref, (name, Z)
+            seen += 1
+    assert seen == 44
+
+
+def test_ade_assignment_refuses_degenerate_data():
+    # sun_currents:4:2 has z != 0, so S is set, but S is not modular.
+    md = build(sun_current_model(4, 2))
+    assert md.S is not None and not md.nondegenerate
+    with pytest.raises(ValueError, match="needs nondegenerate data"):
+        ade_assignment(md, np.eye(4, dtype=int))
 
 
 def test_tadpole_negative_control():

@@ -1,5 +1,6 @@
 """Omega/Y/S/T construction, nondegeneracy, Verlinde recovery."""
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from modinv import (
     so8_level1_model,
     so16_level1_model,
 )
-from modinv.modular import relation_residuals, statistics_phase
+from modinv.catalog import catalog_names, model_by_name
+from modinv.modular import _nondegeneracy, relation_residuals, statistics_phase
+from report_loops import charge_conjugation_from_s, report_models
 
 
 def z2_spec(h1):
@@ -62,9 +65,69 @@ def test_is_nondegenerate_residuals():
         assert flag
         assert resid["gauss"] < 1e-6
         assert resid["unitarity"] < 1e-9 * (k + 1)
+        assert resid["s2_c_max"] < 1e-9
     flag, resid = is_nondegenerate(build(z2_spec(Fraction(1, 2))))
     assert not flag
     assert resid["gauss"] == pytest.approx(2.0)
+    assert resid["unitarity"] == resid["s2_c_max"] == math.inf
+
+
+def ring_conjugation(ring):
+    C = np.zeros((ring.size, ring.size), dtype=int)
+    C[np.arange(ring.size), ring.conj] = 1
+    return C
+
+
+def test_c_comes_from_the_ring_and_one_rule_decides():
+    for name, md, _ in report_models():
+        assert np.array_equal(md.C, ring_conjugation(md.ring)), name
+        if md.nondegenerate:
+            assert np.array_equal(md.C, charge_conjugation_from_s(md.S)), name
+        assert is_nondegenerate(md)[0] == md.nondegenerate, name
+
+
+def test_degenerate_data_with_a_gauss_sum_keeps_s_and_t():
+    # S, T and c are None only when the Gauss sum vanishes; readers of S
+    # go by the nondegenerate flag.
+    md = build(sun_current_model(4, 2))
+    assert not md.nondegenerate
+    assert md.degenerate_reason == "Gauss sum modulus mismatch"
+    assert md.S is not None and md.T is not None and md.c == pytest.approx(7.0)
+    assert np.array_equal(md.C, ring_conjugation(md.ring))
+    assert list(relation_residuals(md)) == ["omega_y"]
+    with pytest.raises(ValueError, match="nondegenerate"):
+        verlinde_check(md)
+
+
+def test_s_squared_must_be_the_ring_conjugation():
+    # A unitary symmetric S whose square swaps labels 1 and 2, while the
+    # ring says every label is self-conjugate.
+    a = cmath.exp(1j * math.pi / 4) / math.sqrt(2)
+    b = 1 / (2 * a)
+    S = np.array([[1, 0, 0], [0, a, b], [0, b, a]])
+    swap = np.eye(3, dtype=int)[[0, 2, 1]]
+    assert np.max(np.abs(S @ S.conj().T - np.eye(3))) < 1e-15
+    assert np.array_equal(charge_conjugation_from_s(S), swap)
+    reason, resid = _nondegeneracy(1.0, 1.0, S, np.eye(3, dtype=int))
+    assert reason == "S^2 is not the charge conjugation"
+    assert resid["s2_c_max"] == pytest.approx(1.0)
+    assert _nondegeneracy(1.0, 1.0, S, swap)[0] is None
+
+
+def test_nondegeneracy_verdicts_are_pinned():
+    names = catalog_names() + ["sun_currents:12:2", "sun_currents:8:4",
+                               "su2:4*su2:4", "zn:6:1*zn:6:1"]
+    assert len(names) == 277
+    digest = hashlib.sha256()
+    for name in names:
+        md = build(model_by_name(name))
+        C = md.C
+        digest.update(f"{name}|{md.nondegenerate}|{md.degenerate_reason}|"
+                      f"{C.dtype.str}{C.shape}".encode() + C.tobytes())
+    # Pins the verdict, the reason and C byte for byte, as recorded when C
+    # was still read off S^2 on nondegenerate data.
+    assert digest.hexdigest() == \
+        "bf953938b258bfaf07e2752928607db60ad1310b25cc10afdda2784a826464f1"
 
 
 def test_verlinde_recovery():
