@@ -1,4 +1,4 @@
-"""Built-in models: su(2)_k, Z_n spin models, so(8)_1 / so(16)_1.
+"""Built-in models and their name grammar: su(2)_k, Z_n, so(8)_1, so(16)_1.
 
 Also hosts the branching tables of the three conformal embeddings used
 by the restriction machinery, and reference Kac-Peterson data against
@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,9 +26,9 @@ __all__ = [
     "so8_level1_model",
     "so16_level1_model",
     "sun_current_model",
+    "name_family",
     "model_by_name",
     "catalog_names",
-    "catalog_specs",
     "BranchingTable",
     "branching_catalog",
     "SO8_KAC_PETERSON_S",
@@ -205,7 +205,30 @@ def sun_current_model(n: int, k: int) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: the one model-name grammar
+
+# family -> (constructor, number of integer parameters after the family)
+_FAMILIES = {"su2": (su2_model, 1), "zn": (zn_model, 2), "sun_currents": (sun_current_model, 2),
+             "so8_1": (so8_level1_model, 0), "so16_1": (so16_level1_model, 0)}
+
+
+def name_family(name: str) -> Tuple[str, Tuple[int, ...]]:
+    """('zn', (6, 1)) for 'zn:6:1': the family and integer parameters of a
+    built-in name.  A product gives ('*', ()) if a factor starts with a
+    family, any other name ('', ()); malformed parameters raise ValueError."""
+    if "*" in name:
+        return ("*" if any(f.split(":")[0] in _FAMILIES for f in name.split("*"))
+                else ""), ()
+    family, *args = name.split(":")
+    if family not in _FAMILIES:
+        return "", ()
+    if len(args) != _FAMILIES[family][1]:
+        raise ValueError(f"unknown model name '{name}'")
+    try:
+        return family, tuple(int(a) for a in args)
+    except ValueError as exc:
+        raise ValueError(f"cannot build model '{name}': {exc}") from None
+
 
 def model_by_name(name: str) -> ModelSpec:
     """Parse 'su2:K', 'zn:N:A', 'sun_currents:N:K', 'so8_1', 'so16_1',
@@ -213,35 +236,22 @@ def model_by_name(name: str) -> ModelSpec:
     if "*" in name:
         a, _, b = name.partition("*")
         return tensor_product(model_by_name(a), model_by_name(b))
-    if name == "so8_1":
-        return so8_level1_model()
-    if name == "so16_1":
-        return so16_level1_model()
-    parts = name.split(":")
+    family, params = name_family(name)
+    if not family:
+        raise ValueError(f"unknown model name '{name}'")
     try:
-        if parts[0] == "su2" and len(parts) == 2:
-            return su2_model(int(parts[1]))
-        if parts[0] == "zn" and len(parts) == 3:
-            return zn_model(int(parts[1]), int(parts[2]))
-        if parts[0] == "sun_currents" and len(parts) == 3:
-            return sun_current_model(int(parts[1]), int(parts[2]))
+        return _FAMILIES[family][0](*params)
     except ValueError as exc:
         raise ValueError(f"cannot build model '{name}': {exc}") from None
-    raise ValueError(f"unknown model name '{name}'")
 
 
-def catalog_names(su2_max: int = 28, zn_max: int = 24) -> List[str]:
+def catalog_names() -> List[str]:
     """Names of the full built-in sweep (used by the property suite)."""
-    out = [f"su2:{k}" for k in range(1, su2_max + 1)]
-    for n in range(1, zn_max + 1):
+    out = [f"su2:{k}" for k in range(1, 29)]
+    for n in range(1, 25):
         out.extend(f"zn:{n}:{a}" for a in zn_valid_weights(n))
     out.extend(["so8_1", "so16_1"])
     return out
-
-
-def catalog_specs(su2_max: int = 28, zn_max: int = 24) -> Iterator[ModelSpec]:
-    for name in catalog_names(su2_max, zn_max):
-        yield model_by_name(name)
 
 
 # ---------------------------------------------------------------------------

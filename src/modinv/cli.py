@@ -1,9 +1,10 @@
 """Command line front end: model inspection, enumeration, classification,
 graph assignment, extension and restriction reports.
 
-Exit codes: 0 on success, 1 on usage errors (bad arguments, unknown
-model), 2 when a verification step fails (model validation, oracle
-cross-check, a refused commutant basis).  All output is deterministic.
+A model, a catalog name or a .json file, is loaded and built once.  Exit
+codes: 0 on success, 1 on usage errors (bad arguments, unknown model, an
+unwritable output path), 2 when a verification step fails (model validation,
+oracle cross-check, a refused commutant basis).  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .catalog import (
     BranchingTable,
     branching_catalog,
     model_by_name,
+    name_family,
 )
 from .classify import classify_invariant
 from .commutant import brute_force_enumerate, commutant_basis, enumerate_invariants
@@ -33,7 +35,7 @@ from .extensions import (
 )
 from .fusion import FusionRing, fusion_tensor, verify_axioms
 from .graphs import Graph, ade_assignment
-from .modular import ModelSpec, SpinAssignment, build
+from .modular import ModelSpec, ModularData, SpinAssignment, build
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,11 +75,11 @@ def _integers(values: Sequence[object], what: str) -> List[int]:
     return out
 
 
-def model_from_json(data: Dict[str, object]) -> ModelSpec:
-    """Inverse of model_to_json; the label indices, the ring axioms and
-    the Omega-Y relation are re-verified, and a built-in model name must
-    name this very ring and weights.  Malformed or inconsistent input
-    raises ValueError."""
+def model_from_json(data: Dict[str, object]) -> ModularData:
+    """Inverse of model_to_json, built: the label indices, the ring axioms
+    and the Omega-Y relation (by the one build) are re-verified, and a
+    built-in model name must name this very ring and weights.  Malformed
+    or inconsistent input raises ValueError."""
     try:
         labels = sorted(data["labels"], key=lambda l: int(l["index"]))
         index = _integers([l["index"] for l in labels], "label index list")
@@ -104,16 +106,14 @@ def model_from_json(data: Dict[str, object]) -> ModelSpec:
     problems = verify_axioms(ring)
     if problems:
         raise ValueError("; ".join(problems))
-    spec = ModelSpec(ring, SpinAssignment(h), name=str(data.get("name", "")))
-    build(spec)  # raises ValueError on weights that break the Omega-Y relation
+    md = build(ModelSpec(ring, SpinAssignment(h), name=str(data.get("name", ""))))
     # Commands key tables on a built-in name, so such a name must be the model.
-    families = {f.partition(":")[0] for f in spec.name.split("*")}
-    if families & {"su2", "zn", "sun_currents", "so8_1", "so16_1"}:
-        ref = model_by_name(spec.name)
+    if name_family(md.name)[0]:
+        ref = model_by_name(md.name)
         if not (np.array_equal(ref.ring.N, N) and np.array_equal(ref.ring.conj, conj)
-                and ref.spins.h == spec.spins.h):
-            raise ValueError(f"model data does not match the built-in model '{spec.name}'")
-    return spec
+                and ref.spins.h == md.spins.h):
+            raise ValueError(f"model data does not match the built-in model '{md.name}'")
+    return md
 
 
 def matrix_to_json(Z: np.ndarray) -> List[List[int]]:
@@ -200,19 +200,15 @@ class _UsageError(Exception):
     """A usage error that main() reports as 'error: ...' with exit 1."""
 
 
-def _load_model(name: str) -> ModelSpec:
+def _load_model(name: str) -> ModularData:
+    """The one build of a built-in model name or a .json model file."""
     try:
         if name.endswith(".json"):
             with open(name) as f:
                 return model_from_json(json.load(f))
-        return model_by_name(name)
+        return build(model_by_name(name))
     except (ValueError, OSError) as exc:
         raise _UsageError(exc) from None
-
-
-def _family(spec: ModelSpec) -> str:
-    """'su2', 'zn', ... for a single built-in model; '' for a product."""
-    return "" if "*" in spec.name else spec.name.partition(":")[0]
 
 
 def _fmt_complex(x: complex) -> str:
@@ -235,20 +231,18 @@ def cmd_model(args: argparse.Namespace) -> int:
 
     if args.action == "validate":
         try:
-            spec = _load_model(args.name)
-            md = build(spec)
-        except (_UsageError, ValueError) as exc:
+            md = _load_model(args.name)
+        except _UsageError as exc:
             print(f"invalid model: {exc}", file=sys.stderr)
             return EXIT_VERIFY
-        print(f"model ok: {spec.name or args.name} (m={spec.ring.size}, "
+        print(f"model ok: {md.name or args.name} (m={md.ring.size}, "
               f"nondegenerate={md.nondegenerate})")
         return EXIT_OK
 
     # show
-    spec = _load_model(args.name)
-    md = build(spec)
-    ring = spec.ring
-    print(f"model {spec.name}: {ring.size} sectors, w = {md.w:.6f}")
+    md = _load_model(args.name)
+    ring = md.ring
+    print(f"model {md.name}: {ring.size} sectors, w = {md.w:.6f}")
     if md.nondegenerate:
         print(f"nondegenerate, c = {md.c:.6f} (mod 8), z = {_fmt_complex(md.z)}")
     else:
@@ -256,24 +250,23 @@ def cmd_model(args: argparse.Namespace) -> int:
     print("labels:")
     d = ring.d
     for i, lab in enumerate(ring.labels):
-        print(f"  {i:3d}  {lab.name:>10s}  h={str(spec.spins.h[i]):>8s}  d={d[i]:.6f}")
+        print(f"  {i:3d}  {lab.name:>10s}  h={str(md.spins.h[i]):>8s}  d={d[i]:.6f}")
     if md.nondegenerate and ring.size <= 8:
         print("S:")
         for row in md.S:
             print("  [" + "  ".join(_fmt_complex(x) for x in row) + "]")
     if args.json:
         with open(args.json, "w") as f:
-            json.dump(model_to_json(spec), f, indent=2, sort_keys=True)
+            json.dump(model_to_json(md.spec), f, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
     return EXIT_OK
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    spec = _load_model(args.model)
-    md = build(spec)
+    md = _load_model(args.model)
     basis = commutant_basis(md)
     invs = enumerate_invariants(md, basis=basis)
-    print(f"{spec.name}: commutant rank {basis.r} ({basis.kind}), "
+    print(f"{md.name}: commutant rank {basis.r} ({basis.kind}), "
           f"{len(invs)} physical invariants")
     fmt = "  " + " ".join(["%2d"] * md.ring.size)
     for i, Z in enumerate(invs):
@@ -290,7 +283,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"oracle agrees ({len(ref)} invariants)")
     if args.json:
         payload = {
-            "model": spec.name,
+            "model": md.name,
             "commutant": {"rank": basis.r, "kind": basis.kind, "exact": basis.exact},
             "invariants": [matrix_to_json(Z) for Z in invs],
         }
@@ -301,10 +294,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    spec = _load_model(args.model)
-    md = build(spec)
+    md = _load_model(args.model)
     invs = enumerate_invariants(md)
-    print(f"{spec.name}: {len(invs)} invariants")
+    print(f"{md.name}: {len(invs)} invariants")
     for i, Z in enumerate(invs):
         rep = classify_invariant(Z, md, enumerated=invs)
         tags = [rep.kind]
@@ -324,11 +316,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
-    spec = _load_model(args.model)
-    if _family(spec) != "su2":
+    md = _load_model(args.model)
+    if name_family(md.name)[0] != "su2":
         print("graph assignment covers su2 models only", file=sys.stderr)
         return EXIT_USAGE
-    md = build(spec)
     invs = enumerate_invariants(md)
     for i, Z in enumerate(invs):
         graphs = ade_assignment(md, Z)
@@ -340,7 +331,7 @@ def cmd_graphs(args: argparse.Namespace) -> int:
             os.makedirs(args.dot, exist_ok=True)
             for g in graphs:
                 path = os.path.join(
-                    args.dot, f"{spec.name.replace(':', '_')}_inv{i}_{g.name}.dot"
+                    args.dot, f"{md.name.replace(':', '_')}_inv{i}_{g.name}.dot"
                 )
                 with open(path, "w") as f:
                     f.write(graph_to_dot(g) + "\n")
@@ -349,24 +340,22 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    spec = _load_model(args.model)
-    records = rehren_admissible(spec)
-    print(f"{spec.name}: cyclic current subgroups")
+    md = _load_model(args.model)
+    records = rehren_admissible(md.spec)
+    print(f"{md.name}: cyclic current subgroups")
     for r in records:
         flag = "admissible" if r.admissible else "not admissible"
         print(
             f"  gen {r.generator} order {r.order} h={r.h_generator} [{flag}] "
             f"theta={theta_vector(r).tolist()}"
         )
-    family = _family(spec)
+    family, params = name_family(md.name)
     if family == "zn":
-        n, a = map(int, spec.name.split(":")[1:])
         print("divisor invariants:")
-        for delta, Z in sorted(zn_invariant_table(n, a).items()):
+        for delta, Z in sorted(zn_invariant_table(*params).items()):
             print(f"  Z^({delta}): trace {int(np.trace(Z))}")
     if family == "sun_currents":
-        n, k = map(int, spec.name.split(":")[1:])
-        tab = sun_divisor_table(n, k)
+        tab = sun_divisor_table(*params)
         print(f"admissible orders: {tab['orders']}")
         print(f"locality by order: {tab['locality']}")
     return EXIT_OK
@@ -473,7 +462,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return int(args.func(args))
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -28,7 +28,7 @@ from modinv.catalog import (
     SO16_PARENT_MINUS,
     SO16_PARENT_PLUS,
     branching_catalog,
-    catalog_specs,
+    catalog_names,
     model_by_name,
     su4_charge_conjugation,
     zn_valid_weights,
@@ -124,7 +124,8 @@ def test_criterion_5_zn_divisor_sweep():
 def test_criterion_6_modular_property_suite():
     t0 = time.perf_counter()
     n_models = 0
-    for spec in catalog_specs(28, 24):
+    for name in catalog_names():
+        spec = model_by_name(name)
         md = build(spec)
         if not md.nondegenerate:
             continue

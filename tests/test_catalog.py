@@ -25,7 +25,7 @@ from modinv.catalog import (
     SO16_PARENT_MINUS,
     SO16_PARENT_PLUS,
     catalog_names,
-    catalog_specs,
+    name_family,
     su4_charge_conjugation,
     zn_valid_weights,
     zn_weight_valid,
@@ -189,8 +189,15 @@ def test_t_equivalence_classes_level6():
     assert sorted(classes.values()) == [[0], [1, 5], [2], [3], [4], [6]]
 
 
+def catalog_up_to(top):
+    """The catalog_names() with level K <= top (su2:K) and N <= top (zn:N:A)."""
+    return [name for name in catalog_names()
+            if all(p <= top for p in name_family(name)[1][:1])]
+
+
 def test_full_catalog_is_clean():
-    for spec in catalog_specs(su2_max=8, zn_max=8):
+    for name in catalog_up_to(8):
+        spec = model_by_name(name)
         assert verify_axioms(spec.ring) == []
         md = build(spec)
         flag, _ = is_nondegenerate(md)
@@ -207,6 +214,23 @@ def test_model_by_name_roundtrip():
             model_by_name(bad)
 
 
+def test_name_family_is_the_one_grammar():
+    assert name_family("zn:6:1") == ("zn", (6, 1))
+    assert name_family("su2:+4") == ("su2", (4,))
+    assert name_family("sun_currents:4:6") == ("sun_currents", (4, 6))
+    assert name_family("so8_1") == ("so8_1", ())
+    for other in ("custom", "", "su3:4", "foo*bar"):
+        assert name_family(other) == ("", ()), other
+    for product in ("su2:4*su2:4", "foo*su2:x", "su2:4*"):
+        assert name_family(product) == ("*", ()), product
+    with pytest.raises(ValueError, match="unknown model name 'su2:1:2'"):
+        name_family("su2:1:2")
+    with pytest.raises(ValueError, match="cannot build model 'zn:x:2'"):
+        name_family("zn:x:2")
+    assert [n for n in catalog_names() if name_family(n)[0] not in ("su2", "zn")] == \
+        ["so8_1", "so16_1"]
+
+
 def test_model_by_name_products():
     spec = model_by_name("su2:4*zn:3:2")
     ref = tensor_product(su2_model(4), zn_model(3, 2))
@@ -218,7 +242,7 @@ def test_model_by_name_products():
 
 
 def test_catalog_names_cover_families():
-    names = catalog_names(su2_max=4, zn_max=4)
+    names = catalog_up_to(4)
     assert "su2:4" in names and "zn:4:1" in names
     assert "so8_1" in names and "so16_1" in names
     assert "zn:4:2" not in names  # invalid weight filtered out

@@ -1,7 +1,9 @@
 """Command line surface: exit codes, JSON round trips, renderers."""
 import json
 import pathlib
+import re
 import shlex
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -567,15 +569,28 @@ def test_cli_enumerates_a_product_beyond_the_product_scan(capsys):
     assert out.count("invariant ") == 13 and out.count("\n") == 1 + 13 * (1 + 81)
 
 
+# Names that break the grammar, each with the one message it must keep.
+GRAMMAR_EDGES = [
+    ("su2:1:2", "unknown model name 'su2:1:2'"),
+    ("so8_1:3", "unknown model name 'so8_1:3'"),
+    ("zn:7", "unknown model name 'zn:7'"),
+    ("su2:0", "cannot build model 'su2:0': level must be a positive integer"),
+    ("foo*su2:4", "unknown model name 'foo'"),
+    ("su2:x*foo", "cannot build model 'su2:x': invalid literal for int() with base 10: 'x'"),
+]
+
+
 @pytest.mark.parametrize("name, message", [
     ("zn:x:2", "cannot build model 'zn:x:2'"),
     ("sun_currents:3", "unknown model name 'sun_currents:3'"),
     ("zn:7:2", "model data does not match the built-in model 'zn:7:2'"),
+    *GRAMMAR_EDGES,
+    ("su2:4*su2:4", "model data does not match the built-in model 'su2:4*su2:4'"),
 ])
 def test_model_file_with_a_false_builtin_name(tmp_path, capsys, name, message):
     data = model_to_json(zn_model(3, 2))
     data["name"] = name
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         model_from_json(data)
     path = tmp_path / "z3.json"
     path.write_text(json.dumps(data))
@@ -583,6 +598,54 @@ def test_model_file_with_a_false_builtin_name(tmp_path, capsys, name, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert main(["model", "validate", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid model: {message}") and err.count("\n") == 1
     data["name"] = "z3 renamed"
     assert model_from_json(data).name == "z3 renamed"
+
+
+@pytest.mark.parametrize("name, message", GRAMMAR_EDGES + [
+    ("zn:x:2", "cannot build model 'zn:x:2': invalid literal for int() with base 10: 'x'"),
+    ("sun_currents:3", "unknown model name 'sun_currents:3'"),
+])
+def test_cli_model_name_grammar_errors(capsys, name, message):
+    for argv in (["enumerate"], ["classify"], ["graphs"], ["extend"], ["model", "show"]):
+        assert main([*argv, name]) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    assert main(["model", "validate", name]) == 2
+    assert capsys.readouterr() == ("", f"invalid model: {message}\n")
+
+
+def test_every_command_builds_its_model_once(tmp_path, monkeypatch, capsys):
+    import modinv.modular
+
+    real, calls = modinv.modular.build, []
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.name)
+        return real(spec, *args, **kwargs)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("modinv")]:
+        if getattr(mod, "build", None) is real:
+            monkeypatch.setattr(mod, "build", counting)
+    path = tmp_path / "su2_4.json"
+    assert main(["model", "show", "su2:4", "--json", str(path)]) == 0
+    for model in ("su2:4", str(path)):
+        for argv in (["model", "validate"], ["model", "show"], ["enumerate"],
+                     ["classify"], ["graphs"], ["extend"]):
+            calls.clear()
+            assert main([*argv, model]) == 0, (argv, model)
+            assert calls == ["su2:4"], (argv, model)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("option", ["enumerate --json", "model show --json", "graphs --dot"])
+def test_cli_unwritable_output_path(tmp_path, capsys, option):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    target = {"--json": tmp_path / "missing" / "out.json", "--dot": regular / "dots"}
+    *command, flag = option.split()
+    assert main([*command, "su2:4", flag, str(target[flag])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+    assert str(target[flag]) in err

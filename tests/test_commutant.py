@@ -25,7 +25,7 @@ from modinv import (
     zn_model,
 )
 from modinv import commutant
-from modinv.catalog import catalog_names, catalog_specs, model_by_name, zn_valid_weights
+from modinv.catalog import catalog_names, model_by_name, zn_valid_weights
 from modinv.cli import main
 from modinv.commutant import support_cells
 from product_scan import product_scan_enumerate
@@ -257,7 +257,8 @@ def test_exact_rows_reproduce_float_basis(monkeypatch):
     rref = commutant._rref
     monkeypatch.setattr(commutant, "_rref",
                         lambda null: echelons.append(rref(null)) or echelons[-1])
-    for spec in catalog_specs(28, 24):
+    for name in catalog_names():
+        spec = model_by_name(name)
         md = build(spec)
         echelons.clear()
         basis = commutant_basis(md)
@@ -334,8 +335,8 @@ def test_rationalize_matches_the_per_entry_reference_on_the_catalog(monkeypatch)
     rows = []
     rationalize = commutant._rationalize
     monkeypatch.setattr(commutant, "_rationalize", lambda R: rows.append(R) or rationalize(R))
-    for spec in catalog_specs(28, 24):
-        commutant_basis(build(spec))
+    for name in catalog_names():
+        commutant_basis(build(model_by_name(name)))
     assert len(rows) == 273
     for R in rows:
         assert same_rationalization(rationalize(R), per_entry_rationalize(R))
@@ -424,7 +425,7 @@ def test_rref_matches_the_row_by_row_loop_on_the_gram_nullspaces():
                            side_effect=lambda rows: nullspaces.append(rows) or rref(rows)):
         for _, md, _ in report_models():
             commutant_basis(md)
-    assert len(nullspaces) == 280
+    assert len(nullspaces) == 279
     rng = np.random.default_rng(0)
     # rank 3 in 4 rows: some columns hold no pivot and a zero row is dropped
     nullspaces += [rng.standard_normal((4, 3)) @ rng.integers(-2, 3, (3, 9)).astype(float)
@@ -527,13 +528,13 @@ def test_product_lists_contain_the_factor_products(a, b, den, count):
 
 
 def test_basis_rank_matches_svd_on_catalog():
-    for spec in catalog_specs(28, 24):
-        md = build(spec)
+    for name in catalog_names():
+        md = build(model_by_name(name))
         K, cells = operator_and_cells(md)
         A = commutation_matrix(K, cells)
         s = np.linalg.svd(np.vstack([A.real, A.imag]), compute_uv=False)
         rank = int(np.sum(s < commutant.RANK_TOL * max(s[0], 1.0)))
-        assert commutant_basis(md).r == rank, spec.name
+        assert commutant_basis(md).r == rank, name
 
 
 def test_basis_and_scan_memory_zn128():
