@@ -54,7 +54,7 @@ def su2_model(k: int) -> ModelSpec:
             for j3 in range(lo, hi + 1, 2):
                 N[j1, j2, j3] = 1
     names = [f"j={j}" for j in range(m)]
-    ring = FusionRing(names, N, conj=list(range(m)))
+    ring = FusionRing(names, N)
     h = [Fraction(j * (j + 2), 4 * k + 8) for j in range(m)]
     return ModelSpec(ring, SpinAssignment(h), name=f"su2:{k}")
 
@@ -80,13 +80,13 @@ def zn_valid_weights(n: int) -> List[int]:
 
 
 def _cyclic_ring(n: int) -> FusionRing:
-    """Z_n fusion rules on labels [0]..[n-1]; conjugation j -> -j."""
+    """Z_n fusion rules on labels [0]..[n-1] (conjugation j -> -j)."""
     N = fusion_tensor(n)
     for j1 in range(n):
         for j2 in range(n):
             N[j1, j2, (j1 + j2) % n] = 1
     names = [f"[{j}]" for j in range(n)]
-    return FusionRing(names, N, conj=[(-j) % n for j in range(n)])
+    return FusionRing(names, N)
 
 
 def zn_model(n: int, a: int) -> ModelSpec:
@@ -137,7 +137,7 @@ def _z2z2_ring() -> FusionRing:
     for x in range(4):
         for y in range(4):
             N[x, y, x ^ y] = 1
-    return FusionRing(names, N, conj=[0, 1, 2, 3])
+    return FusionRing(names, N)
 
 
 @functools.lru_cache(maxsize=None)

@@ -77,8 +77,9 @@ def _integers(values: Sequence[object], what: str) -> List[int]:
 
 def model_from_json(data: Dict[str, object]) -> ModularData:
     """Inverse of model_to_json, built: the label indices, the ring axioms
-    and the Omega-Y relation (by the one build) are re-verified, and a
-    built-in model name must name this very ring and weights.  Malformed
+    and the Omega-Y relation (by the one build) are re-verified, the
+    conjugation must be the one the vacuum slice gives, and a built-in
+    model name must name this very ring and weights.  Malformed
     or inconsistent input raises ValueError."""
     try:
         labels = sorted(data["labels"], key=lambda l: int(l["index"]))
@@ -102,7 +103,9 @@ def model_from_json(data: Dict[str, object]) -> ModularData:
             raise ValueError(f"fusion entry {[l, mu, nu, mult]} has a label "
                              f"outside 0..{m - 1}")
         N[l, mu, nu] = mult
-    ring = FusionRing(names, N, conj=conj)
+    ring = FusionRing(names, N)
+    if conj != ring.conj.tolist():
+        raise ValueError(f"conjugation {conj} is not the vacuum slice's {ring.conj.tolist()}")
     problems = verify_axioms(ring)
     if problems:
         raise ValueError("; ".join(problems))
@@ -110,8 +113,7 @@ def model_from_json(data: Dict[str, object]) -> ModularData:
     # Commands key tables on a built-in name, so such a name must be the model.
     if name_family(md.name)[0]:
         ref = model_by_name(md.name)
-        if not (np.array_equal(ref.ring.N, N) and np.array_equal(ref.ring.conj, conj)
-                and ref.spins.h == md.spins.h):
+        if not (np.array_equal(ref.ring.N, N) and ref.spins.h == md.spins.h):
             raise ValueError(f"model data does not match the built-in model '{md.name}'")
     return md
 
@@ -341,7 +343,10 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     md = _load_model(args.model)
-    records = rehren_admissible(md.spec)
+    family, params = name_family(md.name)
+    # sun_divisor_table scans the same model's subgroups for its cross-check.
+    tab = sun_divisor_table(*params) if family == "sun_currents" else None
+    records = tab["records"] if tab else rehren_admissible(md.spec)
     print(f"{md.name}: cyclic current subgroups")
     for r in records:
         flag = "admissible" if r.admissible else "not admissible"
@@ -349,13 +354,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
             f"  gen {r.generator} order {r.order} h={r.h_generator} [{flag}] "
             f"theta={theta_vector(r).tolist()}"
         )
-    family, params = name_family(md.name)
     if family == "zn":
         print("divisor invariants:")
         for delta, Z in sorted(zn_invariant_table(*params).items()):
             print(f"  Z^({delta}): trace {int(np.trace(Z))}")
-    if family == "sun_currents":
-        tab = sun_divisor_table(*params)
+    if tab:
         print(f"admissible orders: {tab['orders']}")
         print(f"locality by order: {tab['locality']}")
     return EXIT_OK

@@ -50,35 +50,19 @@ def rehren_admissible(spec: ModelSpec) -> List[ExtensionRecord]:
     admissibility flag: order times the generator weight is an integer.
 
     The canonical generator of each subgroup is its smallest generating
-    label; records are sorted by (order, generator).
+    label (`SimpleCurrentGroup.cyclic`); records are sorted by (order,
+    generator).
     """
-    group = simple_currents(spec.ring)
-    elems = group.elements
-    pos = {g: i for i, g in enumerate(elems)}
-
-    subgroups: Dict[Tuple[int, ...], int] = {}
-    for g in elems:
-        cyc = [0]
-        x = pos[g]
-        while x != 0:
-            cyc.append(elems[x])
-            x = int(group.table[x, pos[g]])
-        key = tuple(sorted(cyc))
-        if key not in subgroups or g < subgroups[key]:
-            subgroups[key] = g
-
-    records: List[ExtensionRecord] = []
-    for key, gen in subgroups.items():
-        order = len(key)
+    records = []
+    for key, gen in simple_currents(spec.ring).cyclic.items():
         h = spec.spins.h[gen]
-        adm = (order * h).denominator == 1
         records.append(
             ExtensionRecord(
                 generator=gen,
-                order=order,
+                order=len(key),
                 elements=key,
                 h_generator=h,
-                admissible=adm,
+                admissible=(len(key) * h).denominator == 1,
                 ring_size=spec.ring.size,
             )
         )

@@ -2,15 +2,18 @@
 
 A fusion ring is given by a finite label set with distinguished vacuum 0,
 a tensor N[lam, mu, nu] = N_{lam mu}^nu of nonnegative integer structure
-constants and a conjugation involution.  Everything downstream (modular
-data, invariant enumeration) consumes the interface defined here.
+constants.  What N alone decides is read off it here, once: the
+conjugation (the vacuum slice) and the simple-current group with its
+cyclic subgroups.  Everything downstream (modular data, invariant
+enumeration, extensions) consumes the interface defined here.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,16 +58,12 @@ class FusionRing:
     """Fusion ring on labels 0..m-1 with vacuum at position 0.
 
     N has shape (m, m, m) with N[lam, mu, nu] = N_{lam mu}^nu.  conj is
-    the conjugation permutation; if omitted it is read off from the
-    vacuum slice N[., ., 0].
+    the conjugation permutation, read off the vacuum slice:
+    N_{lam mu}^0 = delta_{mu, conj(lam)}, so N[:, :, 0] must be a
+    permutation matrix.
     """
 
-    def __init__(
-        self,
-        names: Sequence[str],
-        N: np.ndarray,
-        conj: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, names: Sequence[str], N: np.ndarray):
         self.labels: List[SectorLabel] = [
             SectorLabel(i, str(nm)) for i, nm in enumerate(names)
         ]
@@ -76,11 +75,11 @@ class FusionRing:
             raise ValueError(
                 f"fusion tensor shape {self.N.shape} does not match {m} labels"
             )
-        if conj is None:
-            conj = _conjugation_from_tensor(self.N)
-        self.conj = np.asarray(conj, dtype=int)
-        if sorted(self.conj.tolist()) != list(range(m)):
-            raise ValueError("conjugation is not a permutation")
+        vacuum = self.N[:, :, 0]
+        self.conj = vacuum.argmax(axis=1)
+        if not (np.array_equal(vacuum, np.eye(m, dtype=int)[self.conj])
+                and np.array_equal(np.sort(self.conj), np.arange(m))):
+            raise ValueError("vacuum slice N[:, :, 0] is not a permutation matrix")
 
     @property
     def size(self) -> int:
@@ -111,18 +110,6 @@ class FusionRing:
 
     def __repr__(self) -> str:
         return f"FusionRing(m={self.size})"
-
-
-def _conjugation_from_tensor(N: np.ndarray) -> np.ndarray:
-    """Read conj off the vacuum slice: N_{lam mu}^0 = delta_{mu, conj(lam)}."""
-    m = N.shape[0]
-    conj = np.full(m, -1, dtype=int)
-    for lam in range(m):
-        hits = np.nonzero(N[lam, :, 0])[0]
-        if len(hits) != 1 or N[lam, hits[0], 0] != 1:
-            raise ValueError(f"vacuum slice does not define a conjugation at {lam}")
-        conj[lam] = hits[0]
-    return conj
 
 
 def quantum_dimensions(ring: FusionRing) -> np.ndarray:
@@ -163,9 +150,9 @@ def verify_axioms(ring: FusionRing) -> List[str]:
     """Check the fusion-ring axioms; return a list of violation messages.
 
     Empty list means the ring passed.  Checks: integrality/nonnegativity,
-    vacuum acts as identity, commutativity, associativity, conjugation is
-    an involution fixing the vacuum and matching the vacuum slice, and
-    the quantum dimensions exist with d >= 1.
+    vacuum acts as identity, commutativity, associativity, conjugation
+    (the vacuum slice, see FusionRing) is an involution fixing the vacuum,
+    and the quantum dimensions exist with d >= 1.
     """
     out: List[str] = []
     N = ring.N
@@ -194,10 +181,6 @@ def verify_axioms(ring: FusionRing) -> List[str]:
         out.append("conjugation does not fix the vacuum")
     if not np.array_equal(c[c], np.arange(m)):
         out.append("conjugation is not an involution")
-    pair = np.zeros((m, m), dtype=int)
-    pair[np.arange(m), c] = 1
-    if not np.array_equal(N[:, :, 0], pair):
-        out.append("vacuum slice N_{lam mu}^0 != delta_{mu, conj(lam)}")
 
     try:
         d = quantum_dimensions(ring)
@@ -226,14 +209,17 @@ class SimpleCurrentGroup:
     """Abelian group of simple currents inside a fusion ring.
 
     elements are ring labels (vacuum first), table[i, j] is the position
-    in `elements` of the product of elements[i] and elements[j], and
-    cyclic_factors lists (generator label, order) for a decomposition
-    into cyclic subgroups, largest order first.
+    in `elements` of the product of elements[i] and elements[j], orders
+    the element orders, cyclic maps each cyclic subgroup (its labels,
+    ascending) to its smallest generating label, and cyclic_factors lists
+    (generator label, order) for a decomposition into cyclic subgroups,
+    largest order first.
     """
 
     elements: List[int]
     table: np.ndarray
     orders: List[int]
+    cyclic: Dict[Tuple[int, ...], int]
     cyclic_factors: List[Tuple[int, int]]
 
     @property
@@ -255,49 +241,48 @@ def simple_currents(ring: FusionRing) -> SimpleCurrentGroup:
     n = len(elems)
 
     # pos[label] = position in elems, -1 off the currents; each current
-    # row N[g, h] has one nonzero entry, the product label.
+    # row N[g, h] is a unit vector at the product label.
     pos = np.full(ring.size, -1)
     pos[currents] = np.arange(n)
-    table = pos[(ring.N[np.ix_(currents, currents)] != 0).argmax(axis=2)]
+    table = pos[ring.N.argmax(axis=2)[np.ix_(currents, currents)]]
     if np.any(table < 0):
         raise ValueError("simple currents do not close under fusion")
     if np.any(pos[ring.conj[currents]] < 0):
         raise ValueError("simple currents do not close under conjugation")
 
-    # orders[i] = least k >= 1 with i^k = 0, found for all i at once.
-    orders = np.zeros(n, dtype=int)
-    x = np.arange(n)
-    for k in range(1, n + 1):
-        orders[(x == 0) & (orders == 0)] = k
-        if orders.all():
+    # x = i^k for every current i at once, until each has come back to
+    # the vacuum: row i of powers marks the cyclic subgroup <i>, whose size
+    # is the order of i.  i and j generate the same subgroup when each is
+    # a power of the other; i is its smallest generator when no j < i is.
+    idx = np.arange(n)
+    powers = np.zeros((n, n), dtype=bool)
+    x = idx
+    for _ in range(n):
+        powers[idx, x] = True
+        if powers[:, 0].all():
             break
-        x = table[x, np.arange(n)]
+        x = table[x, idx]
+    else:
+        raise ValueError("simple currents do not form a group")
+    orders = powers.sum(axis=1)
+    smallest = ((powers & powers.T).argmax(axis=1) == idx).nonzero()[0].tolist()
+    cyclic = {tuple(currents[powers[i]].tolist()): elems[i] for i in smallest}
 
-    # Greedy: the first element of largest order whose powers meet the
+    # Greedy: the first element of largest order whose subgroup meets the
     # span only in the vacuum generates the next cyclic factor.
-    by_order = np.argsort(-orders, kind="stable").tolist()
+    by_order = np.argsort(-orders, kind="stable")
     factors: List[Tuple[int, int]] = []
-    span = {0}
-    while len(span) < n:
-        for i in by_order:
-            powers = []
-            x = i
-            while x != 0 and x not in span:
-                powers.append(x)
-                x = int(table[x, i])
-            if x == 0 and powers:
-                break
-        else:
+    span = idx == 0
+    while not span.all():
+        free = (by_order != 0) & ~(powers[by_order, 1:] & span[1:]).any(axis=1)
+        if not free.any():
             raise ValueError("no cyclic decomposition found for the current group")
-        factors.append((elems[i], len(powers) + 1))
-        span |= set(table[np.ix_(list(span), powers)].ravel().tolist())
+        i = int(by_order[free.argmax()])
+        factors.append((elems[i], int(orders[i])))
+        span[table[np.ix_(np.flatnonzero(span), np.flatnonzero(powers[i]))]] = True
 
-    prod_orders = 1
-    for _, k in factors:
-        prod_orders *= k
-    if prod_orders != n:
+    if math.prod(k for _, k in factors) != n:
         raise ValueError("cyclic decomposition does not exhaust the group")
 
-    return SimpleCurrentGroup(
-        elements=elems, table=table, orders=orders.tolist(), cyclic_factors=factors
-    )
+    return SimpleCurrentGroup(elements=elems, table=table, orders=orders.tolist(),
+                              cyclic=cyclic, cyclic_factors=factors)

@@ -153,16 +153,16 @@ def _nondegeneracy(
     return None, resid
 
 
-def build(spec: ModelSpec, allow_degenerate: bool = True) -> ModularData:
+def build(spec: ModelSpec) -> ModularData:
     """Assemble the modular data of a spec.
 
     Weights that break the Omega-Y relation raise ValueError.  C is the
-    ring's conjugation matrix.  The data is nondegenerate when, in this
-    order, the Gauss sum z does not vanish, | |z|^2 - w | < GAUSS_TOL w,
-    ||S S^dag - 1||_F < UNITARITY_TOL m and max |S^2 - C| <= UNITARITY_TOL,
-    with S = Y/|z|; the first test that fails is the degenerate_reason.
-    With allow_degenerate=True (default) a vanishing Gauss sum yields a
-    ModularData with S = T = c = None; with False it raises ValueError.
+    vacuum slice N[:, :, 0] of the ring (its conjugation matrix).  The
+    data is nondegenerate when, in this order, the Gauss sum z does not
+    vanish, | |z|^2 - w | < GAUSS_TOL w, ||S S^dag - 1||_F < UNITARITY_TOL m
+    and max |S^2 - C| <= UNITARITY_TOL, with S = Y/|z|; the first test that
+    fails is the degenerate_reason.  A vanishing Gauss sum leaves
+    S = T = c = None.
     """
     ring = spec.ring
     m = ring.size
@@ -170,22 +170,21 @@ def build(spec: ModelSpec, allow_degenerate: bool = True) -> ModularData:
     w = ring.global_index
     om = np.array([statistics_phase(spec.spins, lam) for lam in range(m)])
     Omega = np.diag(om)
-    Y = np.outer(om, om) * (ring.N @ (d / om))
+    # One label at a time: N @ (d / om) would cast all m^3 of N to complex.
+    d_om = d / om
+    Y = np.outer(om, om) * np.array([N_l @ d_om for N_l in ring.N])
     z = complex(np.sum(d * d * om))
     resid = _omega_y_residual(Omega, Y, z)
     if resid > OMEGA_Y_TOL * w:
         raise ValueError(f"weights inconsistent with the fusion rules "
                          f"(Omega-Y residual {resid:.3g})")
 
-    C = np.zeros((m, m), dtype=int)
-    C[np.arange(m), ring.conj] = 1
+    C = ring.N[:, :, 0].copy()
     c = S = T = None
     if abs(z) >= 1e-12 * max(w, 1.0):
         c = (4.0 * cmath.phase(z) / math.pi) % 8.0
         S = Y / abs(z)
         T = cmath.exp(-1j * math.pi * c / 12.0) * Omega
-    elif not allow_degenerate:
-        raise ValueError("vanishing Gauss sum: c, S, T are undefined")
     reason, _ = _nondegeneracy(z, w, S, C)
     return ModularData(
         spec=spec, Omega=Omega, Y=Y, z=z, c=c, S=S, T=T, C=C,
@@ -240,8 +239,7 @@ def tensor_product(a: ModelSpec, b: ModelSpec) -> ModelSpec:
         for i in range(ma)
         for j in range(mb)
     ]
-    conj = [int(ra.conj[i]) * mb + int(rb.conj[j]) for i in range(ma) for j in range(mb)]
-    ring = FusionRing(names, N, conj)
+    ring = FusionRing(names, N)
     h = [
         a.spins.h[i] + b.spins.h[j]
         for i in range(ma)

@@ -1,7 +1,8 @@
 """Test-only references for the report layer: the per-label loops that
 render_partition_function, matrix_to_json, simple_currents,
-permutation_test and simple_current_test were written as before they
-became whole-array operations.  The package must match them exactly.
+rehren_admissible, permutation_test and simple_current_test were written
+as before they became whole-array operations.  The package must match
+them exactly.
 `charge_conjugation_from_s` is the per-row loop build once read C from
 S^2 with; C now comes from the ring, and must equal it on modular data.
 
@@ -163,6 +164,30 @@ def simple_currents_loop(ring):
     if prod_orders != n:
         return "cyclic decomposition does not exhaust the group"
     return elems, table, orders, factors
+
+
+def rehren_admissible_loop(spec):
+    """[generator, order, elements, h, admissible, ring size] per cyclic
+    current subgroup, by walking the powers of each current."""
+    elems, table, _, _ = simple_currents_loop(spec.ring)
+    pos = {g: i for i, g in enumerate(elems)}
+    subgroups = {}
+    for g in elems:
+        cyc = [0]
+        x = pos[g]
+        while x != 0:
+            cyc.append(elems[x])
+            x = int(table[x, pos[g]])
+        key = tuple(sorted(cyc))
+        if key not in subgroups or g < subgroups[key]:
+            subgroups[key] = g
+    records = []
+    for key, gen in subgroups.items():
+        h = spec.spins.h[gen]
+        records.append([gen, len(key), list(key), str(h),
+                        (len(key) * h).denominator == 1, spec.ring.size])
+    records.sort(key=lambda r: (r[1], r[0]))
+    return records
 
 
 def permutation_test_loop(Z, ring, spins=None):

@@ -639,6 +639,37 @@ def test_every_command_builds_its_model_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_extend_scans_the_current_subgroups_once(monkeypatch, capsys):
+    import modinv.cli
+    import modinv.extensions
+
+    real, calls = modinv.extensions.rehren_admissible, []
+
+    def counting(spec):
+        calls.append(spec.name)
+        return real(spec)
+
+    monkeypatch.setattr(modinv.extensions, "rehren_admissible", counting)
+    monkeypatch.setattr(modinv.cli, "rehren_admissible", counting)
+    assert main(["extend", "sun_currents:12:2"]) == 0
+    assert calls == ["sun_currents:12:2"]
+    assert "admissible orders: [1, 2, 3, 4, 6, 12]" in capsys.readouterr().out
+
+
+def test_cli_refuses_a_conjugation_other_than_the_vacuum_slice(tmp_path, capsys):
+    data = model_to_json(zn_model(5, 2))
+    data["conjugation"] = [0, 1, 2, 3, 4]  # the vacuum slice gives j -> -j
+    message = "conjugation [0, 1, 2, 3, 4] is not the vacuum slice's [0, 4, 3, 2, 1]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json(data)
+    path = tmp_path / "conj.json"
+    path.write_text(json.dumps(data))
+    assert main(["model", "validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"invalid model: {message}\n")
+    assert main(["enumerate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("option", ["enumerate --json", "model show --json", "graphs --dot"])
 def test_cli_unwritable_output_path(tmp_path, capsys, option):
     regular = tmp_path / "regular"

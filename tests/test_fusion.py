@@ -1,15 +1,17 @@
 """Fusion ring axioms, quantum dimensions and simple currents."""
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from modinv import su2_model, zn_model, so8_level1_model, verify_axioms
+from modinv import build, su2_model, zn_model, so8_level1_model, verify_axioms
+from modinv.extensions import rehren_admissible
 from modinv.fusion import FusionRing, frobenius_violations, simple_currents
 
-from report_loops import report_models, simple_currents_loop
+from report_loops import report_models, rehren_admissible_loop, simple_currents_loop
 
 
 def test_su2_ring_axioms_clean():
@@ -20,7 +22,7 @@ def test_injected_identity_violation_is_reported():
     ring = su2_model(6).ring
     N = ring.N.copy()
     N[0, 1, 2] = 1  # identity no longer acts trivially
-    broken = FusionRing([l.name for l in ring.labels], N, conj=list(range(7)))
+    broken = FusionRing([l.name for l in ring.labels], N)
     report = verify_axioms(broken)
     assert report
     assert any("identity" in line for line in report)
@@ -148,9 +150,59 @@ def test_simple_currents_that_do_not_close_are_refused():
     assert ring.is_current.tolist() == [True, True, False]
     with pytest.raises(ValueError, match="simple currents do not close under fusion"):
         simple_currents(ring)
-    N[2, 2] = [1, 1, -1]  # each row of N[2] sums to 1, but one is no unit vector
-    ring = FusionRing(["0", "1", "2"], N, conj=[0, 2, 1])
+    N[2, 2] = [0, 2, -1]  # each row of N[2] sums to 1, but one is no unit vector
+    ring = FusionRing(["0", "1", "2"], N)
     assert ring.is_current.tolist() == [True, True, False]
+
+
+def test_simple_currents_that_never_reach_the_vacuum_are_refused():
+    # Not associative: 1 x 2 = 0, but 1 x 1 = 1 and 2 x 2 = 2, so the
+    # powers of 1 never come back to the vacuum (a walk over them would
+    # not end).
+    N = np.zeros((3, 3, 3), dtype=int)
+    N[0] = N[:, 0] = np.eye(3, dtype=int)
+    N[1, 2, 0] = N[2, 1, 0] = N[1, 1, 1] = N[2, 2, 2] = 1
+    ring = FusionRing(["0", "1", "2"], N)
+    assert ring.is_current.all() and verify_axioms(ring)
+    with pytest.raises(ValueError, match="simple currents do not form a group"):
+        simple_currents(ring)
+
+
+@pytest.mark.parametrize("cells", [
+    {(2, 2, 0): 1},                  # two entries in row 2
+    {(1, 2, 0): 2},                  # an entry 2
+    {(1, 2, 0): 0},                  # row 1 empty
+    {(2, 1, 0): 0, (2, 0, 0): 1},    # unit rows, but column 0 twice
+    {(1, 2, 0): -1, (1, 1, 0): 1, (1, 0, 0): 1},  # row sum 1, not a unit row
+], ids=["two-in-a-row", "entry-2", "empty-row", "column-twice", "negative"])
+def test_vacuum_slice_must_be_a_permutation_matrix(cells):
+    N = zn_model(3, 2).ring.N.copy()  # vacuum slice: 0 -> 0, 1 <-> 2
+    for cell, value in cells.items():
+        N[cell] = value
+    with pytest.raises(ValueError, match="vacuum slice N\\[:, :, 0\\] is not a permutation matrix"):
+        FusionRing(["0", "1", "2"], N)
+
+
+def test_current_subgroups_match_the_power_walk():
+    for name, md, _ in report_models():
+        records = [[r.generator, r.order, list(r.elements), str(r.h_generator),
+                    r.admissible, r.ring_size] for r in rehren_admissible(md.spec)]
+        assert json.dumps(records) == json.dumps(rehren_admissible_loop(md.spec)), name
+
+
+def test_current_group_and_y_stay_small_beside_n():
+    # N of zn:128:1 is 16 MiB; the product table and the subgroup masks
+    # are m x m, and Y is formed one label at a time.
+    spec = zn_model(128, 1)
+    spec.ring.d
+    for step in (lambda: simple_currents(spec.ring), lambda: build(spec)):
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 def nonzero_calls(ring):
@@ -170,7 +222,7 @@ def test_frobenius_reciprocity_holds_on_catalog():
 
 
 def test_conjugation_read_from_vacuum_slice():
-    # zn ring without an explicit conj: must recover j -> -j
+    # zn ring: the vacuum slice gives j -> -j
     n = 6
     N = np.zeros((n, n, n), dtype=int)
     for a in range(n):

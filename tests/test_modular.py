@@ -55,8 +55,6 @@ def test_z2_half_weight_degenerates():
     assert not md.nondegenerate
     assert md.S is None and md.T is None and md.c is None
     assert md.degenerate_reason == "vanishing Gauss sum"
-    with pytest.raises(ValueError):
-        build(z2_spec(Fraction(1, 2)), allow_degenerate=False)
 
 
 def test_is_nondegenerate_residuals():
