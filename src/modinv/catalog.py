@@ -82,9 +82,8 @@ def zn_valid_weights(n: int) -> List[int]:
 def _cyclic_ring(n: int) -> FusionRing:
     """Z_n fusion rules on labels [0]..[n-1] (conjugation j -> -j)."""
     N = fusion_tensor(n)
-    for j1 in range(n):
-        for j2 in range(n):
-            N[j1, j2, (j1 + j2) % n] = 1
+    j = np.arange(n)
+    N[j[:, None], j, (j[:, None] + j) % n] = 1
     names = [f"[{j}]" for j in range(n)]
     return FusionRing(names, N)
 
@@ -134,9 +133,8 @@ SO16_PARENT_MINUS = np.array(
 def _z2z2_ring() -> FusionRing:
     names = ["0", "v", "s", "c"]
     N = fusion_tensor(4)
-    for x in range(4):
-        for y in range(4):
-            N[x, y, x ^ y] = 1
+    x = np.arange(4)
+    N[x[:, None], x, x[:, None] ^ x] = 1
     return FusionRing(names, N)
 
 

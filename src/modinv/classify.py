@@ -68,8 +68,8 @@ def permutation_test(
         return None
     theta = Z.argmax(axis=1)
     rep: Dict[str, object] = {"theta": theta, "fixes_vacuum": bool(theta[0] == 0)}
-    nz = np.array(np.nonzero(ring.N))
-    rep["fusion_ok"] = bool(np.array_equal(ring.N[tuple(theta[nz])], ring.N[tuple(nz)]))
+    lam, mu, nu, val = ring.nonzeros
+    rep["fusion_ok"] = bool(np.array_equal(ring.N[theta[lam], theta[mu], theta[nu]], val))
     if spins is not None:
         rep["spin_ok"] = [spins.h[t] for t in theta.tolist()] == list(spins.h)
     rep["consistent"] = bool(

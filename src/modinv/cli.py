@@ -49,10 +49,7 @@ def model_to_json(spec: ModelSpec) -> Dict[str, object]:
     """Portable model description: labels with exact weights, sparse
     fusion tensor, conjugation permutation."""
     ring = spec.ring
-    fusion = [
-        [int(l), int(m), int(n), int(ring.N[l, m, n])]
-        for l, m, n in np.argwhere(ring.N != 0)
-    ]
+    fusion = np.column_stack(ring.nonzeros).tolist()
     return {
         "name": spec.name,
         "labels": [

@@ -4,8 +4,13 @@ A fusion ring is given by a finite label set with distinguished vacuum 0,
 a tensor N[lam, mu, nu] = N_{lam mu}^nu of nonnegative integer structure
 constants.  What N alone decides is read off it here, once: the
 conjugation (the vacuum slice) and the simple-current group with its
-cyclic subgroups.  Everything downstream (modular data, invariant
-enumeration, extensions) consumes the interface defined here.
+cyclic subgroups.  N stays a dense array, but it is read through its
+nonzeros (`FusionRing.nonzeros`, one scan per ring): the current mask,
+the current group, the quantum dimensions and the permutation test cost
+O(nnz) beyond that scan, not a pass over all m^3 entries each, and
+associativity is checked one label slice at a time on them.
+Everything downstream (modular data, invariant enumeration, extensions)
+consumes the interface defined here.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ __all__ = [
 ]
 
 DIM_TOL = 1e-9
+# Products the associativity check forms at once (a few int64 arrays of
+# this length, 2 MiB each).
+ASSOC_PAIRS = 2 ** 18
 # Largest label count given a dense fusion tensor: m^3 int64 entries are
 # 128 MiB at 256 labels (zn:128:1 needs 16 MiB).
 MAX_LABELS = 256
@@ -97,11 +105,34 @@ class FusionRing:
         return quantum_dimensions(self)
 
     @functools.cached_property
+    def nonzeros(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries of N, found by one scan per ring: label
+        arrays lam, mu, nu and the values N[lam, mu, nu], in C order of
+        (lam, mu, nu), so the nonzeros of each N[lam] are contiguous.
+        The arrays are read-only."""
+        # A bool mask scans 5x faster than the int64 tensor; it is formed
+        # for 2^20 entries at a time, so it stays small beside N.
+        m = self.size
+        step = max(1, 2 ** 20 // (m * m))
+        flat = np.concatenate([np.flatnonzero(self.N[l:l + step] != 0) + l * m * m
+                               for l in range(0, m, step)])
+        lam, mu, nu = np.unravel_index(flat, self.N.shape)
+        out = (lam, mu, nu, self.N[lam, mu, nu])
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    @functools.cached_property
     def is_current(self) -> np.ndarray:
         """Mask of the simple currents: labels g whose fusion permutes the
-        labels (each row of N[g] is a unit vector; in a ring, d_g = 1)."""
-        rows = (self.N.sum(axis=2) == 1) & (self.N.min(axis=2) >= 0)
-        return rows.all(axis=1)
+        labels (each row of N[g] is a unit vector; in a ring, d_g = 1).
+        A row is a unit vector when it holds one nonzero and that is 1."""
+        lam, mu, _, val = self.nonzeros
+        m = self.size
+        row = lam * m + mu
+        unit = np.bincount(row, minlength=m * m) == 1
+        unit[row[val != 1]] = False
+        return unit.reshape(m, m).all(axis=1)
 
     @property
     def global_index(self) -> float:
@@ -118,8 +149,10 @@ def quantum_dimensions(ring: FusionRing) -> np.ndarray:
     Returns d with d[0] = 1 and N_lam d = d_lam d for every lam, up to a
     residual below DIM_TOL.  Raises ValueError for an ill-conditioned ring.
     """
-    N = ring.N
-    M = N.sum(axis=0).astype(float)
+    lam, mu, nu, val = ring.nonzeros
+    m = ring.size
+    # M = sum_lam N_lam, and the residual N_lam d - d_lam d, on the nonzeros.
+    M = np.bincount(mu * m + nu, weights=val, minlength=m * m).reshape(m, m)
     try:
         vals, vecs = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:
@@ -133,7 +166,8 @@ def quantum_dimensions(ring: FusionRing) -> np.ndarray:
     for _ in range(2):
         u = M @ d
         d = u / u[0]
-    resid = float(np.max(np.abs(np.einsum("lmn,n->lm", N, d) - np.outer(d, d))))
+    Nd = np.bincount(lam * m + mu, weights=val * d[nu], minlength=m * m)
+    resid = float(np.max(np.abs(Nd - np.outer(d, d).ravel())))
     if resid > DIM_TOL:
         raise ValueError(
             f"ill-conditioned fusion ring: PF residual {resid:.3e} exceeds {DIM_TOL:.1e}"
@@ -144,6 +178,54 @@ def quantum_dimensions(ring: FusionRing) -> np.ndarray:
 def _first_bad(mask: np.ndarray, limit: int = 3) -> List[Tuple[int, ...]]:
     idx = np.argwhere(mask)
     return [tuple(int(x) for x in row) for row in idx[:limit]]
+
+
+def _spans(ptr: np.ndarray, groups: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every position p in ptr[g]:ptr[g + 1] for g in groups, in order,
+    with the index into groups it came from: (which, p)."""
+    cnt = ptr[groups + 1] - ptr[groups]
+    which = np.repeat(np.arange(len(groups)), cnt)
+    return which, np.arange(cnt.sum()) + np.repeat(ptr[groups] - (np.cumsum(cnt) - cnt), cnt)
+
+
+def _associativity_failures(ring: FusionRing, limit: int = 3) -> List[Tuple[int, ...]]:
+    """The first `limit` (l, m, n, r), in C order, with
+    sum_s N_{lm}^s N_{sn}^r != sum_s N_{mn}^s N_{ls}^r.
+
+    One label l at a time, on the nonzeros: the left side pairs each
+    nonzero N_{lm}^s with the nonzeros of N[s], the right side each
+    nonzero N_{ls}^r with the nonzeros N_{mn}^s, and both are summed into
+    one m^3 slice of their difference, at most ASSOC_PAIRS pairs at once.
+    Memory is that slice and one batch of pairs, never the m^4 tensor;
+    time goes with the number of pairs.
+    """
+    lam, mu, nu, val = ring.nonzeros
+    m = ring.size
+    labels = np.arange(m + 1)
+    by_lam = np.searchsorted(lam, labels)
+    third = np.argsort(nu, kind="stable")
+    by_nu = np.searchsorted(nu[third], labels)
+    net = np.zeros(m ** 3, dtype=int)  # zero again after each slice
+    out: List[Tuple[int, ...]] = []
+    for l in range(m):
+        i = np.arange(by_lam[l], by_lam[l + 1])
+        pairs = np.cumsum(np.diff(by_lam)[nu[i]] + np.diff(by_nu)[mu[i]])
+        batches = np.split(i, np.flatnonzero(np.diff(pairs // ASSOC_PAIRS)) + 1)
+        for batch in batches:
+            a, j = _spans(by_lam, nu[batch])
+            a = batch[a]
+            b, k = _spans(by_nu, mu[batch])
+            b, k = batch[b], third[k]
+            cells = np.concatenate([(mu[a] * m + mu[j]) * m + nu[j],
+                                    (lam[k] * m + mu[k]) * m + nu[b]])
+            np.add.at(net, cells, np.concatenate([val[a] * val[j], -val[k] * val[b]]))
+        bad = np.unique(cells[net[cells] != 0]) if len(batches) == 1 else np.flatnonzero(net)
+        net[bad] = 0
+        out += [(l, *map(int, np.unravel_index(c, (m, m, m))))
+                for c in bad[:limit - len(out)]]
+        if len(out) == limit:
+            break
+    return out
 
 
 def verify_axioms(ring: FusionRing) -> List[str]:
@@ -171,10 +253,9 @@ def verify_axioms(ring: FusionRing) -> List[str]:
     if np.any(comm):
         out.append(f"commutativity fails at {_first_bad(comm)}")
 
-    lhs = np.einsum("lms,snr->lmnr", N, N, optimize=True)
-    rhs = np.einsum("mns,lsr->lmnr", N, N, optimize=True)
-    if np.any(lhs != rhs):
-        out.append(f"associativity fails at {_first_bad(lhs != rhs)}")
+    assoc = _associativity_failures(ring)
+    if assoc:
+        out.append(f"associativity fails at {assoc}")
 
     c = ring.conj
     if c[0] != 0:
@@ -240,11 +321,14 @@ def simple_currents(ring: FusionRing) -> SimpleCurrentGroup:
     elems = currents.tolist()
     n = len(elems)
 
-    # pos[label] = position in elems, -1 off the currents; each current
-    # row N[g, h] is a unit vector at the product label.
+    # pos[label] = position in elems, -1 off the currents.  Each current
+    # row N[g, h] holds one nonzero, at the product label, so the m
+    # nonzeros of N[g] are the action of g on the labels, in order of h.
+    lam, _, nu, _ = ring.nonzeros
     pos = np.full(ring.size, -1)
     pos[currents] = np.arange(n)
-    table = pos[ring.N.argmax(axis=2)[np.ix_(currents, currents)]]
+    action = nu[ring.is_current[lam]].reshape(n, ring.size)
+    table = pos[action[:, currents]]
     if np.any(table < 0):
         raise ValueError("simple currents do not close under fusion")
     if np.any(pos[ring.conj[currents]] < 0):

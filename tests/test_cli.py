@@ -487,6 +487,30 @@ def test_model_file_with_a_huge_builtin_name(tmp_path, capsys):
     assert peak < 1_000_000
 
 
+def test_model_file_axioms_are_checked_within_a_few_copies_of_n(tmp_path, capsys):
+    # A 128-label file: N is 16 MiB, and associativity is checked one
+    # label slice at a time on the nonzeros.  The two dense m^4 sides of
+    # the check would take 4 GiB here (86 MiB already at 48 labels).
+    path = tmp_path / "zn128.json"
+    path.write_text(json.dumps(model_to_json(zn_model(128, 1))))
+    code, peak = traced_peak(lambda: main(["model", "validate", str(path)]))
+    assert code == 0
+    assert capsys.readouterr().out.startswith("model ok: zn:128:1 (m=128, ")
+    assert peak < 64 * 2 ** 20
+
+
+def test_a_non_associative_model_file_is_refused(tmp_path, capsys):
+    data = model_to_json(zn_model(5, 2))
+    data["fusion"][data["fusion"].index([1, 1, 2, 1])] = [1, 1, 3, 1]  # [1] x [1] = [3]
+    message = "associativity fails at [(1, 1, 2, 0), (1, 1, 2, 4), (1, 1, 3, 0)]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json(data)
+    path = tmp_path / "assoc.json"
+    path.write_text(json.dumps(data))
+    assert main(["model", "validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"invalid model: {message}\n")
+
+
 def readme_commands():
     """The `modinv ...` lines of the README's "Command line" block."""
     text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -6,12 +6,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from modinv import build, su2_model, zn_model, so8_level1_model, verify_axioms
+from modinv import build, enumerate_invariants, su2_model, zn_model, so8_level1_model, verify_axioms
+from modinv import fusion
+from modinv.catalog import sun_current_model
+from modinv.classify import permutation_test
 from modinv.extensions import rehren_admissible
-from modinv.fusion import FusionRing, frobenius_violations, simple_currents
+from modinv.fusion import (DIM_TOL, FusionRing, frobenius_violations, quantum_dimensions,
+                           simple_currents)
+from modinv.modular import tensor_product
 
 from report_loops import report_models, rehren_admissible_loop, simple_currents_loop
+from test_commutant import small_su2, small_zn
 
 
 def test_su2_ring_axioms_clean():
@@ -191,18 +199,22 @@ def test_current_subgroups_match_the_power_walk():
 
 
 def test_current_group_and_y_stay_small_beside_n():
-    # N of zn:128:1 is 16 MiB; the product table and the subgroup masks
-    # are m x m, and Y is formed one label at a time.
+    # N of zn:128:1 is 16 MiB and has m^2 nonzeros of m^3.  Nothing built
+    # from it may copy or cast it: its nonzeros are found once, the
+    # product table and the subgroup masks are m x m, Y is formed one
+    # label at a time and a permutation test reads only the nonzeros.
+    invs = enumerate_invariants(build(zn_model(128, 1)))
     spec = zn_model(128, 1)
-    spec.ring.d
-    for step in (lambda: simple_currents(spec.ring), lambda: build(spec)):
-        tracemalloc.start()
-        try:
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+    tracemalloc.start()
+    try:
+        md = build(spec)
+        simple_currents(spec.ring)
+        reports = [permutation_test(Z, spec.ring, md.spins) for Z in invs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == len(invs) and all(r["consistent"] for r in reports if r)
+    assert peak < 4 * 2 ** 20
 
 
 def nonzero_calls(ring):
@@ -238,3 +250,130 @@ def test_global_index_su2():
         w = su2_model(k).ring.global_index
         ref = (k + 2) / (2 * math.sin(math.pi / (k + 2)) ** 2)
         assert w == pytest.approx(ref, rel=1e-10)
+
+
+# Dense definitions of what the package reads off the nonzeros of N.
+
+def dense_is_current(N):
+    return ((N.sum(axis=2) == 1) & (N.min(axis=2) >= 0)).all(axis=1)
+
+
+def dense_current_table(N, currents):
+    pos = np.full(N.shape[0], -1)
+    pos[currents] = np.arange(len(currents))
+    return pos[N.argmax(axis=2)[np.ix_(currents, currents)]]
+
+
+def dense_quantum_dimensions(N):
+    """d from M = N.sum(axis=0), or the start of the ValueError text."""
+    M = N.sum(axis=0).astype(float)
+    try:
+        vals, vecs = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        return "ill-conditioned fusion ring"
+    v = vecs[:, int(np.argmax(vals.real))].real
+    if abs(v[0]) < 1e-12:
+        return "ill-conditioned fusion ring: PF vector vanishes at vacuum"
+    d = v / v[0]
+    for _ in range(2):
+        u = M @ d
+        d = u / u[0]
+    resid = np.max(np.abs(np.einsum("lmn,n->lm", N, d) - np.outer(d, d)))
+    return d if resid <= DIM_TOL else "ill-conditioned fusion ring: PF residual"
+
+
+def dense_associativity_failures(N):
+    lhs = np.einsum("lms,snr->lmnr", N, N)
+    rhs = np.einsum("mns,lsr->lmnr", N, N)
+    return [tuple(int(x) for x in row) for row in np.argwhere(lhs != rhs)[:3]]
+
+
+def row_two_minus_one_ring():
+    # Row N[2, 2] = (0, 2, -1) sums to 1 but is no unit vector: 2 is no
+    # current, and the currents 0, 1 do not close (1 x 1 = 2).
+    N = np.zeros((3, 3, 3), dtype=int)
+    N[0] = N[:, 0] = np.eye(3, dtype=int)
+    N[1, 1, 2] = N[1, 2, 0] = N[2, 1, 0] = 1
+    N[2, 2] = [0, 2, -1]
+    return FusionRing(["0", "1", "2"], N)
+
+
+def row_two_ring():
+    # Row N[1, 1] = (0, 0, 2) holds one nonzero, but it is no unit vector.
+    N = zn_model(3, 2).ring.N.copy()
+    N[1, 1, 2] = 2
+    return FusionRing(["0", "1", "2"], N)
+
+
+def small_sun_currents(n_max, k_max):
+    return st.builds(sun_current_model, st.integers(1, n_max), st.integers(1, k_max))
+
+
+factor_specs = st.one_of(small_su2(4), small_zn(6), small_sun_currents(6, 3))
+
+
+@st.composite
+def rings_and_permutations(draw):
+    """A ring (su2, zn, sun_currents or a two-factor product) and a
+    permutation of its labels that fixes the vacuum."""
+    spec = draw(st.one_of(small_su2(10), small_zn(24), small_sun_currents(24, 4),
+                          st.builds(tensor_product, factor_specs, factor_specs)))
+    m = spec.ring.size
+    return spec.ring, [0, *draw(st.permutations(range(1, m)))]
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(rings_and_permutations())
+@example((row_two_minus_one_ring(), [0, 2, 1]))
+@example((row_two_ring(), [0, 2, 1]))
+def test_nonzero_readers_match_the_dense_definitions(case):
+    ring, theta = case
+    N = ring.N
+    assert np.array_equal(ring.is_current, dense_is_current(N))
+    (currents,) = np.nonzero(dense_is_current(N))
+    table = dense_current_table(N, currents)
+    if np.any(table < 0):
+        with pytest.raises(ValueError, match="simple currents do not close under fusion"):
+            simple_currents(ring)
+    else:
+        got = simple_currents(ring).table
+        assert got.dtype == table.dtype and np.array_equal(got, table)
+    got, want = outcome(lambda: quantum_dimensions(ring)), dense_quantum_dimensions(N)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got.startswith(want)
+    else:
+        assert np.array_equal(got, want)
+    for perm in (theta, ring.conj, np.arange(ring.size)):
+        Z = np.eye(ring.size, dtype=int)[perm]
+        assert permutation_test(Z, ring)["fusion_ok"] == np.array_equal(
+            N[np.ix_(perm, perm, perm)], N)
+
+
+@st.composite
+def edited_rings(draw):
+    """A small ring with a few cells N_{lm}^n = N_{ml}^n, n > 0, changed:
+    commutative, with the same vacuum slice, mostly not associative."""
+    ring = draw(st.one_of(small_su2(6), small_zn(8),
+                          st.builds(tensor_product, small_su2(2), small_zn(3)))).ring
+    N = ring.N.copy()
+    m = ring.size
+    for _ in range(draw(st.integers(0, 3))):
+        l, mu, nu = (draw(st.integers(lo, m - 1)) for lo in (0, 0, 1))
+        N[l, mu, nu] = N[mu, l, nu] = draw(st.integers(-1, 3))
+    return FusionRing([label.name for label in ring.labels], N)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(edited_rings(), st.sampled_from([fusion.ASSOC_PAIRS, 5]))
+def test_associativity_failures_match_the_dense_einsum(ring, pairs):
+    # With 5 pairs at a time, most slices are summed in several batches.
+    with mock.patch.object(fusion, "ASSOC_PAIRS", pairs):
+        assert fusion._associativity_failures(ring) == dense_associativity_failures(ring.N)
+
