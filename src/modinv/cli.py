@@ -63,9 +63,10 @@ def model_to_json(spec: ModelSpec) -> Dict[str, object]:
 
 def _integers(values: Sequence[object], what: str) -> List[int]:
     """The values as ints; a value that int() would truncate, or that does
-    not fit the int64 arrays it goes into, is refused."""
+    not fit the int64 arrays it goes into, is refused.  A value of type
+    int is its own int; only the others go through the exact check."""
     out = [int(x) for x in values]
-    if any(Fraction(str(x)) != v for x, v in zip(values, out)):
+    if any(type(x) is not int and Fraction(str(x)) != v for x, v in zip(values, out)):
         raise ValueError(f"{what} {list(values)} has a non-integer value")
     if any(not -2 ** 63 <= v < 2 ** 63 for v in out):
         raise ValueError(f"{what} {list(values)} has a value beyond 64-bit integers")

@@ -1,11 +1,14 @@
 """Enumeration of nonnegative-integer matrices commuting with (Y, Omega).
 
-Three stages cut down the search: the exact spin classes (T-support)
-restrict the cells; the real Y-commutant on them (the S-commutant too,
-S = Y / |z|) is the nullspace of a closed-form |cells| x |cells| Gram
-matrix, found once by eigh and put into reduced row echelon form; the
-integer points are searched depth first over the pivot values, with
-bounds Z_{lm} <= d_l d_m and sum Z <= w.
+The exact spin classes (T-support) restrict the cells.  The real
+Y-commutant on them (the S-commutant too, S = Y / |z|) is the nullspace
+of a closed-form Gram matrix, found once by eigh and put into reduced row
+echelon form.  For nondegenerate data the cells are first tied into
+signed Galois orbits: Z commutes with S and Omega, so with each G_l, a
+phase times a signed permutation, and the Gram matrix is taken on one
+unknown per orbit.  Degenerate data take the |cells| x |cells| Gram
+matrix.  The integer points are searched depth first over the pivot
+values, with bounds Z_{lm} <= d_l d_m and sum Z <= w.
 
 The echelon basis is rationalized by a whole-array snap to n/q, q <= 12
 (values it leaves open keep the exact two-cap decision), and rechecked
@@ -43,13 +46,17 @@ MAX_DEN = 10 ** 6
 NODE_CAP = 10 ** 8
 BRUTE_NODE_CAP = 10 ** 7
 INT64_MAX = int(np.iinfo(np.int64).max)
+# Galois actions are read for ord(Omega) <= 2^31: trial division then takes
+# at most 2^16 steps, and l a for weight numerators a stays in int64.
+GALOIS_MAX_N = 2 ** 31
 
 
 def t_support(spins: SpinAssignment) -> List[List[int]]:
     """Partition the labels into classes of equal exact weight mod 1."""
-    groups: Dict[Fraction, List[int]] = {}
+    groups: Dict[Tuple[int, int], List[int]] = {}
     for i, h in enumerate(spins.h):
-        groups.setdefault(h, []).append(i)
+        # Keyed by the reduced pair: hashing a Fraction is far slower.
+        groups.setdefault((h.numerator, h.denominator), []).append(i)
     return sorted(groups.values())
 
 
@@ -174,13 +181,171 @@ def _rationalize(R: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
     return (nums * (den // dens))[inverse].reshape(R.shape), den
 
 
+def _prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] * (n > 1)
+
+
+def _unit_generators(n: int) -> List[int]:
+    """Generators of (Z/n)^x: for each prime power q = p^k exactly dividing
+    n, a primitive root mod q (p odd), or -1 and 5 (q >= 8), or -1 (q = 4),
+    lifted to 1 modulo n / q."""
+    gens = []
+    for p in _prime_factors(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        if p == 2:
+            local = [q - 1, 5][:(q >= 4) + (q >= 8)]
+        else:
+            phi = q // p * (p - 1)
+            primes = _prime_factors(phi)
+            local = [next(g for g in range(2, q)
+                          if all(pow(g, phi // f, q) != 1 for f in primes))]
+        rest = n // q
+        gens += [(1 + rest * ((g - 1) * pow(rest, -1, q))) % n for g in local]
+    return gens
+
+
+def _galois_actions(md: ModularData) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ls, pi, eps) for the generators l of (Z/n)^x, n = ord(Omega), whose
+    G_l = Omega^l S Omega^l' S Omega^l S^-1 (l l' = 1 mod n) is within
+    EXACT_TOL of one phase times a signed permutation, G[pi[j], j] =
+    phase eps[j]: one row of pi and eps per kept l, the other generators
+    left out.  Every Z commuting with S and Omega then has
+    Z[pi[a], pi[b]] = eps[a] eps[b] Z[a, b]."""
+    h, m = md.spins.h, md.ring.size
+    n = math.lcm(*(x.denominator for x in h))
+    ls = _unit_generators(n) if md.nondegenerate and n <= GALOIS_MAX_N else []
+    if not ls:
+        return np.zeros(0, dtype=np.int64), *np.zeros((2, 0, m), dtype=np.int64)
+    a = np.array([x.numerator * (n // x.denominator) for x in h])
+    om = np.exp(np.outer(ls + [pow(l, -1, n) for l in ls], a) % n * (2j * np.pi / n))
+    g, S = len(ls), md.S
+    G = (om[:g, :, None] * S * om[g:, None]) @ (S * om[:g, None]) @ S.conj()
+    absG = np.abs(G)
+    pi = absG.argmax(axis=1)
+    top = G[np.arange(g)[:, None], pi, np.arange(m)]
+    ratio = top / top[:, :1]
+    eps = np.where(ratio.real < 0, -1, 1)
+    # The moduli off pi sum to < EXACT_TOL in every column.  G is unitary
+    # (S is), so pi is then a permutation.
+    ok = (((absG.sum(axis=1) - np.abs(top)).max(axis=1) < EXACT_TOL)
+          & (np.abs(ratio - eps).max(axis=1) < EXACT_TOL))
+    return np.array(ls)[ok], pi[ok], eps[ok]
+
+
+def _orbits(md: ModularData, l: np.ndarray, mu: np.ndarray
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tie the cells (l, mu) into signed orbits under the Galois actions.
+
+    Returns (order, orbit, v): the live cells sorted by orbit, and per
+    cell its orbit number and weight eps / sqrt(orbit size), so that the
+    orbit vectors V_k are unit-norm.  A cell whose orbit meets itself with
+    both signs is forced to 0: it has weight 0 and is not in order.
+    """
+    nc = len(l)
+    _, pi, eps = _galois_actions(md)
+    idx = np.full((md.ring.size,) * 2, -1)
+    idx[l, mu] = np.arange(nc)
+    img = idx[pi[:, l], pi[:, mu]]
+    flip = eps[:, l] != eps[:, mu]
+    if (img < 0).any():
+        # An action that maps a cell off the cells is left out.
+        keep = (img >= 0).all(axis=1)
+        img, flip = img[keep], flip[keep]
+    # key = 2 root + sign bit.  Every cell takes the smallest key among its
+    # own and its images' (the sign flipped along the way), then its root's
+    # key, until none changes.  Each action permutes the cells, so the keys
+    # meet round every cycle: one root per orbit, and a key that still
+    # differs from an image's marks an orbit with both signs on one cell.
+    nb = np.concatenate([np.arange(nc)[None], img])
+    flip = np.concatenate([np.zeros((1, nc), dtype=bool), flip])
+    key = 2 * np.arange(nc)
+    while ((new := (key[nb] ^ flip).min(axis=0)) != key).any():
+        key = new[new >> 1] ^ (new & 1)
+    root = key >> 1
+    live = np.ones(nc, dtype=bool)
+    live[root[((key[nb] ^ flip) != key).any(axis=0)]] = False
+    live = live[root]
+    order = np.flatnonzero(live)
+    order = order[np.argsort(root[order], kind="stable")]
+    # Orbits are numbered by root; the vacuum cell 0 is a live root.
+    rank = np.cumsum(np.bincount(root[order], minlength=nc) > 0) - 1
+    orbit = rank[root]
+    size = np.bincount(orbit[order])
+    return order, orbit, np.where(key & 1, -1.0, 1.0) * live / np.sqrt(size)[orbit]
+
+
+def _orbit_gram(K: np.ndarray, l: np.ndarray, mu: np.ndarray, order: np.ndarray,
+                orbit: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V^T G V for G = _gram(K, cells) and the orbit vectors of _orbits,
+    without forming G.  The D part of G is nonzero only on cells sharing a
+    row or a column, one T-class, and is summed over those pairs alone;
+    X is formed on all pairs of live cells and summed orbit by orbit."""
+    size = np.bincount(orbit[order])
+    u = len(size)
+    # Cells are sorted by (l, mu) and the rows of one T-class hold the same
+    # columns: row a is the cells rs[a] + t, t < s[a], and the cell (a', b)
+    # of c = (a, b) sits in row a' at the rank c has in row a.
+    s = np.bincount(l)
+    rs = np.cumsum(s) - s
+    start = rs[l]
+    c, t = np.nonzero(np.arange(s.max()) < s[l][:, None])
+    p = start[c] + t
+    mp = mu[p]
+    q = rs[mp] + c - start[c]
+    oc, vc = orbit[c] * u, v[c]
+    D = np.bincount(np.concatenate([oc + orbit[p], oc + orbit[q]]),
+                    np.concatenate([(K @ K.conj().T).real[mp, mu[c]] * vc * v[p],
+                                    (K.conj().T @ K).real[l[c], mp] * vc * v[q]]),
+                    minlength=u * u)
+    lo, mo, vo = l[order], mu[order], v[order]
+    X = (K[lo[None, :], lo[:, None]].conj() * K[mo[None, :], mo[:, None]]).real
+    X *= np.outer(vo, vo)
+    starts = np.cumsum(size) - size
+    M = np.add.reduceat(np.add.reduceat(X, starts, axis=1), starts, axis=0)
+    return D.reshape(u, u) - M - M.T
+
+
+def _nullspace(G: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the nullspace of the Gram matrix G."""
+    lam, V = np.linalg.eigh(G)
+    return V[:, lam < RANK_TOL * max(float(lam[-1]), 1.0)].T
+
+
+def _commutator_norms(K: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """||K B_i - B_i K|| for the real stack mats (r, m, m): the real and
+    imaginary parts of K go through two real GEMMs, one against the B_i
+    side by side and one against them stacked."""
+    r, m, _ = mats.shape
+    left = np.concatenate([K.real, K.imag]) @ mats.transpose(1, 0, 2).reshape(m, r * m)
+    right = mats.reshape(r * m, m) @ np.concatenate([K.real, K.imag], axis=1)
+    diff = left.reshape(2, m, r, m).transpose(2, 1, 0, 3) - right.reshape(r, m, 2, m)
+    return np.linalg.norm(diff.reshape(r, -1), axis=1)
+
+
 def commutant_basis(md: ModularData) -> CommutantBasis:
-    """Deterministic echelon basis of {Z real : YZ = ZY, supp Z in cells}."""
+    """Deterministic echelon basis of {Z real : YZ = ZY, supp Z in cells}.
+
+    For nondegenerate data the cells are first tied into Galois orbits
+    (_orbits), and the nullspace is taken on the orbit unknowns."""
     K, kind, _ = _operator(md)
     m = K.shape[0]
     cells = support_cells(md.spins)
-    lam, V = np.linalg.eigh(_gram(K, cells))
-    null = V[:, lam < RANK_TOL * max(float(lam[-1]), 1.0)].T
+    if md.nondegenerate:
+        l, mu = np.array(cells).T
+        order, orbit, v = _orbits(md, l, mu)
+        null = _nullspace(_orbit_gram(K, l, mu, order, orbit, v))[:, orbit] * v
+    else:
+        null = _nullspace(_gram(K, cells))
     if null.shape[0] == 0:
         return CommutantBasis(kind, cells, [], np.zeros((0, len(cells)), dtype=np.int64),
                               np.zeros(0))
@@ -192,8 +357,7 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     if exact is None:
         raise RuntimeError("commutant basis has no small-denominator rationalization")
     num, den = exact
-    mats = _scatter(num / den, cells, m)
-    residual = np.linalg.norm(K @ mats - mats @ K, axis=(1, 2))
+    residual = _commutator_norms(K, _scatter(num / den, cells, m))
     if not residual.max() <= EXACT_TOL * float(np.linalg.norm(K)):
         raise RuntimeError("rationalized commutant basis fails the commutation recheck")
     return CommutantBasis(kind, cells, pivot_cells, num, residual, den)

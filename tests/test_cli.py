@@ -397,6 +397,23 @@ def test_cli_rejects_non_integral_multiplicity(tmp_path, capsys):
     assert err.count("\n") == 1 and "non-integer" in err
 
 
+def test_model_file_checks_only_the_values_that_are_not_int():
+    # A value of type int needs no exact check; floats and strings that
+    # name integers still get one Fraction each and load the same model.
+    data = model_to_json(model_by_name("zn:12:1"))
+    data["fusion"][5] = [float(x) for x in data["fusion"][5]]
+    data["conjugation"][1] = str(data["conjugation"][1])
+    values = ([l["index"] for l in data["labels"]] + [l["h"] for l in data["labels"]]
+              + [x for entry in data["fusion"] for x in entry] + data["conjugation"])
+    not_int = sum(type(x) is not int for x in values)
+    assert not_int == 12 + 4 + 1  # the weights are strings
+    import modinv.cli
+    with mock.patch.object(modinv.cli, "Fraction", side_effect=Fraction) as calls:
+        md = model_from_json(data)
+    assert 0 < calls.call_count <= not_int
+    assert model_to_json(md.spec) == model_to_json(model_by_name("zn:12:1"))
+
+
 @pytest.mark.parametrize("index", [[0, 0], [0, 2]], ids=["duplicate", "gap"])
 def test_cli_rejects_label_indices_not_a_permutation(tmp_path, capsys, index):
     data = z2_json("1/4")

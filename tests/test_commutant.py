@@ -280,8 +280,11 @@ def test_exact_rows_reproduce_float_basis(monkeypatch):
 def test_y_basis_equals_the_s_basis_on_nondegenerate_models():
     # S = Y / |z|: the S-commutant path with its own recheck gives the
     # same exact rows and pivots as the one Y path.
+    # The reference takes the full-cell Gram of S, so it also checks the
+    # Galois orbit reduction the package applies to nondegenerate data.
     names = catalog_names() + ["sun_currents:12:2", "sun_currents:8:4",
-                               "su2:4*su2:4", "zn:6:1*zn:6:1"]
+                               "su2:4*su2:4", "zn:6:1*zn:6:1", "zn:96:1", "zn:128:1",
+                               "su2:8*su2:8", "su2:6*su2:10"]
     seen = 0
     for name in names:
         md = build(model_by_name(name))
@@ -294,7 +297,93 @@ def test_y_basis_equals_the_s_basis_on_nondegenerate_models():
         assert (basis.num.dtype, basis.num.shape, basis.num.tobytes(), basis.den,
                 basis.pivot_cells) == (num.dtype, num.shape, num.tobytes(), den,
                                        pivot_cells), name
-    assert seen == 275  # all but the two sun_currents models
+    assert seen == 279  # all but the two sun_currents models
+
+
+def unit_group_closure(gens, n):
+    """The subgroup of (Z/n)^x that gens generate."""
+    seen, todo = {1 % n}, [1 % n]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if (y := x * g % n) not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def galois_matrix(md, l, n):
+    """G_l = Omega^l S Omega^l' S Omega^l S^-1, from the exact weights."""
+    def omega(k):
+        return np.diag([np.exp(2j * np.pi * float(h * k % 1)) for h in md.spins.h])
+    S = md.S
+    return omega(l) @ S @ omega(pow(l, -1, n)) @ S @ omega(l) @ np.linalg.inv(S)
+
+
+def test_galois_actions_tie_every_basis_row_and_invariant():
+    # For every generator l of (Z/n)^x, n = ord(Omega), G_l is one phase
+    # times the signed permutation (pi, eps) the package reads, and every
+    # exact basis row and every enumerated Z obeys the tie
+    # Z[pi a, pi b] = eps_a eps_b Z[a, b] exactly, in integers.
+    seen = 0
+    for name, md, invs in report_models():
+        if not md.nondegenerate:
+            continue
+        seen += 1
+        n = math.lcm(*(h.denominator for h in md.spins.h))
+        gens = commutant._unit_generators(n)
+        assert unit_group_closure(gens, n) == {x for x in range(n) if math.gcd(x, n) == 1}
+        ls, pi, eps = commutant._galois_actions(md)
+        assert ls.tolist() == gens, name  # no generator is left out
+        basis = commutant_basis(md)
+        index = {cell: i for i, cell in enumerate(basis.cells)}
+        for l, p, e in zip(ls.tolist(), pi, eps):
+            G = galois_matrix(md, l, n)
+            P = np.zeros_like(G)
+            P[p, np.arange(len(p))] = G[p[0], 0] * e
+            assert np.abs(G - P).max() < 1e-8, (name, l)
+            image = [index[(p[a], p[b])] for a, b in basis.cells]
+            sign = np.array([e[a] * e[b] for a, b in basis.cells])
+            assert np.array_equal(basis.num[:, image], basis.num * sign), (name, l)
+            for Z in invs:
+                assert np.array_equal(Z[np.ix_(p, p)], np.outer(e, e) * Z), (name, l)
+    assert seen == 277
+
+
+def test_weights_beyond_the_galois_bound_keep_every_cell_an_unknown():
+    # A weight off by 2^-40 still passes the float Omega-Y check, but
+    # ord(Omega) is then beyond GALOIS_MAX_N: no action is read, each cell
+    # is its own orbit, and the basis is that of the exact weights.
+    from modinv import ModelSpec, SpinAssignment
+
+    spec = su2_model(3)
+    h = list(spec.spins.h)
+    h[1] += Fraction(1, 2 ** 40)
+    md = build(ModelSpec(spec.ring, SpinAssignment(h), name="near"))
+    assert md.nondegenerate
+    assert commutant._galois_actions(md)[0].size == 0
+    cells = support_cells(md.spins)
+    l, mu = np.array(cells).T
+    order, orbit, v = commutant._orbits(md, l, mu)
+    assert order.tolist() == orbit.tolist() == list(range(len(cells))) and (v == 1).all()
+    got, want = commutant_basis(md), commutant_basis(build(spec))
+    assert (got.num.tobytes(), got.den, got.pivot_cells) == \
+        (want.num.tobytes(), want.den, want.pivot_cells)
+
+
+@pytest.mark.parametrize("name, unknowns", [("zn:128:1", 44), ("su2:10*su2:10", 265),
+                                            ("sun_currents:12:2", 40)])
+def test_basis_eigh_runs_on_the_orbit_unknowns(name, unknowns):
+    # Nondegenerate data: one eigh on the Galois orbit unknowns and no
+    # full-cell Gram.  Degenerate data keeps the Gram over all cells.
+    md = build(model_by_name(name))
+    with mock.patch.object(np.linalg, "eigh", side_effect=np.linalg.eigh) as eigh, \
+            mock.patch.object(commutant, "_gram", side_effect=commutant._gram) as gram:
+        basis = commutant_basis(md)
+    assert [call.args[0].shape for call in eigh.call_args_list] == [(unknowns, unknowns)]
+    assert gram.call_count == (not md.nondegenerate)
+    if not md.nondegenerate:
+        assert unknowns == len(basis.cells)
 
 
 def test_inexact_basis_is_refused(monkeypatch):
@@ -512,6 +601,24 @@ def test_gram_matches_explicit_product(name):
     assert np.max(np.abs(G - (A.conj().T @ A).real)) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["su2:16", "su2:28", "zn:96:1", "so8_1", "su2:4*su2:4",
+                                  "su2:6*su2:10"])
+def test_orbit_gram_is_the_gram_on_the_orbit_vectors(name):
+    # V has one unit-norm column per Galois orbit; the pairs sum gives
+    # V^T G V for the full-cell Gram G, which it never forms.
+    md = build(model_by_name(name))
+    K, cells = operator_and_cells(md)
+    l, mu = np.array(cells).T
+    order, orbit, v = commutant._orbits(md, l, mu)
+    V = np.zeros((len(cells), orbit.max() + 1))
+    V[np.arange(len(cells)), orbit] = v
+    assert np.allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-14)
+    assert sorted(order.tolist()) == np.flatnonzero(v).tolist()
+    G = commutant._gram(K, cells)
+    got = commutant._orbit_gram(K, l, mu, order, orbit, v)
+    assert np.abs(got - V.T @ G @ V).max() < 1e-12 * np.abs(G).max()
+
+
 @pytest.mark.parametrize("a, b, den, count", [("su2:4", "su2:4", 2, 13),
                                               ("zn:6:1", "zn:6:1", 1, 16)])
 def test_product_lists_contain_the_factor_products(a, b, den, count):
@@ -663,6 +770,19 @@ def test_frontier_matches_the_product_scan_on_the_catalog_and_dense_models():
     # Pins every list byte for byte, so list drift fails here.
     assert digest.hexdigest() == \
         "090304e488609b00053d68df504fd4c94e9781dbf2a0908dbd53c7aad1b2e457"
+
+
+def test_bases_are_pinned_byte_for_byte_on_the_catalog_and_workload_models():
+    # The residuals are left out: their last bits follow the GEMM order,
+    # and test_exact_rows_reproduce_float_basis bounds them.
+    digest = hashlib.sha256()
+    for name, md, _ in report_models():
+        basis = commutant_basis(md)
+        digest.update(f"{name}|{basis.kind}|{basis.cells}|{basis.pivot_cells}|"
+                      f"{basis.den}|{basis.num.dtype.str}{basis.num.shape}".encode())
+        digest.update(basis.num.tobytes())
+    assert digest.hexdigest() == \
+        "98f0d80a805a8762631ac3cf722b7262aa8bcbd0595c3bc5e0e810105df29c34"
 
 
 @pytest.mark.parametrize("name, count, den, seconds, megabytes", [
