@@ -6,7 +6,7 @@ Submodules:
   catalog     built-in models and branching tables
   commutant   invariant enumeration (echelonized commutant + oracle)
   classify    structural reports for single invariants
-  graphs      ADE/tadpole catalog, nimreps, orbifold quotients
+  graphs      ADE/tadpole catalog, su(2) nimreps, spectral assignment
   extensions  admissible extensions, Z_n invariants, restriction
   cli         command line interface and serialization
 """
@@ -40,7 +40,7 @@ from .commutant import (
     t_support,
 )
 from .classify import classify_invariant, find_parents, type1_decomposition
-from .graphs import Graph, ade_assignment, graph_catalog, orbifold_quotient, pz_graph
+from .graphs import Graph, ade_assignment, graph_catalog
 from .extensions import rehren_admissible, restrict, theta_vector, zn_invariant
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "chiral_indices",
     "sector_counts",
     "find_parents",
-    "zz_diagnostics",
     "InvariantReport",
     "classify_invariant",
 ]
@@ -249,86 +248,6 @@ def find_parents(
 
     return {"plus": first(np.all(cols == Z[:, 0], axis=1)),
             "minus": first(np.all(rows == Z[0], axis=1))}
-
-
-def _combination_search(
-    rem: np.ndarray, steps: List[Tuple[str, np.ndarray, Optional[np.ndarray]]]
-) -> Optional[Dict[str, int]]:
-    """Depth-first step of _integer_combination over the (name, M_i, u_i) left."""
-    if not rem.any():
-        return {}
-    if not steps:
-        return None
-    nm, M, u = steps[0]
-    supp = M > 0
-    hi = int((rem[supp] // M[supp]).min()) if supp.any() else 0
-    cs = range(hi, -1, -1)
-    if u is not None:  # u is orthogonal to the later M_j, so c_i is forced
-        c, r = divmod(u.dot(rem.ravel()), u.dot(M.ravel()))
-        cs = [int(c)] if r == 0 and 0 <= c <= hi else []
-    for c in cs:
-        rest = _combination_search(rem - c * M, steps[1:])
-        if rest is not None:
-            return {nm: c, **rest} if c else rest
-    return None
-
-
-def _integer_combination(
-    target: np.ndarray, named: List[Tuple[str, np.ndarray]]
-) -> Optional[Dict[str, int]]:
-    """Nonnegative integer c with sum c_i M_i = target (M_i >= 0), or None
-    when there is none.  Exact depth-first search: c_i runs down from the
-    largest value keeping the remainder >= 0 on the support of M_i, and is
-    the one value <u_i, rem>/<u_i, M_i> where M_i has a nonzero part u_i
-    orthogonal to the later candidates, so only candidates in their span
-    branch.  u_i comes from exact Gram-Schmidt in Python ints, last to first,
-    up to a positive factor."""
-    parts: List[Optional[np.ndarray]] = []
-    for _, M in reversed(named):
-        v = M.ravel().astype(object)
-        for w in (p for p in parts if p is not None):
-            v = w.dot(w) * v - v.dot(w) * w
-            v //= math.gcd(*v) or 1
-        parts.append(v if v.any() else None)
-    steps = [(nm, M, u) for (nm, M), u in zip(named, parts[::-1])]
-    return _combination_search(np.asarray(target), steps)
-
-
-def zz_diagnostics(
-    Z: np.ndarray,
-    C: Optional[np.ndarray] = None,
-    extra: Optional[List[Tuple[str, np.ndarray]]] = None,
-) -> Dict[str, object]:
-    """Z^T Z and Z Z^T with decompositions over natural candidates.
-
-    Candidates are the identity, Z itself, and (when C is given) C, CZ
-    and ZC, plus any (name, matrix) pairs in `extra`; all must be
-    nonnegative.  Decompositions are nonnegative integer combinations,
-    decided exactly; None when there is none.
-    """
-    Z = np.asarray(Z, dtype=int)
-    m = Z.shape[0]
-    named: List[Tuple[str, np.ndarray]] = [("I", np.eye(m, dtype=int)), ("Z", Z)]
-    if C is not None:
-        C = np.asarray(C, dtype=int)
-        named += [("C", C), ("CZ", C @ Z), ("ZC", Z @ C)]
-    if extra:
-        named += [(nm, np.asarray(M, dtype=int)) for nm, M in extra]
-    # drop duplicate matrices, keeping the first name
-    uniq: List[Tuple[str, np.ndarray]] = []
-    for nm, M in named:
-        if not any(np.array_equal(M, M2) for _, M2 in uniq):
-            uniq.append((nm, M))
-    if any(np.any(M < 0) for _, M in uniq):
-        raise ValueError("Z Z^T candidates must be nonnegative matrices")
-    ZtZ = Z.T @ Z
-    ZZt = Z @ Z.T
-    return {
-        "ZtZ": ZtZ,
-        "ZZt": ZZt,
-        "ZtZ_combo": _integer_combination(ZtZ, uniq),
-        "ZZt_combo": _integer_combination(ZZt, uniq),
-    }
 
 
 @dataclass

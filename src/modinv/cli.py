@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -73,6 +74,19 @@ def _integers(values: Sequence[object], what: str) -> List[int]:
     return out
 
 
+# A weight as model_to_json writes it: an optional sign, digits, and
+# optionally / and digits.  No point or exponent, so the size of the
+# Fraction is the size of the text.
+_WEIGHT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _weight(h: object) -> Fraction:
+    text = str(h)
+    if not _WEIGHT.fullmatch(text):
+        raise ValueError(f"malformed model: weight {text!r} is not of the form p or p/q")
+    return Fraction(text)
+
+
 def model_from_json(data: Dict[str, object]) -> ModularData:
     """Inverse of model_to_json, built: the label indices, the ring axioms
     and the Omega-Y relation (by the one build) are re-verified, the
@@ -83,12 +97,12 @@ def model_from_json(data: Dict[str, object]) -> ModularData:
         labels = sorted(data["labels"], key=lambda l: int(l["index"]))
         index = _integers([l["index"] for l in labels], "label index list")
         names = [str(l["name"]) for l in labels]
-        h = [Fraction(str(l["h"])) for l in labels]
+        h = [_weight(l["h"]) for l in labels]
         fusion = [_integers(entry, "fusion entry") for entry in data["fusion"]]
         conj = _integers(data["conjugation"], "conjugation")
     except KeyError as exc:
         raise ValueError(f"model has no {exc} entry") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model: {exc}") from None
     except ZeroDivisionError:
         raise ValueError("malformed model: a weight has denominator 0") from None

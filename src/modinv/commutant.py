@@ -3,12 +3,12 @@
 The exact spin classes (T-support) restrict the cells.  The real
 Y-commutant on them (the S-commutant too, S = Y / |z|) is the nullspace
 of a closed-form Gram matrix, found once by eigh and put into reduced row
-echelon form.  For nondegenerate data the cells are first tied into
-signed Galois orbits: Z commutes with S and Omega, so with each G_l, a
+echelon form.  The cells are first tied into signed Galois orbits: for
+nondegenerate data Z commutes with S and Omega, so with each G_l, a
 phase times a signed permutation, and the Gram matrix is taken on one
-unknown per orbit.  Degenerate data take the |cells| x |cells| Gram
-matrix.  The integer points are searched depth first over the pivot
-values, with bounds Z_{lm} <= d_l d_m and sum Z <= w.
+unknown per orbit.  Degenerate data read no Galois action, so each of
+their cells is its own orbit.  The integer points are searched depth
+first over the pivot values, with bounds Z_{lm} <= d_l d_m and sum Z <= w.
 
 The echelon basis is rationalized by a whole-array snap to n/q, q <= 12
 (values it leaves open keep the exact two-cap decision), and rechecked
@@ -114,18 +114,6 @@ def _scatter(rows: np.ndarray, cells: Sequence[Tuple[int, int]], m: int) -> np.n
     l, mu = np.array(cells).T
     mats[:, l, mu] = rows
     return mats
-
-
-def _gram(K: np.ndarray, cells: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Re(A^H A) for A: Z on `cells` -> KZ - ZK.  At cells c = (l, mu),
-    c' = (l', mu') it is Re[d(mu, mu') (K^H K)[l, l'] + d(l, l') (K K^H)[mu', mu]]
-    - X[c, c'] - X[c', c], with X[c, c'] = Re(conj(K[l', l]) K[mu', mu])."""
-    l, mu = np.array(cells).T
-    li, lj, mi, mj = l[:, None], l[None, :], mu[:, None], mu[None, :]
-    X = (K[lj, li].conj() * K[mj, mi]).real
-    G = (mi == mj) * (K.conj().T @ K)[li, lj].real
-    G += (li == lj) * (K @ K.conj().T)[mj, mi].real
-    return G - X - X.T
 
 
 def _rref(rows: np.ndarray) -> Tuple[np.ndarray, List[int]]:
@@ -286,8 +274,12 @@ def _orbits(md: ModularData, l: np.ndarray, mu: np.ndarray
 
 def _orbit_gram(K: np.ndarray, l: np.ndarray, mu: np.ndarray, order: np.ndarray,
                 orbit: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """V^T G V for G = _gram(K, cells) and the orbit vectors of _orbits,
-    without forming G.  The D part of G is nonzero only on cells sharing a
+    """V^T G V for the orbit vectors V of _orbits, without forming G.
+
+    G = Re(A^H A) for A: Z on the cells -> KZ - ZK.  At cells c = (l, mu),
+    c' = (l', mu') it is D[c, c'] - X[c, c'] - X[c', c], with D[c, c'] =
+    Re[d(mu, mu') (K^H K)[l, l'] + d(l, l') (K K^H)[mu', mu]] and X[c, c'] =
+    Re(conj(K[l', l]) K[mu', mu]).  D is nonzero only on cells sharing a
     row or a column, one T-class, and is summed over those pairs alone;
     X is formed on all pairs of live cells and summed orbit by orbit."""
     size = np.bincount(orbit[order])
@@ -315,12 +307,6 @@ def _orbit_gram(K: np.ndarray, l: np.ndarray, mu: np.ndarray, order: np.ndarray,
     return D.reshape(u, u) - M - M.T
 
 
-def _nullspace(G: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the nullspace of the Gram matrix G."""
-    lam, V = np.linalg.eigh(G)
-    return V[:, lam < RANK_TOL * max(float(lam[-1]), 1.0)].T
-
-
 def _commutator_norms(K: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """||K B_i - B_i K|| for the real stack mats (r, m, m): the real and
     imaginary parts of K go through two real GEMMs, one against the B_i
@@ -335,17 +321,15 @@ def _commutator_norms(K: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def commutant_basis(md: ModularData) -> CommutantBasis:
     """Deterministic echelon basis of {Z real : YZ = ZY, supp Z in cells}.
 
-    For nondegenerate data the cells are first tied into Galois orbits
-    (_orbits), and the nullspace is taken on the orbit unknowns."""
+    The cells are first tied into Galois orbits (_orbits), and the
+    nullspace of the Gram matrix is taken on the orbit unknowns."""
     K, kind, _ = _operator(md)
     m = K.shape[0]
     cells = support_cells(md.spins)
-    if md.nondegenerate:
-        l, mu = np.array(cells).T
-        order, orbit, v = _orbits(md, l, mu)
-        null = _nullspace(_orbit_gram(K, l, mu, order, orbit, v))[:, orbit] * v
-    else:
-        null = _nullspace(_gram(K, cells))
+    l, mu = np.array(cells).T
+    order, orbit, v = _orbits(md, l, mu)
+    lam, V = np.linalg.eigh(_orbit_gram(K, l, mu, order, orbit, v))
+    null = V[:, lam < RANK_TOL * max(float(lam[-1]), 1.0)].T[:, orbit] * v
     if null.shape[0] == 0:
         return CommutantBasis(kind, cells, [], np.zeros((0, len(cells)), dtype=np.int64),
                               np.zeros(0))

@@ -28,7 +28,6 @@ __all__ = [
     "SimpleCurrentGroup",
     "quantum_dimensions",
     "verify_axioms",
-    "frobenius_violations",
     "simple_currents",
     "fusion_tensor",
 ]
@@ -271,18 +270,6 @@ def verify_axioms(ring: FusionRing) -> List[str]:
         out.append(str(exc))
 
     return out
-
-
-def frobenius_violations(ring: FusionRing) -> List[Tuple[int, int, int]]:
-    """Triples where N_{lam mu}^nu != N_{conj(lam) nu}^mu.
-
-    Reciprocity holds automatically for the catalog rings; a nonempty
-    result is a warning sign for hand-entered data, not a hard error.
-    """
-    N = ring.N
-    c = ring.conj
-    recip = N[c][:, :, :].transpose(0, 2, 1)
-    return _first_bad(N != recip, limit=10)
 
 
 @dataclass

@@ -1,6 +1,5 @@
-"""Fusion graphs: A-D-E and tadpole catalog, su(2) nimreps, spectra,
-orbifold quotients, and the frozen 32-vertex graph pair of the su(4)_6
-conformal-inclusion system.
+"""Fusion graphs: A-D-E and tadpole catalog, su(2) nimreps, spectral
+assignment, and the tadpole exclusion at odd level.
 
 A nimrep assigns to every label a nonnegative integer matrix so that
 the assignment reproduces the fusion rules; for su(2) the whole tower
@@ -16,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _pzdata
 from .catalog import su2_model
 from .modular import ModularData
 
@@ -28,11 +26,6 @@ __all__ = [
     "ade_assignment",
     "TadpoleRecord",
     "tadpole_exclusion",
-    "orbifold_quotient",
-    "pz_graph",
-    "pz_second_generator",
-    "pz_translation",
-    "pz_quotient_reference",
 ]
 
 PF_TOL = 1e-6
@@ -44,7 +37,6 @@ class Graph:
 
     adjacency: np.ndarray
     names: List[str]
-    grading: Optional[List[int]] = None
     name: str = ""
 
     def __post_init__(self):
@@ -249,114 +241,4 @@ def tadpole_exclusion(k: int) -> TadpoleRecord:
         current_weight=hk,
         current_integral=integral,
         excluded=forces and not integral,
-    )
-
-
-def orbifold_quotient(graph: Graph, sigma: Sequence[int]) -> Graph:
-    """Quotient of a graph by a cyclic automorphism.
-
-    Free orbits collapse to single vertices (orbit-summed adjacency);
-    each fixed vertex splits into m copies, m the automorphism order,
-    with the per-representative adjacency to the free part.  Orbits of
-    intermediate size, or adjacency between fixed vertices, are outside
-    the rule and raise ValueError.
-    """
-    A = graph.adjacency
-    n = A.shape[0]
-    sig = np.asarray(sigma, dtype=int)
-    if sorted(sig.tolist()) != list(range(n)):
-        raise ValueError("sigma is not a permutation")
-    if not np.array_equal(A[np.ix_(sig, sig)], A):
-        raise ValueError("sigma is not a graph automorphism")
-
-    seen = [False] * n
-    orbits: List[List[int]] = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        orb = [v]
-        seen[v] = True
-        x = int(sig[v])
-        while x != v:
-            orb.append(x)
-            seen[x] = True
-            x = int(sig[x])
-        orbits.append(orb)
-
-    m = 1
-    for orb in orbits:
-        m = math.lcm(m, len(orb))
-    if m == 1:
-        return Graph(A.copy(), list(graph.names), name=f"{graph.name}/1")
-    for orb in orbits:
-        if len(orb) not in (1, m):
-            raise ValueError(
-                f"orbit of size {len(orb)} under automorphism of order {m}"
-            )
-
-    free = [orb for orb in orbits if len(orb) == m]
-    fixed = [orb[0] for orb in orbits if len(orb) == 1]
-    for u in fixed:
-        for v in fixed:
-            if A[u, v] != 0:
-                raise ValueError("adjacent fixed vertices: quotient rule undefined")
-
-    nodes: List[Tuple[str, object]] = [("free", orb) for orb in free]
-    nodes += [("fixed", (v, t)) for v in fixed for t in range(m)]
-    names: List[str] = []
-    for kind, data in nodes:
-        if kind == "free":
-            names.append(graph.names[data[0]])
-        else:
-            v, t = data
-            names.append(f"{graph.names[v]}:{t}")
-
-    q = len(nodes)
-    Q = np.zeros((q, q), dtype=int)
-    for a, (ka, da) in enumerate(nodes):
-        for b, (kb, db) in enumerate(nodes):
-            if ka == "free" and kb == "free":
-                rep = da[0]
-                Q[a, b] = int(sum(A[rep, v] for v in db))
-            elif ka == "free" and kb == "fixed":
-                Q[a, b] = int(A[da[0], db[0]])
-            elif ka == "fixed" and kb == "free":
-                Q[a, b] = int(A[da[0], db[0]])
-    return Graph(Q, names, name=f"{graph.name}/{m}")
-
-
-# ---------------------------------------------------------------------------
-# frozen 32-vertex pair
-
-def pz_graph() -> Graph:
-    """Fusion action of the first fundamental generator, 32 vertices."""
-    return Graph(
-        np.array(_pzdata.PZ_ADJ_100, dtype=int),
-        list(_pzdata.PZ_NODE_NAMES),
-        grading=list(_pzdata.PZ_FOURALITY),
-        name="pz_32",
-    )
-
-
-def pz_second_generator() -> Graph:
-    """Fusion action of the second fundamental generator on the same vertices."""
-    return Graph(
-        np.array(_pzdata.PZ_ADJ_010, dtype=int),
-        list(_pzdata.PZ_NODE_NAMES),
-        grading=list(_pzdata.PZ_FOURALITY),
-        name="pz_32_second",
-    )
-
-
-def pz_translation() -> np.ndarray:
-    """The order-5 translation acting freely outside the central pair."""
-    return np.array(_pzdata.PZ_TRANSLATION, dtype=int)
-
-
-def pz_quotient_reference() -> Graph:
-    """The 16-vertex quotient graph (free orbits plus split central pair)."""
-    return Graph(
-        np.array(_pzdata.PZ_QUOTIENT_ADJ, dtype=int),
-        list(_pzdata.PZ_QUOTIENT_NAMES),
-        name="pz_16",
     )

@@ -1,12 +1,9 @@
 """Invariant classification: permutations, type I/II, parents, indices."""
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from modinv import (
     build,
@@ -35,7 +32,6 @@ from modinv.classify import (
     sector_counts,
     simple_current_test,
     vacuum_symmetry,
-    zz_diagnostics,
 )
 from modinv.extensions import restrict
 from modinv.modular import tensor_product
@@ -204,73 +200,11 @@ def test_find_parents_identity_is_self():
 
 
 def test_zz_identity_su4():
+    # Z^T Z = Z Z^T = 3 Z + C Z for the su(4)_6 block invariant
     Z28, tab = su4_block_invariant()
-    perm = su4_charge_conjugation(tab)
-    C = np.eye(28, dtype=int)[perm]
-    rep = zz_diagnostics(Z28, C)
-    assert np.array_equal(rep["ZtZ"], 3 * Z28 + C @ Z28)
-    assert rep["ZtZ_combo"] == {"Z": 3, "CZ": 1}
-    # Z is symmetric and C-invariant, so the same holds for Z Z^T
-    assert rep["ZZt_combo"] == {"Z": 3, "CZ": 1}
-
-
-def test_zz_identity_permutations():
-    rep = zz_diagnostics(d5_matrix())
-    assert np.array_equal(rep["ZtZ"], np.eye(7, dtype=int))
-    assert rep["ZtZ_combo"] == {"I": 1}
-    rep = zz_diagnostics(np.eye(4, dtype=int))
-    assert rep["ZtZ_combo"] == {"I": 1}
-    # Z^T Z = 25 I = 5 Z with I and Z collinear: only an exact solve decides it
-    P = np.eye(3, dtype=int)[[0, 2, 1]]
-    Z = 5 * np.eye(3, dtype=int)
-    rep = zz_diagnostics(Z, C=P)
-    named = {"I": np.eye(3, dtype=int), "Z": Z, "C": P, "CZ": P @ Z}
-    for key in ("ZtZ", "ZZt"):
-        combo = rep[key + "_combo"]
-        assert np.array_equal(sum(c * named[nm] for nm, c in combo.items()), rep[key])
-    with pytest.raises(ValueError, match="nonnegative"):
-        zz_diagnostics(np.eye(2, dtype=int), extra=[("N", -np.eye(2, dtype=int))])
-    # Large coefficients on independent candidates (I, Z, C after CZ = ZC = Z
-    # are dropped): each coefficient is forced, so the search visits at most
-    # one node per candidate and call, with a combination or without one.
-    P = np.eye(6, dtype=int)[[0, 2, 1, 3, 4, 5]]
-    nines = np.full((6, 6), 9)
-    off = nines.copy()
-    off[5, 5] = 8
-    search = classify._combination_search
-
-    def budgeted(*args):
-        nodes.append(args)
-        assert len(nodes) <= 2 * 4, "the search branches on a forced coefficient"
-        return search(*args)
-
-    for Z, want in ((nines, {"Z": 54}), (off, None)):
-        nodes = []
-        with mock.patch.object(classify, "_combination_search", budgeted):
-            rep = zz_diagnostics(Z, C=P)
-        assert rep["ZtZ_combo"] == rep["ZZt_combo"] == want
-
-
-@st.composite
-def combinations(draw):
-    n = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 4))
-    cells = st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)
-    mats = [np.array(draw(cells)).reshape(n, n) for _ in range(k)]
-    coeffs = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
-    return [(f"M{i}", M) for i, M in enumerate(mats)], coeffs
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(combinations())
-def test_integer_combination_finds_every_reachable_target(case):
-    named, coeffs = case
-    target = sum(c * M for c, (_, M) in zip(coeffs, named))
-    combo = classify._integer_combination(target, named)
-    assert combo is not None and all(c > 0 for c in combo.values())
-    mats = dict(named)
-    assert np.array_equal(sum((c * mats[nm] for nm, c in combo.items()),
-                              np.zeros_like(target)), target)
+    C = np.eye(28, dtype=int)[su4_charge_conjugation(tab)]
+    assert np.array_equal(Z28.T @ Z28, 3 * Z28 + C @ Z28)
+    assert np.array_equal(Z28 @ Z28.T, 3 * Z28 + C @ Z28)
 
 
 def test_index_identities_across_models():

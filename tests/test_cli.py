@@ -1,9 +1,11 @@
 """Command line surface: exit codes, JSON round trips, renderers."""
 import json
+import math
 import pathlib
 import re
 import shlex
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -11,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from modinv import build, enumerate_invariants, graph_catalog, pz_graph, su2_model, zn_model
+from modinv import Graph, build, enumerate_invariants, graph_catalog, su2_model, zn_model
 from modinv.catalog import BranchingTable, branching_catalog, model_by_name, so8_level1_model
 from modinv.cli import (
     graph_to_dot,
@@ -154,8 +156,9 @@ def test_graph_to_dot():
     assert dot.count("label=") == 7
     dot = graph_to_dot(graph_catalog("T", 2))
     assert "n1 -- n1;" in dot
-    dot = graph_to_dot(pz_graph())
-    assert dot.startswith('digraph "pz_32"') and "->" in dot
+    dot = graph_to_dot(Graph([[0, 1], [0, 0]], ["a", "b"], name="P2"))
+    assert dot.startswith('digraph "P2"') and "n0 -> n1;" in dot and "--" not in dot
+    assert dot.count("->") == 1
 
 
 def test_model_json_round_trip():
@@ -372,6 +375,51 @@ def test_cli_malformed_model_files(tmp_path, capsys):
     assert main(["enumerate", str(zero)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["index", "fusion", "conjugation"])
+def test_cli_refuses_an_infinite_value_in_a_model_file(tmp_path, capsys, field):
+    # json reads Infinity, and int() of it raises OverflowError: one line.
+    data = z2_json("1/4")
+    if field == "index":
+        data["labels"][1]["index"] = math.inf
+    elif field == "fusion":
+        data["fusion"][3][3] = math.inf
+    else:
+        data["conjugation"][1] = -math.inf
+    with pytest.raises(ValueError, match="malformed model: .*infinity"):
+        model_from_json(data)
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(data))
+    assert "Infinity" in path.read_text()
+    assert main(["model", "validate", str(path)]) == 2
+    assert main(["enumerate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+    assert err.count("malformed model") == 2
+
+
+@pytest.mark.parametrize("h", ["1e-3", "1e-10000000", "0.25", 0.25, "1/-4", " 1/4",
+                               "1_0/4", "inf", "nan", "", "1/4/1"])
+def test_model_file_weights_take_only_the_written_form(tmp_path, capsys, h):
+    # Only an optional sign, digits, and optionally / and digits: no
+    # exponent can ask Fraction for a huge denominator.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="malformed model: weight .* not of the form p or p/q"):
+        model_from_json(z2_json(h))
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(z2_json(h)))
+    assert main(["model", "validate", str(path)]) == 2
+    assert main(["enumerate", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("h", ["1/4", "+1/4", "-3/4", "5/4", "05/20"])
+def test_model_file_weights_in_the_written_form_load(h):
+    md = model_from_json(z2_json(h))
+    assert md.spins.h[1] == Fraction(1, 4)
 
 
 def test_cli_rejects_weights_breaking_omega_y(tmp_path, capsys):

@@ -31,7 +31,7 @@ from modinv.commutant import support_cells
 from product_scan import product_scan_enumerate
 from report_loops import report_models
 from rref_loop import rref_loop
-from s_basis import s_commutant_basis
+from s_basis import gram, s_commutant_basis
 
 
 def d5_matrix():
@@ -374,14 +374,15 @@ def test_weights_beyond_the_galois_bound_keep_every_cell_an_unknown():
 @pytest.mark.parametrize("name, unknowns", [("zn:128:1", 44), ("su2:10*su2:10", 265),
                                             ("sun_currents:12:2", 40)])
 def test_basis_eigh_runs_on_the_orbit_unknowns(name, unknowns):
-    # Nondegenerate data: one eigh on the Galois orbit unknowns and no
-    # full-cell Gram.  Degenerate data keeps the Gram over all cells.
+    # One orbit Gram and one eigh on the Galois orbit unknowns, for
+    # degenerate data too: they read no action, so every cell is an unknown.
     md = build(model_by_name(name))
     with mock.patch.object(np.linalg, "eigh", side_effect=np.linalg.eigh) as eigh, \
-            mock.patch.object(commutant, "_gram", side_effect=commutant._gram) as gram:
+            mock.patch.object(commutant, "_orbit_gram",
+                              side_effect=commutant._orbit_gram) as orbit_gram:
         basis = commutant_basis(md)
     assert [call.args[0].shape for call in eigh.call_args_list] == [(unknowns, unknowns)]
-    assert gram.call_count == (not md.nondegenerate)
+    assert orbit_gram.call_count == 1
     if not md.nondegenerate:
         assert unknowns == len(basis.cells)
 
@@ -597,15 +598,16 @@ def test_gram_matches_explicit_product(name):
     md = build(model_by_name(name))
     K, cells = operator_and_cells(md)
     A = commutation_matrix(K, cells)
-    G = commutant._gram(K, cells)
+    G = gram(K, cells)
     assert np.max(np.abs(G - (A.conj().T @ A).real)) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["su2:16", "su2:28", "zn:96:1", "so8_1", "su2:4*su2:4",
-                                  "su2:6*su2:10"])
+                                  "su2:6*su2:10", "sun_currents:6:3"])
 def test_orbit_gram_is_the_gram_on_the_orbit_vectors(name):
     # V has one unit-norm column per Galois orbit; the pairs sum gives
-    # V^T G V for the full-cell Gram G, which it never forms.
+    # V^T G V for the full-cell Gram G, which it never forms.  Degenerate
+    # data (sun_currents:6:3) have V = I.
     md = build(model_by_name(name))
     K, cells = operator_and_cells(md)
     l, mu = np.array(cells).T
@@ -614,7 +616,7 @@ def test_orbit_gram_is_the_gram_on_the_orbit_vectors(name):
     V[np.arange(len(cells)), orbit] = v
     assert np.allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-14)
     assert sorted(order.tolist()) == np.flatnonzero(v).tolist()
-    G = commutant._gram(K, cells)
+    G = gram(K, cells)
     got = commutant._orbit_gram(K, l, mu, order, orbit, v)
     assert np.abs(got - V.T @ G @ V).max() < 1e-12 * np.abs(G).max()
 

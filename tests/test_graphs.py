@@ -1,4 +1,4 @@
-"""Graph catalog, nimreps, spectral assignment, orbifolds."""
+"""Graph catalog, nimreps, spectral assignment, tadpole exclusion."""
 import functools
 import math
 
@@ -12,29 +12,19 @@ from modinv import (
     build,
     enumerate_invariants,
     graph_catalog,
-    orbifold_quotient,
-    pz_graph,
     su2_model,
     sun_current_model,
 )
 from modinv import graphs
 from modinv.graphs import (
     Graph,
-    pz_quotient_reference,
-    pz_second_generator,
-    pz_translation,
     spectrum_match,
     su2_nimrep_from_graph,
     tadpole_exclusion,
 )
 
 from report_loops import report_models
-from su4_oracle import build_su4
 from test_commutant import d5_matrix, e7_matrix
-
-
-def flip(n):
-    return list(reversed(range(n)))
 
 
 def test_catalog_shapes():
@@ -261,96 +251,3 @@ def test_tadpole_exclusion():
     assert all(tadpole_exclusion(k).excluded for k in range(3, 28, 2))
     with pytest.raises(ValueError):
         tadpole_exclusion(2)
-
-
-def test_orbifold_a7_flip_is_d5():
-    q = orbifold_quotient(graph_catalog("A", 7), flip(7))
-    assert np.array_equal(q.adjacency, graph_catalog("D", 5).adjacency)
-    assert q.name == "A7/2"
-    q = orbifold_quotient(graph_catalog("A", 9), flip(9))
-    assert np.array_equal(q.adjacency, graph_catalog("D", 6).adjacency)
-
-
-def test_orbifold_a6_flip_is_t3():
-    q = orbifold_quotient(graph_catalog("A", 6), flip(6))
-    assert np.array_equal(q.adjacency, graph_catalog("T", 3).adjacency)
-
-
-def test_orbifold_a3_flip():
-    q = orbifold_quotient(graph_catalog("A", 3), flip(3))
-    assert q.size == 3
-    assert sorted(q.adjacency.sum(axis=0)) == [1, 1, 2]
-
-
-def test_orbifold_identity_and_pf():
-    g = graph_catalog("A", 5)
-    q = orbifold_quotient(g, list(range(5)))
-    assert np.array_equal(q.adjacency, g.adjacency)
-    for n in range(4, 13):
-        g = graph_catalog("A", n)
-        q = orbifold_quotient(g, flip(n))
-        assert q.pf_eigenvalue() == pytest.approx(g.pf_eigenvalue(), abs=1e-9)
-
-
-def test_orbifold_error_paths():
-    g = graph_catalog("A", 4)
-    with pytest.raises(ValueError):
-        orbifold_quotient(g, [1, 2, 3, 0])  # not an automorphism
-    with pytest.raises(ValueError):
-        orbifold_quotient(g, [0, 1, 2])  # not a permutation
-    # two adjacent fixed vertices
-    A = np.zeros((4, 4), dtype=int)
-    A[0, 1] = A[1, 0] = 1
-    A[2, 3] = A[3, 2] = 1
-    with pytest.raises(ValueError):
-        orbifold_quotient(Graph(A, list("abcd")), [0, 1, 3, 2])
-    # orbit sizes 2 and 3 mix to order 6 with no orbit of that size
-    B = np.zeros((5, 5), dtype=int)
-    for i, j in ((0, 1), (1, 2), (2, 0), (3, 4)):
-        B[i, j] = B[j, i] = 1
-    with pytest.raises(ValueError):
-        orbifold_quotient(Graph(B, list("abcde")), [1, 2, 0, 4, 3])
-
-
-def test_pz_pair_spectra():
-    ref = build_su4()
-    g1, g2 = pz_graph(), pz_second_generator()
-    assert g1.size == g2.size == 32
-    labels = [ref["widx"][(1, 0, 0)], ref["widx"][(0, 1, 0)]]
-    ok, info = spectrum_match(
-        [g1.adjacency, g2.adjacency], ref["S"], ref["Z32"], labels=labels)
-    assert ok and info["trace"] == 32
-    # the middle fundamental is self-conjugate, the outer ones swap
-    assert np.array_equal(g2.adjacency, g2.adjacency.T)
-    assert not np.array_equal(g1.adjacency, g1.adjacency.T)
-
-
-def test_pz_grading_shift():
-    for g, shift in ((pz_graph(), 1), (pz_second_generator(), 2)):
-        grade = np.asarray(g.grading)
-        rows, cols = np.nonzero(g.adjacency)
-        assert np.all((grade[cols] - grade[rows]) % 4 == shift)
-
-
-def test_pz_translation_symmetry():
-    sig = pz_translation()
-    for g in (pz_graph(), pz_second_generator()):
-        A = g.adjacency
-        assert np.array_equal(A[np.ix_(sig, sig)], A)
-    # order five, free except on the central pair
-    p = sig.copy()
-    for _ in range(4):
-        p = sig[p]
-    assert np.array_equal(p, np.arange(32))
-    assert [int(v) for v in np.nonzero(sig == np.arange(32))[0]] == [30, 31]
-
-
-def test_pz_quotient_matches_reference():
-    q = orbifold_quotient(pz_graph(), pz_translation())
-    ref = pz_quotient_reference()
-    assert q.size == ref.size == 16
-    assert np.array_equal(q.adjacency, ref.adjacency)
-    # orbit stems line up ('Oe0' ~ 'Oe', 'c:3' ~ 'c3')
-    strip = lambda s: s.rstrip("0123456789").rstrip(":")
-    assert [strip(a) for a in q.names] == [strip(b) for b in ref.names]
-    assert q.pf_eigenvalue() == pytest.approx(pz_graph().pf_eigenvalue(), abs=1e-9)

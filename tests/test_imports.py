@@ -35,3 +35,51 @@ def test_every_import_is_used():
     assert files
     problems = [p for f in files for p in unused_imports(f)]
     assert problems == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+# Public definitions with no caller in src/ or perfbench/, kept on purpose.
+UNCALLED = {
+    "is_invariant": "the documented checker for one matrix, independent of the search",
+    "is_nondegenerate": "the (flag, reason) form of the nondegeneracy rule build applies",
+    "relation_residuals": "the modular relation residuals the acceptance suite reads",
+    "tadpole_exclusion": "the odd-level tadpole record the acceptance suite reads",
+}
+
+
+def top_level_references(path):
+    """{top-level node name or None: names it references}.  A reference is
+    a Name, an attribute, or a name imported from a module."""
+    tree = ast.parse(path.read_text())
+    refs = {}
+    for node in tree.body:
+        names = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                names.update(alias.name for alias in n.names)
+        key = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        refs.setdefault(key, set()).update(names)
+    return refs
+
+
+def test_every_public_definition_has_a_caller():
+    # A public top-level function or class of src/ is referenced by other
+    # src/ code (not a re-export in __init__.py, not its own body) or by
+    # perfbench/; code that only tests call does not belong in src/.
+    modules = sorted(f for f in SRC.glob("*.py") if f.name != "__init__.py")
+    callers = modules + sorted(PERFBENCH.glob("*.py"))
+    refs = {f: top_level_references(f) for f in callers}
+    uncalled = set()
+    for f in modules:
+        for name in refs[f]:
+            if name is None or name.startswith("_"):
+                continue
+            if not any(name in names for g in callers for key, names in refs[g].items()
+                       if not (g == f and key == name)):
+                uncalled.add(name)
+    assert uncalled == set(UNCALLED)
