@@ -241,6 +241,9 @@ def _orbits(md: ModularData, l: np.ndarray, mu: np.ndarray
     """
     nc = len(l)
     _, pi, eps = _galois_actions(md)
+    if not len(pi):
+        # No action read (always so for degenerate data): one cell an orbit.
+        return np.arange(nc), np.arange(nc), np.ones(nc)
     idx = np.full((md.ring.size,) * 2, -1)
     idx[l, mu] = np.arange(nc)
     img = idx[pi[:, l], pi[:, mu]]
@@ -423,40 +426,51 @@ def enumerate_invariants(
 def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:
     """Reference oracle: direct search over all T-support cell values.
 
-    Independent of the commutant computation; intended for small models
-    to cross-check enumerate_invariants.
+    Independent of the commutant computation; for small models, to
+    cross-check enumerate_invariants.  The box Z_00 = 1, 0 <= Z_c <=
+    d_l d_mu over the cells c = (l, mu) is refused above BRUTE_NODE_CAP
+    points.  Under it the search is whole-array, with no Python call per
+    point: a frontier of int64 rows, one value per cell, is extended cell
+    by cell and a row whose sum exceeds w is dropped.  Blocks of about
+    512 rows go depth first, so memory stays depth x block x cells.  A
+    complete row x is kept when ||x @ M|| < tol, M_c = K E_c - E_c K with
+    its real and imaginary parts side by side, that is when ||KZ - ZK||
+    < tol.  Sorted like enumerate_invariants.
     """
-    ring = md.ring
-    m = ring.size
-    d = ring.d
-    w = md.w
     cells = support_cells(md.spins)
     K, _, tol = _operator(md)
-
-    bounds = [1] + [int(math.floor(d[l] * d[mu] + 1e-9)) for l, mu in cells[1:]]
-    if math.prod(b + 1 for b in bounds[1:]) > BRUTE_NODE_CAP:
+    d, m, nc = md.ring.d, K.shape[0], len(cells)
+    l, mu = np.array(cells).T
+    bound = np.floor(d[l] * d[mu] + 1e-9).astype(np.int64)
+    bound[0] = 1
+    if math.prod((bound[1:] + 1).tolist()) > BRUTE_NODE_CAP:
         raise RuntimeError(f"brute-force space exceeds {BRUTE_NODE_CAP:.0e} assignments")
 
-    out: List[np.ndarray] = []
-    Z = np.zeros((m, m), dtype=int)
+    E = _scatter(np.eye(nc), cells, m)
+    KE = K @ E - E @ K
+    M = np.concatenate([KE.real, KE.imag], axis=2).reshape(nc, -1)
+    # Row i adds one to cell i and to the row sum, the last column.
+    unit = np.eye(nc, nc + 1, dtype=np.int64)
+    unit[:, -1] = 1
+    out = [np.zeros((0, nc), dtype=np.int64)]
 
-    def rec(pos: int, acc: float) -> None:
-        if pos == len(cells):
-            if np.linalg.norm(K @ Z - Z @ K) < tol:
-                out.append(Z.copy())
+    def search(i: int, N: np.ndarray) -> None:
+        # Rows with cells 0..i-1 set: cut those whose sum exceeds w.
+        N = N[N[:, -1] <= md.w + 1e-6]
+        if i == nc:
+            x = N[:, :-1]
+            out.append(x[np.linalg.norm(x @ M, axis=1) < tol])
             return
-        l, mu = cells[pos]
-        lo = 1 if (l, mu) == (0, 0) else 0
-        for v in range(lo, bounds[pos] + 1):
-            if acc + v > w + 1e-6:
-                break
-            Z[l, mu] = v
-            rec(pos + 1, acc + v)
-        Z[l, mu] = 0
+        vals = np.arange(i == 0, bound[i] + 1)[:, None] * unit[i]
+        chunk = max(1, 512 // len(vals))
+        for s in range(0, len(N), chunk):
+            # Unnamed, so the block is freed as soon as the callee cuts it.
+            search(i + 1, (N[s:s + chunk, None] + vals).reshape(-1, nc + 1))
 
-    rec(0, 0.0)
-    out.sort(key=lambda M: tuple(M.ravel()))
-    return out
+    search(0, np.zeros((1, nc + 1), dtype=np.int64))
+    # Cells are row-major and Z is 0 off them: this is the flattened order.
+    Z = np.concatenate(out)
+    return list(_scatter(Z[np.lexsort(Z.T[::-1])], cells, m))
 
 
 def is_invariant(md: ModularData, Z: np.ndarray) -> Tuple[bool, Dict[str, object]]:

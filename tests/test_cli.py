@@ -242,6 +242,14 @@ def test_cli_enumerate(tmp_path, capsys):
     assert main(["enumerate", "nosuch:9"]) == 1
 
 
+def test_cli_oracle_refuses_a_box_over_the_cap(capsys):
+    # su2:16 has a brute-force box above BRUTE_NODE_CAP: one error line, exit 2.
+    assert main(["enumerate", "su2:16", "--oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: brute-force space exceeds") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_classify(capsys):
     assert main(["classify", "su2:16"]) == 0
     out = capsys.readouterr().out

@@ -28,6 +28,7 @@ from modinv import commutant
 from modinv.catalog import catalog_names, model_by_name, zn_valid_weights
 from modinv.cli import main
 from modinv.commutant import support_cells
+from brute_reference import brute_force_reference
 from product_scan import product_scan_enumerate
 from report_loops import report_models
 from rref_loop import rref_loop
@@ -697,6 +698,46 @@ def test_enumeration_matches_brute_force(spec):
     want = brute_force_enumerate(md)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def same_bytes(got, want):
+    """The two lists hold the same arrays: dtype, shape and bytes."""
+    return len(got) == len(want) and all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(got, want))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(small_specs)
+def test_brute_force_matches_recursive_reference(spec):
+    # The whole-array frontier returns exactly the recursive walk's list.
+    assume(brute_space(spec) <= BRUTE_SPACE)
+    md = build(spec)
+    assert same_bytes(brute_force_enumerate(md), brute_force_reference(md))
+
+
+def test_brute_force_matches_enumeration_on_catalog():
+    # Every catalog model whose brute-force box is at most 2^17 points.
+    names = [n for n in catalog_names() if brute_space(model_by_name(n)) <= 2 ** 17]
+    assert len(names) == 48
+    for name in names:
+        md = build(model_by_name(name))
+        assert same_bytes(brute_force_enumerate(md), enumerate_invariants(md)), name
+
+
+def test_brute_force_memory_zn9():
+    # Blocks of about 512 rows keep the frontier small on a 2^20 box.
+    spec = zn_model(9, 2)
+    assert brute_space(spec) == 2 ** 20
+    md = build(spec)
+    tracemalloc.start()
+    try:
+        invs = brute_force_enumerate(md)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert same_bytes(invs, enumerate_invariants(md))
+    assert peak < 8 * 2 ** 20
 
 
 def scan_space(md, basis):
