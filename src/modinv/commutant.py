@@ -241,9 +241,6 @@ def _orbits(md: ModularData, l: np.ndarray, mu: np.ndarray
     """
     nc = len(l)
     _, pi, eps = _galois_actions(md)
-    if not len(pi):
-        # No action read (always so for degenerate data): one cell an orbit.
-        return np.arange(nc), np.arange(nc), np.ones(nc)
     idx = np.full((md.ring.size,) * 2, -1)
     idx[l, mu] = np.arange(nc)
     img = idx[pi[:, l], pi[:, mu]]
@@ -435,7 +432,9 @@ def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:
     512 rows go depth first, so memory stays depth x block x cells.  A
     complete row x is kept when ||x @ M|| < tol, M_c = K E_c - E_c K with
     its real and imaginary parts side by side, that is when ||KZ - ZK||
-    < tol.  Sorted like enumerate_invariants.
+    < tol.  Sorted like enumerate_invariants.  The walk is kept apart from
+    enumerate_invariants' on purpose, so that the oracle stays independent;
+    tests/brute_reference.py checks it against the plain recursion.
     """
     cells = support_cells(md.spins)
     K, _, tol = _operator(md)
