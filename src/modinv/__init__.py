@@ -1,7 +1,7 @@
 """Fusion rings, modular data, and modular invariant couplings.
 
 Submodules:
-  fusion      fusion rings, quantum dimensions, simple currents
+  fusion      fusion rings, quantum dimensions, cyclic current subgroups
   modular     Omega/Y/S/T construction from exact weights
   catalog     built-in models and branching tables
   commutant   invariant enumeration (echelonized commutant + oracle)
@@ -11,7 +11,7 @@ Submodules:
   cli         command line interface and serialization
 """
 
-from .fusion import FusionRing, SectorLabel, quantum_dimensions, simple_currents, verify_axioms
+from .fusion import FusionRing, quantum_dimensions, simple_currents, verify_axioms
 from .modular import (
     ModelSpec,
     ModularData,

@@ -47,12 +47,13 @@ def su2_model(k: int) -> ModelSpec:
         raise ValueError("level must be a positive integer")
     m = k + 1
     N = fusion_tensor(m)
-    for j1 in range(m):
-        for j2 in range(m):
-            lo = abs(j1 - j2)
-            hi = min(j1 + j2, 2 * k - j1 - j2)
-            for j3 in range(lo, hi + 1, 2):
-                N[j1, j2, j3] = 1
+    # Truncated Clebsch-Gordan: N_{ab}^c = 1 exactly when
+    # |a - b| <= c <= min(a + b, 2k - a - b) and a + b + c is even; one
+    # label a at a time, so no m^3 temporary sits beside N.
+    b, c = np.arange(m)[:, None], np.arange(m)
+    parity = (b + c) % 2
+    for a in range(m):
+        N[a] = (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b)) & (parity == a % 2)
     names = [f"j={j}" for j in range(m)]
     ring = FusionRing(names, N)
     h = [Fraction(j * (j + 2), 4 * k + 8) for j in range(m)]
@@ -230,10 +231,13 @@ def name_family(name: str) -> Tuple[str, Tuple[int, ...]]:
 
 def model_by_name(name: str) -> ModelSpec:
     """Parse 'su2:K', 'zn:N:A', 'sun_currents:N:K', 'so8_1', 'so16_1',
-    and products 'A*B' of these (modular.tensor_product)."""
+    and products 'A*B' of these (modular.tensor_product).  The factors of
+    a product are built left to right, then multiplied from the right."""
     if "*" in name:
-        a, _, b = name.partition("*")
-        return tensor_product(model_by_name(a), model_by_name(b))
+        *rest, spec = [model_by_name(f) for f in name.split("*")]
+        for left in reversed(rest):
+            spec = tensor_product(left, spec)
+        return spec
     family, params = name_family(name)
     if not family:
         raise ValueError(f"unknown model name '{name}'")
@@ -282,10 +286,6 @@ class BranchingTable:
     @property
     def rows(self) -> int:
         return self.b.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.b.shape[1]
 
 
 _SU4_ROWS: List[List[Tuple[int, int, int]]] = [

@@ -97,7 +97,9 @@ def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
 
 def _gram_rows(R: np.ndarray) -> Optional[List[np.ndarray]]:
     """Peel nonnegative integer rows v (first nonzero diag anchored) with
-    sum over rows of outer(v, v) = R.  Deterministic backtracking."""
+    sum over rows of outer(v, v) = R.  Deterministic backtracking on R in
+    place (each row is subtracted, then added back), so one m x m residue
+    lives at any depth, not one per row peeled."""
     m = R.shape[0]
     nodes = [0]
 
@@ -140,7 +142,9 @@ def _gram_rows(R: np.ndarray) -> Optional[List[np.ndarray]]:
             v[j] = 0
 
         for v in build(0, np.zeros(m, dtype=int)):
-            rest = rec(R - np.outer(v, v))
+            R -= np.outer(v, v)
+            rest = rec(R)
+            R += np.outer(v, v)
             if rest is not None:
                 return [v] + rest
         return None
@@ -254,10 +258,8 @@ def find_parents(
 class InvariantReport:
     """Everything the classifier knows about one coupling matrix."""
 
-    Z: np.ndarray
     kind: str
     heterotic: bool
-    vacuum_symmetric: bool
     permutation: Optional[Dict[str, object]]
     simple_current_supported: bool
     branching: Optional[BranchingTable]
@@ -279,10 +281,8 @@ def classify_invariant(
     b = type1_decomposition(Z) if vac else None
     kind = "type I" if b is not None else "type II"
     return InvariantReport(
-        Z=Z,
         kind=kind,
         heterotic=not vac,
-        vacuum_symmetric=vac,
         permutation=perm,
         simple_current_supported=simple_current_test(Z, ring),
         branching=b,

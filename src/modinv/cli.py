@@ -54,8 +54,8 @@ def model_to_json(spec: ModelSpec) -> Dict[str, object]:
     return {
         "name": spec.name,
         "labels": [
-            {"index": i, "name": ring.labels[i].name, "h": str(spec.spins.h[i])}
-            for i in range(ring.size)
+            {"index": i, "name": name, "h": str(spec.spins.h[i])}
+            for i, name in enumerate(ring.names)
         ],
         "fusion": fusion,
         "conjugation": [int(x) for x in ring.conj],
@@ -263,8 +263,8 @@ def cmd_model(args: argparse.Namespace) -> int:
         print(f"degenerate: {md.degenerate_reason}")
     print("labels:")
     d = ring.d
-    for i, lab in enumerate(ring.labels):
-        print(f"  {i:3d}  {lab.name:>10s}  h={str(md.spins.h[i]):>8s}  d={d[i]:.6f}")
+    for i, name in enumerate(ring.names):
+        print(f"  {i:3d}  {name:>10s}  h={str(md.spins.h[i]):>8s}  d={d[i]:.6f}")
     if md.nondegenerate and ring.size <= 8:
         print("S:")
         for row in md.S:

@@ -50,11 +50,11 @@ def rehren_admissible(spec: ModelSpec) -> List[ExtensionRecord]:
     admissibility flag: order times the generator weight is an integer.
 
     The canonical generator of each subgroup is its smallest generating
-    label (`SimpleCurrentGroup.cyclic`); records are sorted by (order,
-    generator).
+    label (`simple_currents` maps each subgroup to it); records are
+    sorted by (order, generator).
     """
     records = []
-    for key, gen in simple_currents(spec.ring).cyclic.items():
+    for key, gen in simple_currents(spec.ring).items():
         h = spec.spins.h[gen]
         records.append(
             ExtensionRecord(

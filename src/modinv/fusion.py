@@ -2,13 +2,14 @@
 
 A fusion ring is given by a finite label set with distinguished vacuum 0,
 a tensor N[lam, mu, nu] = N_{lam mu}^nu of nonnegative integer structure
-constants.  What N alone decides is read off it here, once: the
-conjugation (the vacuum slice) and the simple-current group with its
-cyclic subgroups.  N stays a dense array, but it is read through its
-nonzeros (`FusionRing.nonzeros`, one scan per ring): the current mask,
-the current group, the quantum dimensions and the permutation test cost
-O(nnz) beyond that scan, not a pass over all m^3 entries each, and
-associativity is checked one label slice at a time on them.
+constants; the labels are known by their names, in order.  What N
+alone decides is read off it here, once: the conjugation (the vacuum
+slice) and the cyclic subgroups of the simple-current group.  N stays a
+dense array, but it is read through its nonzeros (`FusionRing.nonzeros`,
+one scan per ring): the current mask, the cyclic subgroups, the quantum
+dimensions and the permutation test cost O(nnz) beyond that scan, not a
+pass over all m^3 entries each, and associativity is checked one label
+slice at a time on them.
 Everything downstream (modular data, invariant enumeration, extensions)
 consumes the interface defined here.
 """
@@ -16,16 +17,12 @@ consumes the interface defined here.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "SectorLabel",
     "FusionRing",
-    "SimpleCurrentGroup",
     "quantum_dimensions",
     "verify_axioms",
     "simple_currents",
@@ -50,19 +47,9 @@ def fusion_tensor(m: int) -> np.ndarray:
     return np.zeros((m, m, m), dtype=int)
 
 
-@dataclass(frozen=True)
-class SectorLabel:
-    """A sector: position in the canonical ordering plus a display name."""
-
-    index: int
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
 class FusionRing:
-    """Fusion ring on labels 0..m-1 with vacuum at position 0.
+    """Fusion ring on labels 0..m-1 with vacuum at position 0; names[i]
+    is the display name of label i.
 
     N has shape (m, m, m) with N[lam, mu, nu] = N_{lam mu}^nu.  conj is
     the conjugation permutation, read off the vacuum slice:
@@ -71,11 +58,9 @@ class FusionRing:
     """
 
     def __init__(self, names: Sequence[str], N: np.ndarray):
-        self.labels: List[SectorLabel] = [
-            SectorLabel(i, str(nm)) for i, nm in enumerate(names)
-        ]
+        self.names: List[str] = [str(nm) for nm in names]
         self.N = np.asarray(N, dtype=int)
-        m = len(self.labels)
+        m = len(self.names)
         if not m:
             raise ValueError("fusion ring has no labels")
         if self.N.shape != (m, m, m):
@@ -90,13 +75,7 @@ class FusionRing:
 
     @property
     def size(self) -> int:
-        return len(self.labels)
-
-    def fusion_matrix(self, lam: int) -> np.ndarray:
-        """(N_lam)_{mu nu} = N_{lam mu}^nu as an integer matrix."""
-        if not 0 <= lam < self.size:
-            raise IndexError(f"label {lam} out of range")
-        return self.N[lam]
+        return len(self.names)
 
     @functools.cached_property
     def d(self) -> np.ndarray:
@@ -263,7 +242,7 @@ def verify_axioms(ring: FusionRing) -> List[str]:
         out.append("conjugation is not an involution")
 
     try:
-        d = quantum_dimensions(ring)
+        d = ring.d
         if np.any(d < 1.0 - DIM_TOL):
             out.append(f"quantum dimension below 1 at {_first_bad(d < 1.0 - DIM_TOL)}")
     except ValueError as exc:
@@ -272,43 +251,18 @@ def verify_axioms(ring: FusionRing) -> List[str]:
     return out
 
 
-@dataclass
-class SimpleCurrentGroup:
-    """Abelian group of simple currents inside a fusion ring.
+def simple_currents(ring: FusionRing) -> Dict[Tuple[int, ...], int]:
+    """The cyclic subgroups of the simple-current group: each subgroup
+    (its labels, ascending) mapped to its smallest generating label.
 
-    elements are ring labels (vacuum first), table[i, j] is the position
-    in `elements` of the product of elements[i] and elements[j], orders
-    the element orders, cyclic maps each cyclic subgroup (its labels,
-    ascending) to its smallest generating label, and cyclic_factors lists
-    (generator label, order) for a decomposition into cyclic subgroups,
-    largest order first.
-    """
-
-    elements: List[int]
-    table: np.ndarray
-    orders: List[int]
-    cyclic: Dict[Tuple[int, ...], int]
-    cyclic_factors: List[Tuple[int, int]]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def simple_currents(ring: FusionRing) -> SimpleCurrentGroup:
-    """Detect the simple currents (`FusionRing.is_current`, exact) and
-    their group structure.
-
-    The currents must close under product and conjugation (a ring not
-    passed through verify_axioms may fail to).  The cyclic decomposition
-    is greedy on element order and is validated by comparing the product
-    of the factor orders with the group order.
+    The currents are `FusionRing.is_current` (exact).  They must close
+    under fusion and conjugation, and the powers of each must reach the
+    vacuum; a ring not passed through verify_axioms may fail any of these.
     """
     (currents,) = np.nonzero(ring.is_current)
-    elems = currents.tolist()
-    n = len(elems)
+    n = len(currents)
 
-    # pos[label] = position in elems, -1 off the currents.  Each current
+    # pos[label] = position among the currents, -1 off them.  Each current
     # row N[g, h] holds one nonzero, at the product label, so the m
     # nonzeros of N[g] are the action of g on the labels, in order of h.
     lam, _, nu, _ = ring.nonzeros
@@ -322,9 +276,9 @@ def simple_currents(ring: FusionRing) -> SimpleCurrentGroup:
         raise ValueError("simple currents do not close under conjugation")
 
     # x = i^k for every current i at once, until each has come back to
-    # the vacuum: row i of powers marks the cyclic subgroup <i>, whose size
-    # is the order of i.  i and j generate the same subgroup when each is
-    # a power of the other; i is its smallest generator when no j < i is.
+    # the vacuum: row i of powers marks the cyclic subgroup <i>.  i and j
+    # generate the same subgroup when each is a power of the other; i is
+    # its smallest generator when no j < i is.
     idx = np.arange(n)
     powers = np.zeros((n, n), dtype=bool)
     x = idx
@@ -335,25 +289,5 @@ def simple_currents(ring: FusionRing) -> SimpleCurrentGroup:
         x = table[x, idx]
     else:
         raise ValueError("simple currents do not form a group")
-    orders = powers.sum(axis=1)
-    smallest = ((powers & powers.T).argmax(axis=1) == idx).nonzero()[0].tolist()
-    cyclic = {tuple(currents[powers[i]].tolist()): elems[i] for i in smallest}
-
-    # Greedy: the first element of largest order whose subgroup meets the
-    # span only in the vacuum generates the next cyclic factor.
-    by_order = np.argsort(-orders, kind="stable")
-    factors: List[Tuple[int, int]] = []
-    span = idx == 0
-    while not span.all():
-        free = (by_order != 0) & ~(powers[by_order, 1:] & span[1:]).any(axis=1)
-        if not free.any():
-            raise ValueError("no cyclic decomposition found for the current group")
-        i = int(by_order[free.argmax()])
-        factors.append((elems[i], int(orders[i])))
-        span[table[np.ix_(np.flatnonzero(span), np.flatnonzero(powers[i]))]] = True
-
-    if math.prod(k for _, k in factors) != n:
-        raise ValueError("cyclic decomposition does not exhaust the group")
-
-    return SimpleCurrentGroup(elements=elems, table=table, orders=orders.tolist(),
-                              cyclic=cyclic, cyclic_factors=factors)
+    smallest = ((powers & powers.T).argmax(axis=1) == idx).nonzero()[0]
+    return {tuple(currents[powers[i]].tolist()): int(currents[i]) for i in smallest}

@@ -120,11 +120,6 @@ class ModularData:
     def name(self) -> str:
         return self.spec.name
 
-    @property
-    def omega(self) -> np.ndarray:
-        """Diagonal of Omega as a vector."""
-        return np.diag(self.Omega)
-
 
 def _omega_y_residual(Omega: np.ndarray, Y: np.ndarray, z: complex) -> float:
     return float(np.linalg.norm(Omega @ Y @ Omega @ Y @ Omega - z * Y))
@@ -234,11 +229,7 @@ def tensor_product(a: ModelSpec, b: ModelSpec) -> ModelSpec:
     m = ma * mb
     N = fusion_tensor(m)
     np.einsum("ikp,jlq->ijklpq", ra.N, rb.N, out=N.reshape(ma, mb, ma, mb, ma, mb))
-    names = [
-        f"({ra.labels[i].name},{rb.labels[j].name})"
-        for i in range(ma)
-        for j in range(mb)
-    ]
+    names = [f"({x},{y})" for x in ra.names for y in rb.names]
     ring = FusionRing(names, N)
     h = [
         a.spins.h[i] + b.spins.h[j]

@@ -105,7 +105,8 @@ def render_loop(Z, names=None, branching=None):
 
 
 def simple_currents_loop(ring):
-    """(elements, table, orders, cyclic_factors), or the ValueError text."""
+    """{cyclic subgroup (labels, ascending): smallest generator}, walking
+    the powers of each current cell by cell, or the ValueError text."""
     d = ring.d
     elems = [i for i in range(ring.size) if abs(d[i] - 1.0) < CURRENT_TOL]
     pos = {g: k for k, g in enumerate(elems)}
@@ -124,53 +125,6 @@ def simple_currents_loop(ring):
     for g in elems:
         if int(ring.conj[g]) not in pos:
             return "simple currents do not close under conjugation"
-
-    def elt_order(i):
-        k, x = 1, i
-        while x != 0:
-            x = int(table[x, i])
-            k += 1
-        return k
-
-    orders = [elt_order(pos[g]) for g in elems]
-    factors = []
-    span = {0}
-    while len(span) < n:
-        best = None
-        for i in range(n):
-            if i in span:
-                continue
-            powers = []
-            x = i
-            while x != 0:
-                powers.append(x)
-                x = int(table[x, i])
-            if any(p in span for p in powers):
-                continue
-            if best is None or len(powers) + 1 > best[1]:
-                best = (i, len(powers) + 1, powers)
-        if best is None:
-            return "no cyclic decomposition found for the current group"
-        i, k, powers = best
-        factors.append((elems[i], k))
-        closure = set(span)
-        for s in span:
-            for p in powers:
-                closure.add(int(table[s, p]))
-        span = closure
-    prod_orders = 1
-    for _, k in factors:
-        prod_orders *= k
-    if prod_orders != n:
-        return "cyclic decomposition does not exhaust the group"
-    return elems, table, orders, factors
-
-
-def rehren_admissible_loop(spec):
-    """[generator, order, elements, h, admissible, ring size] per cyclic
-    current subgroup, by walking the powers of each current."""
-    elems, table, _, _ = simple_currents_loop(spec.ring)
-    pos = {g: i for i, g in enumerate(elems)}
     subgroups = {}
     for g in elems:
         cyc = [0]
@@ -181,8 +135,14 @@ def rehren_admissible_loop(spec):
         key = tuple(sorted(cyc))
         if key not in subgroups or g < subgroups[key]:
             subgroups[key] = g
+    return subgroups
+
+
+def rehren_admissible_loop(spec):
+    """[generator, order, elements, h, admissible, ring size] per cyclic
+    current subgroup, by walking the powers of each current."""
     records = []
-    for key, gen in subgroups.items():
+    for key, gen in simple_currents_loop(spec.ring).items():
         h = spec.spins.h[gen]
         records.append([gen, len(key), list(key), str(h),
                         (len(key) * h).denominator == 1, spec.ring.size])

@@ -168,9 +168,10 @@ def test_branching_table_shapes():
 
 def test_su4_doubled_weights():
     tab = branching_catalog()["su10_to_su4"]
-    doubled = {tab.col_names[i] for i in range(tab.cols) if tab.b[:, i].sum() == 2}
+    cols = tab.b.shape[1]
+    doubled = {tab.col_names[i] for i in range(cols) if tab.b[:, i].sum() == 2}
     assert doubled == {"(0,3,0)", "(3,0,3)", "(1,2,1)", "(2,1,2)"}
-    assert all(tab.b[:, i].sum() == 1 for i in range(tab.cols)
+    assert all(tab.b[:, i].sum() == 1 for i in range(cols)
                if tab.col_names[i] not in doubled)
 
 
@@ -239,6 +240,15 @@ def test_model_by_name_products():
     for bad in ("su2:4*", "*su2:4", "su2:4*su3:1"):
         with pytest.raises(ValueError):
             model_by_name(bad)
+    # Three factors are multiplied from the right.
+    nested = model_by_name("su2:2*zn:3:2*so8_1")
+    ref = tensor_product(su2_model(2), tensor_product(zn_model(3, 2), so8_level1_model()))
+    assert nested.name == ref.name and nested.ring.names == ref.ring.names
+    assert np.array_equal(nested.ring.N, ref.ring.N) and nested.spins.h == ref.spins.h
+    # Every factor is built, left to right, before any product is formed:
+    # a bad tenth factor is named before nine factors exceed the label limit.
+    with pytest.raises(ValueError, match="cannot build model 'zn:4:2'"):
+        model_by_name("zn:2:1*" * 9 + "zn:4:2")
 
 
 def test_catalog_names_cover_families():

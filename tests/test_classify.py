@@ -283,6 +283,20 @@ def test_gram_node_cap(monkeypatch):
         type1_decomposition(d10_matrix())
 
 
+def test_gram_decomposition_keeps_one_residue():
+    # The identity of Z_96 peels 95 rows; a fresh 72 KiB residue per row
+    # would hold 6.7 MiB at the deepest point.
+    classify._type1_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        b = type1_decomposition(np.eye(96, dtype=int))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b is not None and np.array_equal(b.b, np.eye(96, dtype=int))
+    assert peak < 2 ** 20, peak
+
+
 def _parents_by_full_scan(Z, enumerated):
     """The parent search as one loop that decomposes every symmetric P."""
     plus = minus = None

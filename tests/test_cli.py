@@ -659,6 +659,17 @@ def test_cli_product_model_names(capsys):
     assert "divisor invariants" not in out and "admissible orders" not in out
 
 
+def test_cli_long_product_names(capsys):
+    # 1,500 factors of a valid one-label model is one valid model, not a
+    # RecursionError (exit 2); nine zn:2:1 factors stay one refusal line.
+    name = "*".join(["zn:1:0"] * 1500)
+    assert main(["model", "show", name]) == 0
+    assert capsys.readouterr().out.startswith(f"model {name}: 1 sectors, w = 1.000000\n")
+    assert main(["enumerate", "*".join(["zn:2:1"] * 9)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 512 labels exceed the 256-label limit of a dense fusion tensor\n")
+
+
 def test_cli_enumerates_a_product_beyond_the_product_scan(capsys):
     assert main(["enumerate", "su2:8*su2:8"]) == 0
     out = capsys.readouterr().out
@@ -733,6 +744,25 @@ def test_every_command_builds_its_model_once(tmp_path, monkeypatch, capsys):
             calls.clear()
             assert main([*argv, model]) == 0, (argv, model)
             assert calls == ["su2:4"], (argv, model)
+    capsys.readouterr()
+
+
+def test_a_model_file_computes_d_once(tmp_path, monkeypatch, capsys):
+    # The axiom check reads the ring's cached d, which build reads again.
+    from modinv import fusion
+
+    real, calls = fusion.quantum_dimensions, []
+
+    def counting(ring):
+        calls.append(ring.size)
+        return real(ring)
+
+    monkeypatch.setattr(fusion, "quantum_dimensions", counting)
+    path = tmp_path / "su2_4.json"
+    assert main(["model", "show", "su2:4", "--json", str(path)]) == 0
+    calls.clear()
+    assert main(["model", "validate", str(path)]) == 0
+    assert calls == [5]
     capsys.readouterr()
 
 

@@ -28,6 +28,8 @@ from modinv import commutant
 from modinv.catalog import catalog_names, model_by_name, zn_valid_weights
 from modinv.cli import main
 from modinv.commutant import support_cells
+
+from ade_oracle import ade_invariants
 from brute_reference import brute_force_reference
 from product_scan import product_scan_enumerate
 from report_loops import report_models
@@ -851,3 +853,13 @@ def test_frontier_finishes_models_beyond_the_product_scan(name, count, den, seco
     assert elapsed < seconds and peak < megabytes * 2 ** 20, (elapsed, peak)
     if "*" in name:
         assert_symmetric_list(md, invs, [model_by_name(f) for f in name.split("*")])
+
+
+def test_su2_lists_match_the_ade_oracle():
+    # Cappelli-Itzykson-Zuber, written down from k alone: the first check
+    # of su2:16 and su2:28 that does not rest on the commutant search
+    # (brute force refuses both).
+    for k in range(1, 29):
+        got, want = enumerate_invariants(build(su2_model(k))), ade_invariants(k)
+        assert [(Z.dtype, Z.shape, Z.tobytes()) for Z in got] == \
+            [(Z.dtype, Z.shape, Z.tobytes()) for Z in want], k

@@ -29,7 +29,7 @@ def test_injected_identity_violation_is_reported():
     ring = su2_model(6).ring
     N = ring.N.copy()
     N[0, 1, 2] = 1  # identity no longer acts trivially
-    broken = FusionRing([l.name for l in ring.labels], N)
+    broken = FusionRing(ring.names, N)
     report = verify_axioms(broken)
     assert report
     assert any("identity" in line for line in report)
@@ -67,26 +67,33 @@ def test_dimension_residual_tolerance():
         assert resid < 1e-9
 
 
+def su2_loop_slice(k, j1):
+    """N[j1] of su(2)_k by the loop su2_model once filled it with: for each
+    j2, j3 runs from |j1 - j2| to min(j1 + j2, 2k - j1 - j2) in steps of 2
+    (that inner loop written as one strided slice)."""
+    m = k + 1
+    S = np.zeros((m, m), dtype=int)
+    for j2 in range(m):
+        S[j2, abs(j1 - j2):min(j1 + j2, 2 * k - j1 - j2) + 1:2] = 1
+    return S
+
+
 def test_su2_tensor_matches_truncation_rule():
-    for k in (3, 6):
+    # Byte for byte at every level up to the 256-label limit, one label
+    # slice at a time.
+    for k in range(1, 256):
         N = su2_model(k).ring.N
-        for j1 in range(k + 1):
-            for j2 in range(k + 1):
-                for j3 in range(k + 1):
-                    ok = (
-                        abs(j1 - j2) <= j3 <= min(j1 + j2, 2 * k - j1 - j2)
-                        and (j1 + j2 + j3) % 2 == 0
-                    )
-                    assert N[j1, j2, j3] == (1 if ok else 0)
+        assert N.dtype == np.dtype(int) and N.shape == (k + 1,) * 3
+        assert all(N[j].tobytes() == su2_loop_slice(k, j).tobytes() for j in range(k + 1)), k
 
 
 def test_fusion_matrix_of_vacuum_is_identity():
     ring = su2_model(6).ring
-    assert np.array_equal(ring.fusion_matrix(0), np.eye(7, dtype=int))
+    assert np.array_equal(ring.N[0], np.eye(7, dtype=int))
 
 
 def test_fusion_matrix_of_generator_is_path():
-    A = su2_model(6).ring.fusion_matrix(1)
+    A = su2_model(6).ring.N[1]
     expect = np.zeros((7, 7), dtype=int)
     for i in range(6):
         expect[i, i + 1] = expect[i + 1, i] = 1
@@ -94,7 +101,7 @@ def test_fusion_matrix_of_generator_is_path():
 
 
 def test_fusion_matrix_cyclic_shift():
-    A = zn_model(4, 1).ring.fusion_matrix(1)
+    A = zn_model(4, 1).ring.N[1]
     expect = np.zeros((4, 4), dtype=int)
     for j in range(4):
         expect[j, (j + 1) % 4] = 1
@@ -102,49 +109,47 @@ def test_fusion_matrix_cyclic_shift():
 
 
 def test_fusion_matrix_bad_label():
+    # N holds one fusion matrix per label and no more (FusionRing checks
+    # its shape), so a label past the ring is an IndexError.
+    ring = su2_model(4).ring
+    assert ring.N.shape[0] == ring.size == 5
     with pytest.raises(IndexError):
-        su2_model(4).ring.fusion_matrix(9)
+        ring.N[9]
 
 
 def test_simple_currents_su2():
+    # The currents 0 and k: the trivial subgroup and one of order 2.
     for k in (2, 3, 6, 16):
-        g = simple_currents(su2_model(k).ring)
-        assert g.elements == [0, k]
-        assert g.orders == [1, 2]
+        assert simple_currents(su2_model(k).ring) == {(0,): 0, (0, k): k}
 
 
 def test_simple_currents_zn_everything():
     g = simple_currents(zn_model(10, 9).ring)
-    assert g.elements == list(range(10))
-    assert g.order == 10
+    assert sorted(set().union(*g)) == list(range(10))
+    assert g[tuple(range(10))] == 1  # the whole group is cyclic, of order 10
 
 
 def test_simple_currents_so8_klein_four():
+    # Z_2 x Z_2: three subgroups of order 2 and none of order 4.
     g = simple_currents(so8_level1_model().ring)
-    assert g.elements == [0, 1, 2, 3]
-    assert sorted(o for _, o in g.cyclic_factors) == [2, 2]
+    assert g == {(0,): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3}
 
 
 def test_current_group_closure():
     for spec in (su2_model(6), zn_model(12, 5), so8_level1_model()):
         ring = spec.ring
-        g = simple_currents(ring)
-        elems = set(g.elements)
-        for i in g.elements:
-            assert int(ring.conj[i]) in elems
-        for a in range(g.order):
-            for b in range(g.order):
-                assert g.elements[g.table[a, b]] in elems
+        elems = sorted(set().union(*simple_currents(ring)))
+        assert set(ring.conj[elems].tolist()) <= set(elems)
+        products = ring.N[np.ix_(elems, elems)].argmax(axis=2)
+        assert set(products.ravel().tolist()) <= set(elems)
 
 
 def test_simple_currents_match_the_nonzero_loop():
-    # The exact current mask against the float test |d - 1| < CURRENT_TOL.
+    # The exact current mask against the float test |d - 1| < CURRENT_TOL,
+    # and the subgroups against a walk over the powers of each current.
     for name, md, _ in report_models():
-        g, ref = simple_currents(md.ring), simple_currents_loop(md.ring)
-        elems, table, orders, factors = ref
-        assert json.dumps([g.elements, g.orders, g.cyclic_factors]) == json.dumps(
-            [elems, orders, factors]), name
-        assert g.table.dtype == table.dtype and np.array_equal(g.table, table), name
+        got, ref = simple_currents(md.ring), simple_currents_loop(md.ring)
+        assert list(got.items()) == list(ref.items()), name
 
 
 def test_simple_currents_that_do_not_close_are_refused():
@@ -265,6 +270,21 @@ def dense_current_table(N, currents):
     return pos[N.argmax(axis=2)[np.ix_(currents, currents)]]
 
 
+def dense_cyclic_subgroups(table, currents):
+    """{subgroup labels: smallest generator}, walking the powers of each
+    current through the dense table (vacuum first), or the refusal text."""
+    out = {}
+    for i in range(len(currents)):
+        powers, x = [0], i
+        while x != 0:
+            if len(powers) == len(currents):
+                return "simple currents do not form a group"
+            powers.append(x)
+            x = table[x, i]
+        out.setdefault(tuple(sorted(currents[powers].tolist())), int(currents[i]))
+    return out
+
+
 def dense_quantum_dimensions(N):
     """d from M = N.sum(axis=0), or the start of the ValueError text."""
     M = N.sum(axis=0).astype(float)
@@ -344,8 +364,9 @@ def test_nonzero_readers_match_the_dense_definitions(case):
         with pytest.raises(ValueError, match="simple currents do not close under fusion"):
             simple_currents(ring)
     else:
-        got = simple_currents(ring).table
-        assert got.dtype == table.dtype and np.array_equal(got, table)
+        got = outcome(lambda: simple_currents(ring))
+        want = dense_cyclic_subgroups(table, currents)
+        assert got == want and list(got) == list(want)
     got, want = outcome(lambda: quantum_dimensions(ring)), dense_quantum_dimensions(N)
     if isinstance(want, str):
         assert isinstance(got, str) and got.startswith(want)
@@ -368,7 +389,7 @@ def edited_rings(draw):
     for _ in range(draw(st.integers(0, 3))):
         l, mu, nu = (draw(st.integers(lo, m - 1)) for lo in (0, 0, 1))
         N[l, mu, nu] = N[mu, l, nu] = draw(st.integers(-1, 3))
-    return FusionRing([label.name for label in ring.labels], N)
+    return FusionRing(ring.names, N)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
