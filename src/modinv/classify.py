@@ -11,10 +11,11 @@ The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
 those two vectors and on which listed invariants are type I.  Whether a
 matrix is type I is a function of that matrix alone, so its Gram rows
 are memoized per matrix (keyed by its int64 bytes, at most
-TYPE1_MEMO_SIZE entries).  Classifying a list of at most that many
-matrices decomposes each one once; a longer list evicts answers it still
-needs.  Each parent search reads the whole list, so classifying every Z
-of a list costs time quadratic in its length.
+TYPE1_MEMO_SIZE entries).  A matrix whose residue R = Z - z0 z0^T has a
+negative 2 x 2 principal minor is refused before the search, since a sum
+of v v^T has none.  The parent search reads one table per list, from
+vacuum vector to its first type I entry, built once and kept for the
+last list seen; each call still restacks the list to recognise it.
 """
 
 from __future__ import annotations
@@ -163,6 +164,13 @@ def _type1_rows(key: bytes, m: int) -> Optional[np.ndarray]:
     R = Z - np.outer(b0, b0)
     if np.any(R < 0) or np.any(R[0, :]) or np.any(R[:, 0]):
         return None
+    # R = sum v v^T is positive semidefinite, so no 2 x 2 principal minor is
+    # negative: R_lm^2 <= R_ll R_mm.  Entries from 2^31 on are squared as
+    # Python ints, so the products cannot overflow int64.
+    Q = R if R.max() < 2 ** 31 else R.astype(object)
+    diag = np.diagonal(Q)
+    if np.any(Q * Q > np.outer(diag, diag)):
+        return None
     rows = _gram_rows(R)
     if rows is None:
         return None
@@ -227,6 +235,38 @@ def sector_counts(Z: np.ndarray) -> Dict[str, int]:
     }
 
 
+class _StackedList:
+    """An n x m x m int64 list, hashed by its shape and its vacuum columns
+    and rows (O(n m)) and compared in full."""
+
+    def __init__(self, mats: np.ndarray):
+        self.mats = mats
+        self.hash = hash((mats.shape, mats[:, :, 0].tobytes(), mats[:, 0, :].tobytes()))
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other: _StackedList) -> bool:
+        return np.array_equal(self.mats, other.mats)
+
+
+@functools.lru_cache(maxsize=1)
+def _parent_index(stacked: _StackedList) -> Dict[bytes, int]:
+    """Vacuum vector (int64 bytes) -> index of the first type I entry with
+    that vacuum column.  A type I P is symmetric, so P[:, 0] = P[0, :] and
+    the one table serves the plus and the minus parent.  Each
+    vacuum-symmetric entry whose vector has no parent yet is decided once."""
+    mats = stacked.mats
+    m = mats.shape[1]
+    cols = mats[:, :, 0]
+    first: Dict[bytes, int] = {}
+    for i in np.nonzero(np.all(cols == mats[:, 0, :], axis=1))[0].tolist():
+        key = cols[i].tobytes()
+        if key not in first and _type1_rows(mats[i].tobytes(), m) is not None:
+            first[key] = i
+    return first
+
+
 def find_parents(
     Z: np.ndarray, enumerated: Sequence[np.ndarray]
 ) -> Dict[str, Optional[int]]:
@@ -235,23 +275,16 @@ def find_parents(
     The plus parent is a type I invariant whose vacuum column equals the
     vacuum column of Z; the minus parent matches the vacuum row.  Returns
     indices into `enumerated` (first match each), None where no parent
-    exists in the list.  Only vacuum-symmetric entries with a matching
-    vacuum vector are tested, and each test is the memoized type I answer
-    of that one matrix (see TYPE1_MEMO_SIZE for when it is evicted).
+    exists in the list.  Both are read off one table per list, from vacuum
+    vector to its first type I entry, kept for the last list seen; each
+    call restacks the list to find it.
     """
-    Z = np.asarray(Z, dtype=int)
+    Z = np.asarray(Z, dtype=np.int64)
     m = Z.shape[0]
-    mats = np.ascontiguousarray(enumerated, dtype=np.int64).reshape(len(enumerated), m, m)
-    cols, rows = mats[:, :, 0], mats[:, 0, :]
-    sym = np.all(cols == rows, axis=1)
-
-    def first(match: np.ndarray) -> Optional[int]:
-        hits = np.nonzero(sym & match)[0]
-        return next((int(i) for i in hits
-                     if _type1_rows(mats[i].tobytes(), m) is not None), None)
-
-    return {"plus": first(np.all(cols == Z[:, 0], axis=1)),
-            "minus": first(np.all(rows == Z[0], axis=1))}
+    # A fresh copy, so the cached key cannot change under a caller's array.
+    mats = np.array(enumerated, dtype=np.int64).reshape(len(enumerated), m, m)
+    first = _parent_index(_StackedList(mats))
+    return {"plus": first.get(Z[:, 0].tobytes()), "minus": first.get(Z[0].tobytes())}
 
 
 @dataclass

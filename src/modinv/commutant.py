@@ -415,6 +415,7 @@ def enumerate_invariants(
                    .reshape(-1, rows.shape[1]))
 
     search(0, rows[:1])
+    del search  # it refers to itself: a reference cycle until the next gc pass
     # Cells are row-major and Z is 0 off them: this is the flattened order.
     Z = np.concatenate(out)
     return list(_scatter(Z[np.lexsort(Z.T[::-1])], basis.cells, m))
@@ -467,6 +468,7 @@ def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:
             search(i + 1, (N[s:s + chunk, None] + vals).reshape(-1, nc + 1))
 
     search(0, np.zeros((1, nc + 1), dtype=np.int64))
+    del search  # it refers to itself: a reference cycle until the next gc pass
     # Cells are row-major and Z is 0 off them: this is the flattened order.
     Z = np.concatenate(out)
     return list(_scatter(Z[np.lexsort(Z.T[::-1])], cells, m))

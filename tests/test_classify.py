@@ -1,9 +1,13 @@
 """Invariant classification: permutations, type I/II, parents, indices."""
+import hashlib
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modinv import (
     build,
@@ -384,6 +388,127 @@ def test_list_index_does_not_leak_across_lists():
     assert find_parents(zn[0], rev)["plus"] == len(zn) - 1 - 3
     assert find_parents(outside, zn) == {"plus": 3, "minus": 3}
     assert classify_invariant(outside, md_zn, enumerated=zn).kind == "type II"
+
+
+def test_classifying_a_list_builds_its_parent_index_once():
+    # All 144 invariants of sun_currents:8:4 are vacuum-symmetric.  One
+    # index serves every Z, each matrix is decided once, and the calls
+    # stay linear in the list: at most one while building the index and
+    # one from each report, where a search per Z would re-read the list.
+    md = build(model_by_name("sun_currents:8:4"))
+    invs = enumerate_invariants(md)
+    n_sym = sum(vacuum_symmetry(Z) for Z in invs)
+    assert n_sym == len(invs) == 144
+    classify._type1_rows.cache_clear()
+    classify._parent_index.cache_clear()
+    reps = [classify_invariant(Z, md, enumerated=invs) for Z in invs]
+    index = classify._parent_index.cache_info()
+    assert (index.hits, index.misses) == (len(invs) - 1, 1)
+    info = classify._type1_rows.cache_info()
+    assert info.misses == n_sym
+    assert info.hits + info.misses <= 2 * n_sym
+    assert [rep.parents for rep in reps] == [_parents_by_full_scan(Z, invs) for Z in invs]
+
+
+def _type1_rows_unscreened(Z):
+    """_type1_rows without the 2 x 2 minor pre-test before the search."""
+    if not np.array_equal(Z, Z.T):
+        return None
+    b0 = Z[0].copy()
+    R = Z - np.outer(b0, b0)
+    if np.any(R < 0) or np.any(R[0, :]) or np.any(R[:, 0]):
+        return None
+    rows = classify._gram_rows(R)
+    if rows is None:
+        return None
+    rows.sort(key=lambda v: tuple(v), reverse=True)
+    return np.vstack([b0] + rows)
+
+
+def test_gram_pretest_keeps_every_type1_answer():
+    # The pre-test is a proof (R = sum v v^T has no negative 2 x 2 minor),
+    # so on every vacuum-symmetric invariant of the report models the
+    # answer must equal the search's alone.
+    found = rejected = 0
+    for name, md, invs in report_models():
+        for Z in invs:
+            if not vacuum_symmetry(Z):
+                continue
+            Z = np.ascontiguousarray(Z, dtype=np.int64)
+            got = classify._type1_rows(Z.tobytes(), Z.shape[0])
+            want = _type1_rows_unscreened(Z)
+            if want is None:
+                assert got is None, name
+                rejected += 1
+            else:
+                assert got is not None and np.array_equal(got, want), name
+                found += 1
+    assert found > 0 and rejected > 0
+
+
+@st.composite
+def vacuum_tables(draw):
+    """Small nonnegative integer b with b[:, 0] = e_0: a vacuum row with
+    entries up to 3 over at most four 0/1 rows.  Denser rows can send the
+    Gram search itself past GRAM_NODE_CAP."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 4))
+    b = np.zeros((k + 1, m), dtype=np.int64)
+    b[0, 0] = 1
+    for j in range(1, m):
+        b[0, j] = draw(st.integers(0, 3))
+        b[1:, j] = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    return b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(vacuum_tables())
+def test_gram_pretest_never_rejects_a_gram_matrix(b):
+    Z = b.T @ b
+    tab = type1_decomposition(Z)
+    assert tab is not None
+    assert np.array_equal(tab.b.T @ tab.b, Z) and np.array_equal(tab.b[0], b[0])
+
+
+@pytest.mark.parametrize("name, picks", [("su2:10*su2:10", [10]), ("su2:6*su2:10", [4, 6])])
+def test_gram_pretest_rejects_without_a_search(monkeypatch, name, picks):
+    # These are symmetric with R = Z - z0 z0^T >= 0 vanishing on the vacuum,
+    # but R has a negative 2 x 2 minor.  The search alone used 1e7 nodes
+    # on su2:10*su2:10 #10 and raised; with a one-node budget the answer
+    # is still None.
+    invs = enumerate_invariants(build(model_by_name(name)))
+    monkeypatch.setattr(classify, "GRAM_NODE_CAP", 1)
+    classify._type1_rows.cache_clear()
+    for i in picks:
+        assert vacuum_symmetry(invs[i]) and np.array_equal(invs[i], invs[i].T)
+        assert type1_decomposition(invs[i]) is None
+
+
+def test_product_parents_match_full_scan():
+    invs = enumerate_invariants(build(model_by_name("su2:10*su2:10")))
+    assert len(invs) == 27
+    for Z in invs:
+        assert find_parents(Z, invs) == _parents_by_full_scan(Z, invs)
+
+
+# sha256 of every find_parents answer on the report models, su2:8*su2:8 and
+# su2:6*su2:10, recorded with the per-Z search the parent index replaced.
+PARENTS_SHA256 = "058755529042a46e50a7c21cafa2cb2bb901a2fc787e23a08cb46bb11129e662"
+
+
+def parents_digest():
+    models = [(name, invs) for name, _, invs in report_models()]
+    for name in ("su2:8*su2:8", "su2:6*su2:10"):
+        models.append((name, enumerate_invariants(build(model_by_name(name)))))
+    h = hashlib.sha256()
+    for name, invs in models:
+        answers = [find_parents(Z, invs) for Z in invs]
+        h.update(json.dumps([name, [[p["plus"], p["minus"]] for p in answers]]).encode())
+    return h.hexdigest()
+
+
+def test_parents_are_pinned():
+    assert parents_digest() == PARENTS_SHA256
 
 
 def test_report_branching_is_fresh_per_report():

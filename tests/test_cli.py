@@ -1,4 +1,5 @@
 """Command line surface: exit codes, JSON round trips, renderers."""
+import hashlib
 import json
 import math
 import pathlib
@@ -262,6 +263,17 @@ def test_cli_classify(capsys):
     assert f"parents: plus={i_d10}, minus={i_d10}" in out
     assert main(["classify", "so16_1"]) == 0
     assert "heterotic" in capsys.readouterr().out
+
+
+def test_cli_classify_products(capsys):
+    # su2:6*su2:10 prints what the per-Z parent search printed;
+    # su2:10*su2:10 used to raise at the Gram node cap.
+    assert main(["classify", "su2:6*su2:10"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e746302373a4143e6d2582666dc73e48663d0f30fb8cbd853dbf8e58e3b1cd15")
+    assert main(["classify", "su2:10*su2:10"]) == 0
+    assert capsys.readouterr().out.startswith("su2:10*su2:10: 27 invariants\n")
 
 
 def test_cli_graphs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """T-support, commutant basis, and complete invariant enumeration."""
 import dataclasses
+import gc
 import hashlib
 import math
 import time
@@ -213,6 +214,24 @@ def test_enumerated_support_is_exact_on_weights():
     for Z in enumerate_invariants(md):
         for l, mu in np.argwhere(Z != 0):
             assert h[int(l)] == h[int(mu)]  # exact Fraction equality
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # The depth-first searches are closures that call themselves; a call
+    # must not leave them in a cycle for the collector.
+    md = build(model_by_name("sun_currents:12:2"))
+    small = build(su2_model(4))
+    enumerate_invariants(md)
+    brute_force_enumerate(small)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_invariants(md)
+        assert gc.collect() == 0
+        brute_force_enumerate(small)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_is_sorted():
