@@ -11,11 +11,13 @@ The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
 those two vectors and on which listed invariants are type I.  Whether a
 matrix is type I is a function of that matrix alone, so its Gram rows
 are memoized per matrix (keyed by its int64 bytes, at most
-TYPE1_MEMO_SIZE entries).  A matrix whose residue R = Z - z0 z0^T has a
-negative 2 x 2 principal minor is refused before the search, since a sum
-of v v^T has none.  The parent search reads one table per list, from
-vacuum vector to its first type I entry, built once and kept for the
-last list seen; each call still restacks the list to recognise it.
+TYPE1_MEMO_SIZE entries).  The Gram search peels rows off the residue
+R = Z - z0 z0^T in one explicit stack and cuts every residue that has a
+negative entry or 2 x 2 principal minor, since a sum of v v^T has none;
+the first residue is tested before any node.  The parent search reads
+one table per list, from vacuum vector to its first type I entry, built
+once and kept for the last list seen; each call still restacks the list
+to recognise it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,60 +99,56 @@ def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
 
 
 def _gram_rows(R: np.ndarray) -> Optional[List[np.ndarray]]:
-    """Peel nonnegative integer rows v (first nonzero diag anchored) with
-    sum over rows of outer(v, v) = R.  Deterministic backtracking on R in
-    place (each row is subtracted, then added back), so one m x m residue
-    lives at any depth, not one per row peeled."""
+    """Nonnegative integer rows v with sum over rows of outer(v, v) = R, or
+    None.  Depth first with one stack: each residue peels a row v anchored
+    at its first nonzero diagonal entry lam (v[lam] >= 1), the candidates
+    in descending lexicographic order, so the first full solution is
+    canonical.  Each row is subtracted from one m x m residue and added
+    back on backtracking.
+
+    A residue R = sum v v^T is nonnegative with no negative 2 x 2 principal
+    minor, R_lm^2 <= R_ll R_mm, so a residue that fails this has no
+    solution and is cut.  Only the rows in supp v change, so only they are
+    tested after a peel; the whole of R is tested before the first node.
+    Then a row of R is zero when its diagonal is, so lam is the first
+    nonzero row, v is 0 off supp R[lam], and every value up to the bounds
+    v_j^2 <= R_jj and v_i v_j <= R_ij extends to a candidate."""
+    R = np.array(R, dtype=np.int64)
     m = R.shape[0]
-    nodes = [0]
-
-    def rec(R: np.ndarray) -> Optional[List[np.ndarray]]:
-        if not R.any():
-            return []
-        diag = np.diagonal(R)
-        if np.any(diag < 0):
-            return None
-        live = np.nonzero(diag > 0)[0]
-        if len(live) == 0:
-            return None  # off-diagonal residue cannot be covered
-        lam = int(live[0])
-
-        # Build candidate rows v with v[lam] >= 1, entries bounded by the
-        # diagonal and pairwise constraints, generated in descending
-        # lexicographic order so the first full solution is canonical.
-        # R >= 0 and v[lam] >= 1, so a j with R[lam, j] = 0 can only
-        # take the value 0: only the neighbours of lam are searched.
-        idxs = [lam] + [int(j) for j in live if j > lam and R[lam, j] > 0]
-
-        def build(pos: int, v: np.ndarray):
-            nodes[0] += 1
-            if nodes[0] > GRAM_NODE_CAP:
-                raise RuntimeError(
-                    f"Gram decomposition exceeded {GRAM_NODE_CAP:.0e} nodes"
-                )
-            if pos == len(idxs):
-                yield v.copy()
-                return
-            j = idxs[pos]
-            hi = math.isqrt(int(R[j, j]))
-            for prev in idxs[:pos]:
-                if v[prev]:
-                    hi = min(hi, int(R[prev, j]) // int(v[prev]))
-            lo = 1 if j == lam else 0
-            for val in range(hi, lo - 1, -1):
-                v[j] = val
-                yield from build(pos + 1, v)
-            v[j] = 0
-
-        for v in build(0, np.zeros(m, dtype=int)):
-            R -= np.outer(v, v)
-            rest = rec(R)
-            R += np.outer(v, v)
-            if rest is not None:
-                return [v] + rest
-        return None
-
-    return rec(R)
+    # Residue entries only fall, so squares from 2^31 on, which need Python
+    # ints, are ruled out or in once.
+    dtype = np.int64 if R.max() < 2 ** 31 else object
+    stack: List[Tuple[np.ndarray, np.ndarray]] = []
+    nodes, s = 0, np.arange(m)
+    while True:
+        Q, diag = R[s].astype(dtype), np.diagonal(R).astype(dtype)
+        if (Q >= 0).all() and (Q * Q <= np.outer(diag[s], diag)).all():
+            if not R.any():
+                return [v for _, v in stack]
+            idxs = np.flatnonzero(R[np.flatnonzero(diag)[0]])
+            v, p = np.zeros(m, dtype=np.int64), 0
+        else:
+            # Back to the last row with a position above its least value
+            # (1 at lam, 0 elsewhere): lower it and refill the rest.
+            while stack:
+                idxs, v = stack.pop()
+                R += np.outer(v, v)
+                above = np.flatnonzero(v[idxs] > (idxs == idxs[0]))
+                if above.size:
+                    break
+            else:
+                return None
+            p = int(above[-1]) + 1
+            v[idxs[p - 1]] -= 1
+        nodes += len(idxs) - p
+        if nodes > GRAM_NODE_CAP:
+            raise RuntimeError(f"Gram decomposition exceeded {GRAM_NODE_CAP:.0e} nodes")
+        for q in range(p, len(idxs)):
+            j, prev = idxs[q], idxs[:q][v[idxs[:q]] > 0]
+            v[j] = min([math.isqrt(int(R[j, j]))] + (R[prev, j] // v[prev]).tolist())
+        R -= np.outer(v, v)
+        stack.append((idxs, v))
+        s = np.flatnonzero(v)
 
 
 @functools.lru_cache(maxsize=TYPE1_MEMO_SIZE)
@@ -162,14 +160,7 @@ def _type1_rows(key: bytes, m: int) -> Optional[np.ndarray]:
         return None
     b0 = Z[0].copy()
     R = Z - np.outer(b0, b0)
-    if np.any(R < 0) or np.any(R[0, :]) or np.any(R[:, 0]):
-        return None
-    # R = sum v v^T is positive semidefinite, so no 2 x 2 principal minor is
-    # negative: R_lm^2 <= R_ll R_mm.  Entries from 2^31 on are squared as
-    # Python ints, so the products cannot overflow int64.
-    Q = R if R.max() < 2 ** 31 else R.astype(object)
-    diag = np.diagonal(Q)
-    if np.any(Q * Q > np.outer(diag, diag)):
+    if np.any(R[0]):
         return None
     rows = _gram_rows(R)
     if rows is None:

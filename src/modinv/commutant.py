@@ -13,8 +13,9 @@ first over the pivot values, with bounds Z_{lm} <= d_l d_m and sum Z <= w.
 The echelon basis is rationalized by a whole-array snap to n/q, q <= 12
 (values it leaves open keep the exact two-cap decision), and rechecked
 against Y once; a basis failing either is refused with RuntimeError.
-The search then works in int64 on the exact rows num / den: a partial
-sum is cut once the open pivots cannot bring a cell or the row sum into
+The search, _frontier, works in int64 on the exact rows num / den, one
+explicit stack of blocks of at most FRONTIER_BLOCK rows: a partial sum
+is cut once the open pivots cannot bring a cell or the row sum into
 range, and a complete one is decided by range, integrality and sum <= w.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +45,8 @@ EXACT_TOL = 1e-8
 FINAL_TOL = 1e-7
 MAX_DEN = 10 ** 6
 NODE_CAP = 10 ** 8
+# Rows of one frontier block: each pivot extends at most this many at once.
+FRONTIER_BLOCK = 512
 BRUTE_NODE_CAP = 10 ** 7
 INT64_MAX = int(np.iinfo(np.int64).max)
 # Galois actions are read for ord(Omega) <= 2^31: trial division then takes
@@ -347,6 +350,31 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     return CommutantBasis(kind, cells, pivot_cells, num, residual, den)
 
 
+def _frontier(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              b: np.ndarray) -> Iterator[np.ndarray]:
+    """Depth first over the pivot values a_0 = 1 (b_0 = 1), 0 <= a_i <= b_i:
+    the row sum_i a_i rows[i] is cut once pivots 0..i are fixed unless
+    lo[i] <= it <= hi[i].  Yields, block by block, the complete rows that
+    pass the last cut.  A block is extended by its pivot, to at most
+    FRONTIER_BLOCK rows, only when it is popped, so memory stays depth x
+    block.  More than NODE_CAP extended rows raise."""
+    width = rows.shape[1]
+    stack, expanded = [(0, np.zeros((1, width), dtype=np.int64))], 0
+    while stack:
+        i, N = stack.pop()
+        N = (N[:, None] + np.arange(i == 0, b[i] + 1)[:, None] * rows[i]).reshape(-1, width)
+        N = N[((lo[i] <= N) & (N <= hi[i])).all(axis=1)]
+        if i + 1 == len(b):
+            yield N
+            continue
+        expanded += len(N) * (b[i + 1] + 1)
+        if expanded > NODE_CAP:
+            raise RuntimeError(f"frontier search exceeds {NODE_CAP:.0e} rows")
+        step = max(1, FRONTIER_BLOCK // (b[i + 1] + 1))
+        # Reversed, so the first block is popped first.
+        stack += [(i + 1, N[s:s + step]) for s in range(0, len(N), step)][::-1]
+
+
 def enumerate_invariants(
     md: ModularData, basis: Optional[CommutantBasis] = None
 ) -> List[np.ndarray]:
@@ -392,32 +420,11 @@ def enumerate_invariants(
     down = b[:, None] * np.minimum(rows, 0)
     lo = up - np.cumsum(up[::-1], axis=0)[::-1]
     hi = np.append(bound, w_max) * den + down - np.cumsum(down[::-1], axis=0)[::-1]
-    out = [np.zeros((0, len(basis.cells)), dtype=np.int64)]
-    expanded = 0
-
-    def search(i: int, N: np.ndarray) -> None:
-        # Depth first: cut the rows N (pivots 0..i fixed), then extend the
-        # survivors by pivot i + 1 in blocks of at most 4096 rows.
-        nonlocal expanded
-        N = N[((lo[i] <= N) & (N <= hi[i])).all(axis=1)]
-        if i == r - 1:
-            Zi, rem = np.divmod(N[:, :-1], den)
-            out.append(Zi[~rem.any(axis=1)])
-            return
-        vals = np.arange(b[i + 1] + 1)[:, None]
-        step = max(1, 4096 // len(vals))
-        for s in range(0, len(N), step):
-            expanded += min(step, len(N) - s) * len(vals)
-            if expanded > NODE_CAP:
-                raise RuntimeError(f"frontier search exceeds {NODE_CAP:.0e} rows")
-            # Unnamed, so the block is freed as soon as the callee cuts it.
-            search(i + 1, (N[s:s + step, None] + vals * rows[i + 1])
-                   .reshape(-1, rows.shape[1]))
-
-    search(0, rows[:1])
-    del search  # it refers to itself: a reference cycle until the next gc pass
+    # A complete row is an invariant when den divides it on every cell.
+    out = [N[(N[:, :-1] % den == 0).all(axis=1), :-1] // den
+           for N in _frontier(rows, lo, hi, b)]
     # Cells are row-major and Z is 0 off them: this is the flattened order.
-    Z = np.concatenate(out)
+    Z = np.concatenate([np.zeros((0, len(basis.cells)), dtype=np.int64)] + out)
     return list(_scatter(Z[np.lexsort(Z.T[::-1])], basis.cells, m))
 
 

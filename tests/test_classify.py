@@ -1,4 +1,5 @@
 """Invariant classification: permutations, type I/II, parents, indices."""
+import gc
 import hashlib
 import json
 import math
@@ -301,6 +302,43 @@ def test_gram_decomposition_keeps_one_residue():
     assert peak < 2 ** 20, peak
 
 
+def test_gram_decomposition_leaves_no_reference_cycle():
+    # The peel is one module-level loop, so a cold decision leaves nothing
+    # for the cyclic collector.
+    classify._type1_rows.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        assert type1_decomposition(d10_matrix()) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_gram_peel_cuts_every_residue(monkeypatch):
+    # The search without a cut inside it tried the largest first rows and
+    # took over 10 s to find these rows, recorded from it.  Each residue
+    # that fails the 2 x 2 minor test is now cut at once.
+    b = np.array([[1, 0, 2, 0], [0, 2, 2, 2], [0, 1, 2, 2], [0, 2, 2, 1]])
+    monkeypatch.setattr(classify, "GRAM_NODE_CAP", 10 ** 3)
+    classify._type1_rows.cache_clear()
+    tab = type1_decomposition(b.T @ b)
+    assert tab is not None
+    assert tab.b.tolist() == [[1, 0, 2, 0], [0, 2, 2, 2], [0, 2, 2, 1], [0, 1, 2, 2]]
+
+
+def test_gram_minor_test_squares_large_entries_exactly(monkeypatch):
+    # Squares of entries from 2^31 on leave int64: (2^32)^2 wraps to 0,
+    # which would pass 0 <= 3 * 2^40.  The test is exact, so this residue
+    # is refused before the first node, and a large type I Z still splits.
+    monkeypatch.setattr(classify, "GRAM_NODE_CAP", 1)
+    classify._type1_rows.cache_clear()
+    x = 2 ** 32
+    assert type1_decomposition(np.array([[1, 0, 0], [0, 3, x], [0, x, 2 ** 40]])) is None
+    big = 3 * 10 ** 9
+    assert type1_decomposition(np.diag([1, big * big])).b.tolist() == [[1, 0], [0, big]]
+
+
 def _parents_by_full_scan(Z, enumerated):
     """The parent search as one loop that decomposes every symmetric P."""
     plus = minus = None
@@ -411,14 +449,15 @@ def test_classifying_a_list_builds_its_parent_index_once():
 
 
 def _type1_rows_unscreened(Z):
-    """_type1_rows without the 2 x 2 minor pre-test before the search."""
+    """_type1_rows with the Gram search before pruning, which applies no
+    2 x 2 minor test to any residue."""
     if not np.array_equal(Z, Z.T):
         return None
     b0 = Z[0].copy()
     R = Z - np.outer(b0, b0)
     if np.any(R < 0) or np.any(R[0, :]) or np.any(R[:, 0]):
         return None
-    rows = classify._gram_rows(R)
+    rows = _gram_rows_unpruned(R, 10 ** 7)
     if rows is None:
         return None
     rows.sort(key=lambda v: tuple(v), reverse=True)
@@ -426,9 +465,9 @@ def _type1_rows_unscreened(Z):
 
 
 def test_gram_pretest_keeps_every_type1_answer():
-    # The pre-test is a proof (R = sum v v^T has no negative 2 x 2 minor),
-    # so on every vacuum-symmetric invariant of the report models the
-    # answer must equal the search's alone.
+    # The 2 x 2 minor test is a proof (R = sum v v^T has no negative 2 x 2
+    # minor), so on every vacuum-symmetric invariant of the report models
+    # the answer must equal that of the search without it.
     found = rejected = 0
     for name, md, invs in report_models():
         for Z in invs:
@@ -449,15 +488,16 @@ def test_gram_pretest_keeps_every_type1_answer():
 @st.composite
 def vacuum_tables(draw):
     """Small nonnegative integer b with b[:, 0] = e_0: a vacuum row with
-    entries up to 3 over at most four 0/1 rows.  Denser rows can send the
-    Gram search itself past GRAM_NODE_CAP."""
+    entries up to 3 over at most four rows with entries up to 2.  Denser
+    tables, entries up to 3 over six rows, can still take the Gram search
+    past 10^5 nodes."""
     m = draw(st.integers(1, 5))
     k = draw(st.integers(0, 4))
     b = np.zeros((k + 1, m), dtype=np.int64)
     b[0, 0] = 1
     for j in range(1, m):
         b[0, j] = draw(st.integers(0, 3))
-        b[1:, j] = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        b[1:, j] = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
     return b
 
 

@@ -104,3 +104,38 @@ def test_every_public_member_has_a_caller():
                            if isinstance(item, ast.FunctionDef)
                            and not item.name.startswith("_") and item.name not in read]
     assert unread == []
+
+
+# Functions nested in a src/ function that call themselves, kept on purpose.
+SELF_REFERENCING = {
+    "commutant.py:brute_force_enumerate.search":
+        "the oracle keeps its own walk, apart from the frontier it checks",
+}
+
+
+def self_referencing_closures(path):
+    """Functions nested in a function of `path` whose body names the
+    function itself, as "file:outer.inner".  Such a closure sits in a
+    reference cycle, freed only by the cyclic garbage collector."""
+    found = []
+    stack = [(ast.parse(path.read_text()), "", False)]
+    while stack:
+        node, qual, in_function = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, qual, in_function))
+                continue
+            name = f"{qual}.{child.name}" if qual else child.name
+            is_function = not isinstance(child, ast.ClassDef)
+            if in_function and is_function and any(
+                    isinstance(n, ast.Name) and n.id == child.name for n in ast.walk(child)):
+                found.append(f"{path.name}:{name}")
+            stack.append((child, name, in_function or is_function))
+    return found
+
+
+def test_no_nested_function_refers_to_itself():
+    # A search is a module-level function with explicit inputs, not a
+    # closure that calls itself.
+    found = [c for f in sorted(SRC.glob("*.py")) for c in self_referencing_closures(f)]
+    assert sorted(found) == sorted(SELF_REFERENCING)
