@@ -460,22 +460,18 @@ def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:
     unit = np.eye(nc, nc + 1, dtype=np.int64)
     unit[:, -1] = 1
     out = [np.zeros((0, nc), dtype=np.int64)]
-
-    def search(i: int, N: np.ndarray) -> None:
-        # Rows with cells 0..i-1 set: cut those whose sum exceeds w.
+    # Each entry holds rows with cells 0..i-1 set; cell i is set when popped.
+    stack = [(0, np.zeros((1, nc + 1), dtype=np.int64))]
+    while stack:
+        i, N = stack.pop()
+        N = (N[:, None] + np.arange(i == 0, bound[i] + 1)[:, None] * unit[i]).reshape(-1, nc + 1)
         N = N[N[:, -1] <= md.w + 1e-6]
-        if i == nc:
+        if i + 1 == nc:
             x = N[:, :-1]
             out.append(x[np.linalg.norm(x @ M, axis=1) < tol])
-            return
-        vals = np.arange(i == 0, bound[i] + 1)[:, None] * unit[i]
-        chunk = max(1, 512 // len(vals))
-        for s in range(0, len(N), chunk):
-            # Unnamed, so the block is freed as soon as the callee cuts it.
-            search(i + 1, (N[s:s + chunk, None] + vals).reshape(-1, nc + 1))
-
-    search(0, np.zeros((1, nc + 1), dtype=np.int64))
-    del search  # it refers to itself: a reference cycle until the next gc pass
+            continue
+        chunk = max(1, 512 // (bound[i + 1] + 1))
+        stack += [(i + 1, N[s:s + chunk]) for s in range(0, len(N), chunk)]
     # Cells are row-major and Z is 0 off them: this is the flattened order.
     Z = np.concatenate(out)
     return list(_scatter(Z[np.lexsort(Z.T[::-1])], cells, m))

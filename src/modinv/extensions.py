@@ -4,7 +4,7 @@ Covers: which cyclic current subgroups admit a modular invariant
 (integral m h_sigma), the explicit Z_n invariant attached to a divisor
 of n-tilde, the chiral locality criterion for su(n)_k current charges,
 restriction of extended invariants through a branching table, and the
-dual-vacuum vectors (theta) on either level.
+dual-vacuum vector (theta) of a current extension.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -173,31 +173,13 @@ def so8_restriction_sweep() -> Dict[str, object]:
     return {"matrix": base, "count": len(invs), "table": table}
 
 
-def theta_vector(
-    obj: Union[ExtensionRecord, BranchingTable],
-    theta_ext: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Dual-vacuum multiplicities.
-
-    For an ExtensionRecord: the indicator vector of the subgroup inside
-    its own ring.  For a BranchingTable: n_lam = sum_tau theta_tau
-    b_{tau lam}; theta_ext defaults to the extended vacuum only.
-    """
-    if isinstance(obj, ExtensionRecord):
-        v = np.zeros(obj.ring_size, dtype=int)
-        for g in obj.elements:
-            v[g] = 1
-        return v
-    if isinstance(obj, BranchingTable):
-        if theta_ext is None:
-            th = np.zeros(obj.rows, dtype=int)
-            th[0] = 1
-        else:
-            th = np.asarray(theta_ext, dtype=int)
-            if th.shape != (obj.rows,):
-                raise ValueError("theta_ext length does not match the table")
-        return th @ obj.b
-    raise TypeError("theta_vector expects an ExtensionRecord or a BranchingTable")
+def theta_vector(rec: ExtensionRecord) -> np.ndarray:
+    """Dual-vacuum multiplicities of an extension: the indicator vector
+    of the current subgroup inside its own ring."""
+    v = np.zeros(rec.ring_size, dtype=int)
+    for g in rec.elements:
+        v[g] = 1
+    return v
 
 
 def sun_divisor_table(n: int, k: int) -> Dict[str, object]:

@@ -153,9 +153,9 @@ def quantum_dimensions(ring: FusionRing) -> np.ndarray:
     return d
 
 
-def _first_bad(mask: np.ndarray, limit: int = 3) -> List[Tuple[int, ...]]:
+def _first_bad(mask: np.ndarray) -> List[Tuple[int, ...]]:
     idx = np.argwhere(mask)
-    return [tuple(int(x) for x in row) for row in idx[:limit]]
+    return [tuple(int(x) for x in row) for row in idx[:3]]
 
 
 def _spans(ptr: np.ndarray, groups: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -166,8 +166,8 @@ def _spans(ptr: np.ndarray, groups: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return which, np.arange(cnt.sum()) + np.repeat(ptr[groups] - (np.cumsum(cnt) - cnt), cnt)
 
 
-def _associativity_failures(ring: FusionRing, limit: int = 3) -> List[Tuple[int, ...]]:
-    """The first `limit` (l, m, n, r), in C order, with
+def _associativity_failures(ring: FusionRing) -> List[Tuple[int, ...]]:
+    """The first three (l, m, n, r), in C order, with
     sum_s N_{lm}^s N_{sn}^r != sum_s N_{mn}^s N_{ls}^r.
 
     One label l at a time, on the nonzeros: the left side pairs each
@@ -200,8 +200,8 @@ def _associativity_failures(ring: FusionRing, limit: int = 3) -> List[Tuple[int,
         bad = np.unique(cells[net[cells] != 0]) if len(batches) == 1 else np.flatnonzero(net)
         net[bad] = 0
         out += [(l, *map(int, np.unravel_index(c, (m, m, m))))
-                for c in bad[:limit - len(out)]]
-        if len(out) == limit:
+                for c in bad[:3 - len(out)]]
+        if len(out) == 3:
             break
     return out
 

@@ -1,9 +1,12 @@
-"""Fusion graphs: A-D-E and tadpole catalog, su(2) nimreps, spectral
-assignment, and the tadpole exclusion at odd level.
+"""Fusion graphs: A-D-E and tadpole catalog, su(2) nimreps, assignment
+by exponents, and the tadpole exclusion at odd level.
 
 A nimrep assigns to every label a nonnegative integer matrix so that
 the assignment reproduces the fusion rules; for su(2) the whole tower
-is generated from the graph adjacency by the Chebyshev recursion.
+is generated from the graph adjacency by the Chebyshev recursion.  Its
+exponents, how often each character of the fusion ring occurs in it,
+follow from the traces of the tower by character orthogonality; a graph
+fits an invariant Z when they are the diagonal of Z.
 """
 
 from __future__ import annotations
@@ -65,41 +68,28 @@ class Graph:
 def graph_catalog(family: str, n: int) -> Graph:
     """Dynkin-type graphs: A_n, D_n (n >= 4), E_6/E_7/E_8, tadpole T_n.
 
-    T_n is the path on n vertices with a loop attached at the last one;
-    the D series starts at D_4 (D_3 coincides with A_3 and is not
-    listed separately).
+    Each is the path A_n on n vertices plus one family extra: D_n and
+    E_n hang the last vertex off vertex n-3 or vertex 2 in place of
+    vertex n-2, and T_n puts a loop at the last vertex.  The D series
+    starts at D_4 (D_3 coincides with A_3 and is not listed separately).
     """
     family = family.upper()
-    if family == "A":
-        if n < 1:
-            raise ValueError("A_n needs n >= 1")
-        A = np.zeros((n, n), dtype=int)
-        for i in range(n - 1):
-            A[i, i + 1] = A[i + 1, i] = 1
-    elif family == "D":
-        if n < 4:
-            raise ValueError("D_n needs n >= 4")
-        A = np.zeros((n, n), dtype=int)
-        for i in range(n - 3):
-            A[i, i + 1] = A[i + 1, i] = 1
-        A[n - 3, n - 2] = A[n - 2, n - 3] = 1
-        A[n - 3, n - 1] = A[n - 1, n - 3] = 1
-    elif family == "E":
+    if family == "E":
         if n not in (6, 7, 8):
             raise ValueError("E_n needs n in {6, 7, 8}")
-        A = np.zeros((n, n), dtype=int)
-        for i in range(n - 2):
-            A[i, i + 1] = A[i + 1, i] = 1
-        A[2, n - 1] = A[n - 1, 2] = 1
-    elif family == "T":
-        if n < 1:
-            raise ValueError("T_n needs n >= 1")
-        A = np.zeros((n, n), dtype=int)
-        for i in range(n - 1):
-            A[i, i + 1] = A[i + 1, i] = 1
-        A[n - 1, n - 1] = 1
+    elif family in ("A", "D", "T"):
+        least = 4 if family == "D" else 1
+        if n < least:
+            raise ValueError(f"{family}_n needs n >= {least}")
     else:
         raise ValueError(f"unknown graph family '{family}'")
+    A = np.eye(n, k=1, dtype=int) + np.eye(n, k=-1, dtype=int)
+    if family in ("D", "E"):
+        j = n - 3 if family == "D" else 2
+        A[n - 2, n - 1] = A[n - 1, n - 2] = 0
+        A[j, n - 1] = A[n - 1, j] = 1
+    elif family == "T":
+        A[n - 1, n - 1] = 1
     return Graph(A, [str(i) for i in range(n)], name=f"{family}{n}")
 
 
@@ -127,22 +117,16 @@ def su2_nimrep_from_graph(k: int, graph: Graph) -> Optional[List[np.ndarray]]:
     return mats
 
 
-def _sorted_eigs(M: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvals(M.astype(complex))
-    order = np.lexsort((np.round(vals.imag, 8), np.round(vals.real, 8)))
-    return vals[order]
-
-
 def spectrum_match(
-    mats: Sequence[np.ndarray],
-    S: np.ndarray,
-    Z: np.ndarray,
-    labels: Optional[Sequence[int]] = None,
+    mats: Sequence[np.ndarray], S: np.ndarray, Z: np.ndarray
 ) -> Tuple[bool, Dict[str, object]]:
-    """Eigenvalues of each G_lam must be {S_{lam rho}/S_{0 rho}} with
-    multiplicities Z_{rho rho}; graph size must equal tr Z.
+    """Does the nimrep mats (mats[lam] = G_lam, one per label) have
+    exponents diag Z?  The graph size must equal tr Z, and the character
+    rho must occur Z_{rho rho} times.
 
-    mats[i] is checked against label labels[i] (default: label i).
+    Characters are orthogonal (S is unitary), so character rho occurs
+    m_rho = S_{0 rho} sum_lam conj(S_{lam rho}) tr G_lam times; that is,
+    G_lam has eigenvalue S_{lam rho}/S_{0 rho} with multiplicity m_rho.
     """
     Z = np.asarray(Z)
     n = mats[0].shape[0]
@@ -151,26 +135,16 @@ def spectrum_match(
     if n != trace:
         info["reason"] = "vertex count differs from tr Z"
         return False, info
-    m = S.shape[0]
-    diag = [int(Z[r, r]) for r in range(m)]
-    if labels is None:
-        labels = list(range(len(mats)))
-    for mat, lam in zip(mats, labels):
-        expect = []
-        for rho in range(m):
-            expect.extend([S[lam, rho] / S[0, rho]] * diag[rho])
-        expect = np.asarray(expect, dtype=complex)
-        order = np.lexsort((np.round(expect.imag, 8), np.round(expect.real, 8)))
-        expect = expect[order]
-        got = _sorted_eigs(mat)
-        if len(got) != len(expect) or np.max(np.abs(got - expect)) > PF_TOL:
-            info["reason"] = f"spectrum mismatch at label {lam}"
-            return False, info
+    mult = S[0] * (np.einsum("lii->l", np.asarray(mats)) @ S.conj())
+    bad = np.flatnonzero(np.abs(mult - np.diagonal(Z)) > PF_TOL)
+    if len(bad):
+        info["reason"] = f"spectrum mismatch at label {bad[0]}"
+        return False, info
     return True, info
 
 
 def ade_assignment(md: ModularData, Z: np.ndarray) -> List[Graph]:
-    """Graphs in the catalog whose nimrep spectrum matches diag Z.
+    """Graphs in the catalog whose nimrep has exponents diag Z.
 
     Scans A_{k+1}, D_{(k+4)/2} for even k >= 4, the three E graphs at
     their levels, and T_{(k+1)/2} for odd k.
@@ -194,9 +168,7 @@ def ade_assignment(md: ModularData, Z: np.ndarray) -> List[Graph]:
         mats = su2_nimrep_from_graph(k, g)
         if mats is None:
             continue
-        # G_j = U_j(A) and S_{j rho}/S_{0 rho} = U_j(S_{1 rho}/S_{0 rho}), so
-        # by spectral mapping the spectrum of A = G_1 decides every label.
-        ok, _ = spectrum_match(mats[1:2], md.S, Z, labels=[1])
+        ok, _ = spectrum_match(mats, md.S, Z)
         if ok:
             out.append(g)
     return out

@@ -180,15 +180,3 @@ def test_theta_vectors():
     recs = rehren_admissible(su2_model(6))
     v = theta_vector(recs[1])
     assert v.tolist() == [1, 0, 0, 0, 0, 0, 1]
-    tab = branching_catalog()["su10_to_su4"]
-    assert np.array_equal(theta_vector(tab), tab.b[0])
-    th = [1 if t % 2 == 0 else 0 for t in range(10)]
-    nvec = theta_vector(tab, th)
-    assert nvec.sum() == 16
-    assert int((nvec > 0).sum()) == 14
-    doubled = {tab.col_names[i] for i in np.nonzero(nvec == 2)[0]}
-    assert doubled == {"(3,0,3)", "(1,2,1)"}
-    with pytest.raises(ValueError):
-        theta_vector(tab, [1, 0])
-    with pytest.raises(TypeError):
-        theta_vector("nonsense")

@@ -12,6 +12,7 @@ from modinv import (
     build,
     enumerate_invariants,
     graph_catalog,
+    model_by_name,
     su2_model,
     sun_current_model,
 )
@@ -23,7 +24,6 @@ from modinv.graphs import (
     tadpole_exclusion,
 )
 
-from report_loops import report_models
 from test_commutant import d5_matrix, e7_matrix
 
 
@@ -196,26 +196,99 @@ def test_ade_assignment_k6():
     assert [g.name for g in ade_assignment(md, d5_matrix())] == ["D5"]
 
 
+def eigenvalue_match(mats, S, Z):
+    """Reference for spectrum_match: the eigenvalues of every G_lam,
+    sorted, are {S_{lam rho}/S_{0 rho}} with multiplicity Z_{rho rho},
+    within PF_TOL, and the graph size is tr Z."""
+    diag = np.diagonal(Z)
+    if mats[0].shape[0] != diag.sum():
+        return False
+
+    def ordered(vals):
+        return vals[np.lexsort((np.round(vals.imag, 8), np.round(vals.real, 8)))]
+
+    for lam, G in enumerate(mats):
+        expect = ordered(np.repeat(S[lam] / S[0], diag).astype(complex))
+        got = ordered(np.linalg.eigvals(G.astype(complex)))
+        if np.max(np.abs(got - expect)) > graphs.PF_TOL:
+            return False
+    return True
+
+
+def eigenvalue_multiplicities(mats, S):
+    """How often G_1 has the eigenvalue S_{1 rho}/S_{0 rho}, for each rho;
+    these values are distinct for su(2)."""
+    vals = np.linalg.eigvalsh(mats[1].astype(float))
+    return np.array([int(np.sum(np.abs(vals - S[1, r].real / S[0, r].real) < graphs.PF_TOL))
+                     for r in range(S.shape[0])])
+
+
+@functools.lru_cache(maxsize=None)
+def su2_catalog():
+    """{k: (modular data, invariants)} of the catalog models su2:1..28."""
+    out = {}
+    for k in range(1, 29):
+        md = build(model_by_name(f"su2:{k}"))
+        out[k] = (md, enumerate_invariants(md))
+    assert sum(len(invs) for _, invs in out.values()) == 44
+    return out
+
+
+def catalog_towers(k):
+    """(name, su(2)_k tower) of every graph in CATALOG_GRAPHS that has one."""
+    return [(g.name, mats) for g in CATALOG_GRAPHS
+            if (mats := su2_nimrep_from_graph(k, g)) is not None]
+
+
+def test_spectrum_match_agrees_with_the_eigenvalue_reference():
+    # Every catalog tower at k <= 28 against every su2 catalog invariant.
+    # Here the vertex count alone sorts out the pairs that fail; the
+    # off-by-one test below reaches the exponents.
+    pairs, same_size, matches = 0, 0, 0
+    for k, (md, invs) in su2_catalog().items():
+        for name, mats in catalog_towers(k):
+            for Z in invs:
+                ok = spectrum_match(mats, md.S, Z)[0]
+                assert ok == eigenvalue_match(mats, md.S, Z), (k, name, Z)
+                pairs += 1
+                same_size += len(mats[0]) == np.trace(Z)
+                matches += ok
+    assert (pairs, same_size, matches) == (96, 44, 44)
+
+
+def test_spectrum_match_names_the_first_label_off_by_one():
+    # Z = diag of the eigenvalue multiplicities passes, even with PF_TOL
+    # at 1e-12; moving one unit from label sigma to label rho keeps tr Z
+    # and fails at min(rho, sigma).
+    for k, (md, _) in su2_catalog().items():
+        for name, mats in catalog_towers(k):
+            mult = eigenvalue_multiplicities(mats, md.S)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graphs, "PF_TOL", 1e-12)
+                assert spectrum_match(mats, md.S, np.diag(mult))[0], (k, name)
+            assert eigenvalue_match(mats, md.S, np.diag(mult)), (k, name)
+            for rho in range(k + 1):
+                sigma = next((s for s in np.flatnonzero(mult) if s != rho), None)
+                if sigma is None:
+                    continue
+                moved = mult.copy()
+                moved[rho] += 1
+                moved[sigma] -= 1
+                ok, info = spectrum_match(mats, md.S, np.diag(moved))
+                assert not ok and not eigenvalue_match(mats, md.S, np.diag(moved))
+                assert info["reason"] == f"spectrum mismatch at label {min(rho, sigma)}"
+
+
 def test_ade_assignment_matches_the_all_label_spectra():
-    # ade_assignment tests the label-1 spectrum only.  On every su(2)
-    # catalog invariant it must name exactly the catalog graphs whose
-    # towers match diag Z at all k + 1 labels.
-    models = {name: (md, invs) for name, md, invs in report_models()
-              if name.startswith("su2:") and "*" not in name}
-    assert len(models) == 28
+    # On every su(2) catalog invariant ade_assignment must name exactly
+    # the catalog graphs whose towers match diag Z at all k + 1 labels
+    # by the eigenvalue reference.
     seen = 0
-    for name, (md, invs) in models.items():
-        k = md.ring.size - 1
-        towers = []
-        for family, sizes in (("A", range(1, k + 2)), ("D", range(4, k + 2)),
-                              ("E", (6, 7, 8)), ("T", range(1, k + 2))):
-            for n in sizes:
-                mats = su2_nimrep_from_graph(k, graph_catalog(family, n))
-                if mats is not None:
-                    towers.append((f"{family}{n}", mats))
+    for k, (md, invs) in su2_catalog().items():
+        towers = catalog_towers(k)
         for Z in invs:
-            ref = [g for g, mats in towers if spectrum_match(mats, md.S, Z)[0]]
-            assert [g.name for g in ade_assignment(md, Z)] == ref, (name, Z)
+            ref = [g for g, mats in towers if eigenvalue_match(mats, md.S, Z)]
+            assert [g.name for g in ade_assignment(md, Z)] == ref, (k, Z)
             seen += 1
     assert seen == 44
 

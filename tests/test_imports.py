@@ -107,10 +107,7 @@ def test_every_public_member_has_a_caller():
 
 
 # Functions nested in a src/ function that call themselves, kept on purpose.
-SELF_REFERENCING = {
-    "commutant.py:brute_force_enumerate.search":
-        "the oracle keeps its own walk, apart from the frontier it checks",
-}
+SELF_REFERENCING = {}
 
 
 def self_referencing_closures(path):
@@ -139,3 +136,50 @@ def test_no_nested_function_refers_to_itself():
     # closure that calls itself.
     found = [c for f in sorted(SRC.glob("*.py")) for c in self_referencing_closures(f)]
     assert sorted(found) == sorted(SELF_REFERENCING)
+
+
+def defaulted_parameters(path):
+    """(function, parameter, positional slot or None) for every parameter
+    with a default of a function in `path`.  A method's slot counts `self`
+    out, as a call `obj.f(...)` passes it."""
+    found = []
+    stack = [(ast.parse(path.read_text()), False)]
+    while stack:
+        node, in_class = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            stack.append((child, isinstance(child, ast.ClassDef)))
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = child.args
+            pos = (a.posonlyargs + a.args)[in_class:]
+            found += [(child.name, p.arg, i) for i, p in enumerate(pos)
+                      if i >= len(pos) - len(a.defaults)]
+            found += [(child.name, p.arg, None)
+                      for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def passes(call, param, slot):
+    """Does `call` pass `param`, by keyword, by position or by unpacking?"""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return slot is not None and (
+        len(call.args) > slot or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_optional_parameter_has_a_caller():
+    # A defaulted parameter of a src/ function, public or private, is
+    # passed by some src/ or perfbench/ call; a default that every caller
+    # takes is a constant, and an option that only tests pass does not
+    # belong in src/.
+    modules = sorted(SRC.glob("*.py"))
+    calls = {}
+    for f in modules + sorted(PERFBENCH.glob("*.py")):
+        for n in ast.walk(ast.parse(f.read_text())):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                calls.setdefault(name, []).append(n)
+    unpassed = [f"{f.name}:{fn}.{param}" for f in modules
+                for fn, param, slot in defaulted_parameters(f)
+                if not any(passes(c, param, slot) for c in calls.get(fn, []))]
+    assert unpassed == []
