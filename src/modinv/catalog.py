@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .fusion import FusionRing, fusion_tensor
+from .fusion import FusionRing, _spans, check_size
 from .modular import ModelSpec, SpinAssignment, build, tensor_product
 
 __all__ = [
@@ -46,16 +46,16 @@ def su2_model(k: int) -> ModelSpec:
     if k < 1:
         raise ValueError("level must be a positive integer")
     m = k + 1
-    N = fusion_tensor(m)
+    check_size(m)
     # Truncated Clebsch-Gordan: N_{ab}^c = 1 exactly when
-    # |a - b| <= c <= min(a + b, 2k - a - b) and a + b + c is even; one
-    # label a at a time, so no m^3 temporary sits beside N.
-    b, c = np.arange(m)[:, None], np.arange(m)
-    parity = (b + c) % 2
-    for a in range(m):
-        N[a] = (abs(a - b) <= c) & (c <= np.minimum(a + b, 2 * k - a - b)) & (parity == a % 2)
+    # |a - b| <= c <= min(a + b, 2k - a - b) and a + b + c is even, so
+    # the nonzeros of each row (a, b) run from |a - b| in steps of 2.
+    a, b = np.divmod(np.arange(m * m), m)
+    lo = abs(a - b)
+    count = (np.minimum(a + b, 2 * k - a - b) - lo) // 2 + 1
+    run, step = _spans(np.zeros_like(count), count)
     names = [f"j={j}" for j in range(m)]
-    ring = FusionRing(names, N)
+    ring = FusionRing(names, a[run], b[run], lo[run] + 2 * step, np.ones_like(step))
     h = [Fraction(j * (j + 2), 4 * k + 8) for j in range(m)]
     return ModelSpec(ring, SpinAssignment(h), name=f"su2:{k}")
 
@@ -82,11 +82,10 @@ def zn_valid_weights(n: int) -> List[int]:
 
 def _cyclic_ring(n: int) -> FusionRing:
     """Z_n fusion rules on labels [0]..[n-1] (conjugation j -> -j)."""
-    N = fusion_tensor(n)
-    j = np.arange(n)
-    N[j[:, None], j, (j[:, None] + j) % n] = 1
+    check_size(n)
+    i, j = np.divmod(np.arange(n * n), n)
     names = [f"[{j}]" for j in range(n)]
-    return FusionRing(names, N)
+    return FusionRing(names, i, j, (i + j) % n, np.ones_like(i))
 
 
 def zn_model(n: int, a: int) -> ModelSpec:
@@ -133,10 +132,8 @@ SO16_PARENT_MINUS = np.array(
 
 def _z2z2_ring() -> FusionRing:
     names = ["0", "v", "s", "c"]
-    N = fusion_tensor(4)
-    x = np.arange(4)
-    N[x[:, None], x, x[:, None] ^ x] = 1
-    return FusionRing(names, N)
+    x, y = np.divmod(np.arange(16), 4)
+    return FusionRing(names, x, y, x ^ y, np.ones_like(x))
 
 
 @functools.lru_cache(maxsize=None)

@@ -70,8 +70,14 @@ def permutation_test(
         return None
     theta = Z.argmax(axis=1)
     rep: Dict[str, object] = {"theta": theta, "fixes_vacuum": bool(theta[0] == 0)}
+    # theta is a bijection, so it preserves N exactly when the permuted
+    # nonzeros, sorted, are the nonzeros themselves.
     lam, mu, nu, val = ring.nonzeros
-    rep["fusion_ok"] = bool(np.array_equal(ring.N[theta[lam], theta[mu], theta[nu]], val))
+    shape = (ring.size,) * 3
+    moved = np.ravel_multi_index((theta[lam], theta[mu], theta[nu]), shape)
+    order = np.argsort(moved)
+    rep["fusion_ok"] = bool(np.array_equal(moved[order], np.ravel_multi_index((lam, mu, nu), shape))
+                            and np.array_equal(val[order], val))
     if spins is not None:
         rep["spin_ok"] = [spins.h[t] for t in theta.tolist()] == list(spins.h)
     rep["consistent"] = bool(
@@ -93,9 +99,11 @@ def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
     has N_{sigma l}^m = 1.  Holds for all pure simple-current invariants;
     fails for exceptional couplings.
     """
-    (currents,) = np.nonzero(ring.is_current)
-    lam, mu = np.nonzero(np.asarray(Z))
-    return bool(np.all(np.any(ring.N[currents[:, None], lam, mu] != 0, axis=0)))
+    lam, mu, nu, _ = ring.nonzeros
+    current = ring.is_current[lam]
+    joined = np.zeros((ring.size, ring.size), dtype=bool)
+    joined[mu[current], nu[current]] = True
+    return bool(np.all(joined[np.asarray(Z) != 0]))
 
 
 def _gram_rows(R: np.ndarray) -> Optional[List[np.ndarray]]:

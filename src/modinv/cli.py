@@ -34,7 +34,7 @@ from .extensions import (
     theta_vector,
     zn_invariant_table,
 )
-from .fusion import FusionRing, fusion_tensor, verify_axioms
+from .fusion import FusionRing, check_size, verify_axioms
 from .graphs import Graph, ade_assignment
 from .modular import ModelSpec, ModularData, SpinAssignment, build
 
@@ -47,8 +47,8 @@ EXIT_VERIFY = 2
 # serialization
 
 def model_to_json(spec: ModelSpec) -> Dict[str, object]:
-    """Portable model description: labels with exact weights, sparse
-    fusion tensor, conjugation permutation."""
+    """Portable model description: labels with exact weights, the nonzero
+    fusion multiplicities, conjugation permutation."""
     ring = spec.ring
     fusion = np.column_stack(ring.nonzeros).tolist()
     return {
@@ -109,13 +109,17 @@ def model_from_json(data: Dict[str, object]) -> ModularData:
     m = len(labels)
     if index != list(range(m)):
         raise ValueError(f"label indices {index} are not a permutation of 0..{m - 1}")
-    N = fusion_tensor(m)
+    check_size(m)
     for l, mu, nu, mult in fusion:
         if not all(0 <= x < m for x in (l, mu, nu)):
             raise ValueError(f"fusion entry {[l, mu, nu, mult]} has a label "
                              f"outside 0..{m - 1}")
-        N[l, mu, nu] = mult
-    ring = FusionRing(names, N)
+    # N_{l mu}^nu is the last value an entry gives it, 0 when none does.
+    entries = np.array(fusion, dtype=int).reshape(-1, 4)
+    key = (entries[:, 0] * m + entries[:, 1]) * m + entries[:, 2]
+    _, last = np.unique(key[::-1], return_index=True)
+    entries = entries[len(entries) - 1 - last]
+    ring = FusionRing(names, *entries[entries[:, 3] != 0].T)
     if conj != ring.conj.tolist():
         raise ValueError(f"conjugation {conj} is not the vacuum slice's {ring.conj.tolist()}")
     problems = verify_axioms(ring)
@@ -125,7 +129,8 @@ def model_from_json(data: Dict[str, object]) -> ModularData:
     # Commands key tables on a built-in name, so such a name must be the model.
     if name_family(md.name)[0]:
         ref = model_by_name(md.name)
-        if not (np.array_equal(ref.ring.N, N) and ref.spins.h == md.spins.h):
+        if not (all(map(np.array_equal, ref.ring.nonzeros, ring.nonzeros))
+                and ref.spins.h == md.spins.h):
             raise ValueError(f"model data does not match the built-in model '{md.name}'")
     return md
 

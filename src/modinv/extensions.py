@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .catalog import BranchingTable, branching_catalog, zn_weight_valid
-from .fusion import MAX_LABELS, simple_currents
+from .fusion import check_size, simple_currents
 from .modular import ModelSpec
 
 __all__ = [
@@ -83,8 +83,7 @@ def zn_invariant(n: int, a: int, delta: int) -> np.ndarray:
     """
     if not zn_weight_valid(n, a):  # raises ValueError for n < 1
         raise ValueError(f"invalid weight a={a % (2 * n)} for Z_{n}")
-    if n > MAX_LABELS:
-        raise ValueError(f"{n} labels exceed the {MAX_LABELS}-label limit")
+    check_size(n)
     nt = n if n % 2 == 1 else n // 2
     if delta < 1 or nt % delta != 0:
         raise ValueError(f"delta={delta} does not divide {nt}")

@@ -1,15 +1,15 @@
 """Commutative fusion rings over the nonnegative integers.
 
-A fusion ring is given by a finite label set with distinguished vacuum 0,
-a tensor N[lam, mu, nu] = N_{lam mu}^nu of nonnegative integer structure
-constants; the labels are known by their names, in order.  What N
-alone decides is read off it here, once: the conjugation (the vacuum
-slice) and the cyclic subgroups of the simple-current group.  N stays a
-dense array, but it is read through its nonzeros (`FusionRing.nonzeros`,
-one scan per ring): the current mask, the cyclic subgroups, the quantum
-dimensions and the permutation test cost O(nnz) beyond that scan, not a
-pass over all m^3 entries each, and associativity is checked one label
-slice at a time on them.
+A fusion ring is given by a finite label set with distinguished vacuum 0
+and nonnegative integer structure constants N_{lam mu}^nu; the labels
+are known by their names, in order.  A ring holds N by its nonzeros
+only (`FusionRing.nonzeros`): the label triples and their values, in C
+order of (lam, mu, nu), never an m^3 array.  What N alone decides is
+read off them here, once: the conjugation (the nu = 0 entries) and the
+cyclic subgroups of the simple-current group.  The current mask, the
+cyclic subgroups, the quantum dimensions and the axioms cost O(nnz) or
+O(m^2) each, and associativity is checked one label and one run of
+labels mu at a time on them.
 Everything downstream (modular data, invariant enumeration, extensions)
 consumes the interface defined here.
 """
@@ -26,50 +26,60 @@ __all__ = [
     "quantum_dimensions",
     "verify_axioms",
     "simple_currents",
-    "fusion_tensor",
+    "check_size",
 ]
 
 DIM_TOL = 1e-9
-# Products the associativity check forms at once (a few int64 arrays of
-# this length, 2 MiB each).
+# Pairs the associativity check forms at once (a few int64 arrays of
+# this length, 2 MiB each), and the cells of the difference slice it sums
+# them into (8 MiB of int64: one run of labels up to m = 101, a few up
+# to 256, so the Python work per label stays small).
 ASSOC_PAIRS = 2 ** 18
-# Largest label count given a dense fusion tensor: m^3 int64 entries are
-# 128 MiB at 256 labels (zn:128:1 needs 16 MiB).
+ASSOC_CELLS = 2 ** 20
+# Largest label count of a model.  Downstream every model is held as
+# m x m matrices (Omega, Y, S, T, the commutant's cells and basis), so a
+# larger m is refused before any of them, or the nonzeros, is formed.
 MAX_LABELS = 256
 
 
-def fusion_tensor(m: int) -> np.ndarray:
-    """Zero m x m x m integer tensor for N; refuses m above MAX_LABELS
-    before allocating anything."""
+def check_size(m: int) -> None:
+    """Refuse m labels above MAX_LABELS; called before anything of size
+    m is allocated."""
     if m > MAX_LABELS:
-        raise ValueError(f"{m} labels exceed the {MAX_LABELS}-label limit "
-                         f"of a dense fusion tensor")
-    return np.zeros((m, m, m), dtype=int)
+        raise ValueError(f"{m} labels exceed the {MAX_LABELS}-label limit")
 
 
 class FusionRing:
     """Fusion ring on labels 0..m-1 with vacuum at position 0; names[i]
     is the display name of label i.
 
-    N has shape (m, m, m) with N[lam, mu, nu] = N_{lam mu}^nu.  conj is
-    the conjugation permutation, read off the vacuum slice:
-    N_{lam mu}^0 = delta_{mu, conj(lam)}, so N[:, :, 0] must be a
-    permutation matrix.
+    N_{lam mu}^nu is given and held by its nonzeros: `nonzeros` is
+    (lam, mu, nu, val), label arrays and the values N_{lam mu}^nu, with
+    distinct in-range triples in C order of (lam, mu, nu), so the
+    nonzeros of each N[lam] are contiguous; the arrays are read-only.
+    conj is the conjugation permutation, read off the vacuum slice:
+    N_{lam mu}^0 = delta_{mu, conj(lam)}, so the nu = 0 entries must
+    form a permutation matrix.
     """
 
-    def __init__(self, names: Sequence[str], N: np.ndarray):
+    def __init__(self, names: Sequence[str], lam, mu, nu, val):
         self.names: List[str] = [str(nm) for nm in names]
-        self.N = np.asarray(N, dtype=int)
         m = len(self.names)
         if not m:
             raise ValueError("fusion ring has no labels")
-        if self.N.shape != (m, m, m):
-            raise ValueError(
-                f"fusion tensor shape {self.N.shape} does not match {m} labels"
-            )
-        vacuum = self.N[:, :, 0]
-        self.conj = vacuum.argmax(axis=1)
-        if not (np.array_equal(vacuum, np.eye(m, dtype=int)[self.conj])
+        self.nonzeros: Tuple[np.ndarray, ...] = tuple(
+            np.ascontiguousarray(a, dtype=int).ravel() for a in (lam, mu, nu, val))
+        lam, mu, nu, val = self.nonzeros
+        for a in self.nonzeros:
+            a.flags.writeable = False
+        key = (lam * m + mu) * m + nu
+        if not (all(0 <= x.min(initial=0) and x.max(initial=0) < m for x in (lam, mu, nu))
+                and (key[1:] > key[:-1]).all() and val.all()):
+            raise ValueError(f"fusion nonzeros are not distinct triples in 0..{m - 1}, "
+                             f"in C order, with nonzero values")
+        vacuum = nu == 0
+        self.conj = mu[vacuum]
+        if not (np.array_equal(lam[vacuum], np.arange(m)) and np.all(val[vacuum] == 1)
                 and np.array_equal(np.sort(self.conj), np.arange(m))):
             raise ValueError("vacuum slice N[:, :, 0] is not a permutation matrix")
 
@@ -81,24 +91,6 @@ class FusionRing:
     def d(self) -> np.ndarray:
         """Quantum dimensions (cached)."""
         return quantum_dimensions(self)
-
-    @functools.cached_property
-    def nonzeros(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries of N, found by one scan per ring: label
-        arrays lam, mu, nu and the values N[lam, mu, nu], in C order of
-        (lam, mu, nu), so the nonzeros of each N[lam] are contiguous.
-        The arrays are read-only."""
-        # A bool mask scans 5x faster than the int64 tensor; it is formed
-        # for 2^20 entries at a time, so it stays small beside N.
-        m = self.size
-        step = max(1, 2 ** 20 // (m * m))
-        flat = np.concatenate([np.flatnonzero(self.N[l:l + step] != 0) + l * m * m
-                               for l in range(0, m, step)])
-        lam, mu, nu = np.unravel_index(flat, self.N.shape)
-        out = (lam, mu, nu, self.N[lam, mu, nu])
-        for a in out:
-            a.flags.writeable = False
-        return out
 
     @functools.cached_property
     def is_current(self) -> np.ndarray:
@@ -153,56 +145,66 @@ def quantum_dimensions(ring: FusionRing) -> np.ndarray:
     return d
 
 
-def _first_bad(mask: np.ndarray) -> List[Tuple[int, ...]]:
-    idx = np.argwhere(mask)
-    return [tuple(int(x) for x in row) for row in idx[:3]]
+def _first_bad(cells: np.ndarray, shape: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """The first three of the ascending flat C-order cells, as positions."""
+    return [tuple(map(int, x)) for x in zip(*np.unravel_index(cells[:3], shape))]
 
 
-def _spans(ptr: np.ndarray, groups: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every position p in ptr[g]:ptr[g + 1] for g in groups, in order,
-    with the index into groups it came from: (which, p)."""
-    cnt = ptr[groups + 1] - ptr[groups]
-    which = np.repeat(np.arange(len(groups)), cnt)
-    return which, np.arange(cnt.sum()) + np.repeat(ptr[groups] - (np.cumsum(cnt) - cnt), cnt)
+def _spans(start: np.ndarray, end: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every position p in start[g]:end[g], for each g in order, with the
+    g it came from: (which, p)."""
+    cnt = end - start
+    which = np.repeat(np.arange(len(cnt)), cnt)
+    return which, np.arange(cnt.sum()) + np.repeat(start - (np.cumsum(cnt) - cnt), cnt)
 
 
 def _associativity_failures(ring: FusionRing) -> List[Tuple[int, ...]]:
     """The first three (l, m, n, r), in C order, with
     sum_s N_{lm}^s N_{sn}^r != sum_s N_{mn}^s N_{ls}^r.
 
-    One label l at a time, on the nonzeros: the left side pairs each
-    nonzero N_{lm}^s with the nonzeros of N[s], the right side each
-    nonzero N_{ls}^r with the nonzeros N_{mn}^s, and both are summed into
-    one m^3 slice of their difference, at most ASSOC_PAIRS pairs at once.
-    Memory is that slice and one batch of pairs, never the m^4 tensor;
-    time goes with the number of pairs.
+    One label l and one run of labels m at a time, on the nonzeros: the
+    left side pairs each nonzero N_{lm}^s with the nonzeros of N[s], the
+    right side each nonzero N_{ls}^r with the nonzeros N_{mn}^s, and both
+    are summed into one slice (m, n, r) of their difference, m in the
+    run.  A run holds at most ASSOC_PAIRS pairs and ASSOC_CELLS cells,
+    or one label m when that alone holds more pairs.  Memory is that slice,
+    the pairs of one run and O(m^2) pointers: it does not grow as m^3,
+    and never holds the m^4 tensor; time goes with the number of pairs.
     """
     lam, mu, nu, val = ring.nonzeros
     m = ring.size
-    labels = np.arange(m + 1)
-    by_lam = np.searchsorted(lam, labels)
-    third = np.argsort(nu, kind="stable")
-    by_nu = np.searchsorted(nu[third], labels)
-    net = np.zeros(m ** 3, dtype=int)  # zero again after each slice
+    rows = np.arange(m * m + 1)
+    third = np.argsort(nu, kind="stable")  # the nonzeros by (nu, lam, mu)
+    # The nonzeros of N[l, m, :] are by_lm[l m]:by_lm[l m + 1]; those of
+    # N[l, :, s] are third[by_nl[s m + l]:by_nl[s m + l + 1]].
+    by_lm = np.searchsorted(lam * m + mu, rows)
+    by_nl = np.searchsorted((nu * m + lam)[third], rows)
+    row_nnz = np.diff(by_lm[::m])  # nonzeros of each N[s]
+    col_nnz = np.diff(by_nl).reshape(m, m)  # [s, l]: nonzeros of N[l, :, s]
+    width = max(1, ASSOC_CELLS // (m * m))
+    net = np.zeros(min(width, m) * m * m, dtype=int)  # zero again after each run
     out: List[Tuple[int, ...]] = []
     for l in range(m):
-        i = np.arange(by_lam[l], by_lam[l + 1])
-        pairs = np.cumsum(np.diff(by_lam)[nu[i]] + np.diff(by_nu)[mu[i]])
-        batches = np.split(i, np.flatnonzero(np.diff(pairs // ASSOC_PAIRS)) + 1)
-        for batch in batches:
-            a, j = _spans(by_lam, nu[batch])
-            a = batch[a]
-            b, k = _spans(by_nu, mu[batch])
-            b, k = batch[b], third[k]
-            cells = np.concatenate([(mu[a] * m + mu[j]) * m + nu[j],
-                                    (lam[k] * m + mu[k]) * m + nu[b]])
-            np.add.at(net, cells, np.concatenate([val[a] * val[j], -val[k] * val[b]]))
-        bad = np.unique(cells[net[cells] != 0]) if len(batches) == 1 else np.flatnonzero(net)
-        net[bad] = 0
-        out += [(l, *map(int, np.unravel_index(c, (m, m, m))))
-                for c in bad[:3 - len(out)]]
-        if len(out) == 3:
-            break
+        b = np.arange(by_lm[l * m], by_lm[l * m + m])
+        # Pairs per label m, both sides; a run ends where the running
+        # total passes a multiple of ASSOC_PAIRS, or after `width` labels.
+        pairs = np.cumsum(np.bincount(mu[b], weights=row_nnz[nu[b]], minlength=m).astype(int)
+                          + np.bincount(mu[b], minlength=m) @ col_nnz)
+        ends = np.flatnonzero(np.diff(pairs // ASSOC_PAIRS) + np.diff(rows[:m] // width)) + 1
+        for lo, hi in zip([0, *ends], [*ends, m]):
+            a = np.arange(by_lm[l * m + lo], by_lm[l * m + hi])
+            g, j = _spans(by_lm[nu[a] * m], by_lm[nu[a] * m + m])
+            a = a[g]
+            h, k = _spans(by_nl[mu[b] * m + lo], by_nl[mu[b] * m + hi])
+            c, k = b[h], third[k]
+            cells = np.concatenate([((mu[a] - lo) * m + mu[j]) * m + nu[j],
+                                    ((lam[k] - lo) * m + mu[k]) * m + nu[c]])
+            np.add.at(net, cells, np.concatenate([val[a] * val[j], -val[k] * val[c]]))
+            bad = np.unique(cells[net[cells] != 0])
+            net[bad] = 0
+            out += _first_bad(bad[:3 - len(out)] + (l * m + lo) * m * m, (m,) * 4)
+            if len(out) == 3:
+                return out
     return out
 
 
@@ -212,24 +214,33 @@ def verify_axioms(ring: FusionRing) -> List[str]:
     Empty list means the ring passed.  Checks: integrality/nonnegativity,
     vacuum acts as identity, commutativity, associativity, conjugation
     (the vacuum slice, see FusionRing) is an involution fixing the vacuum,
-    and the quantum dimensions exist with d >= 1.
+    and the quantum dimensions exist with d >= 1.  Positions are listed
+    in C order, three at most.
     """
     out: List[str] = []
-    N = ring.N
+    lam, mu, nu, val = ring.nonzeros
     m = ring.size
 
-    if np.any(N < 0):
-        out.append(f"negative structure constants at {_first_bad(N < 0)}")
+    key = (lam * m + mu) * m + nu
+    if np.any(val < 0):
+        out.append(f"negative structure constants at {_first_bad(key[val < 0], (m,) * 3)}")
 
-    eye = np.eye(m, dtype=int)
-    if not np.array_equal(N[0], eye):
-        out.append("vacuum is not a left identity")
-    if not np.array_equal(N[:, 0, :], eye):
-        out.append("vacuum is not a right identity")
+    # N[0] and N[:, 0] are the identity: their nonzeros are (j, j) -> 1.
+    labels = np.arange(m)
+    for side, (i, j) in (("left", (lam, mu)), ("right", (mu, lam))):
+        unit = i == 0
+        if not (np.array_equal(j[unit], labels) and np.array_equal(nu[unit], labels)
+                and np.all(val[unit] == 1)):
+            out.append(f"vacuum is not a {side} identity")
 
-    comm = N != N.transpose(1, 0, 2)
-    if np.any(comm):
-        out.append(f"commutativity fails at {_first_bad(comm)}")
+    # N differs from its transpose N[mu, lam] at a nonzero whose mirror
+    # holds another value, and at the mirror of a nonzero that has none.
+    mirror = (mu * m + lam) * m + nu
+    at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
+    found = key[at] == mirror
+    comm = np.union1d(key[val != np.where(found, val[at], 0)], mirror[~found])
+    if len(comm):
+        out.append(f"commutativity fails at {_first_bad(comm, (m,) * 3)}")
 
     assoc = _associativity_failures(ring)
     if assoc:
@@ -244,7 +255,8 @@ def verify_axioms(ring: FusionRing) -> List[str]:
     try:
         d = ring.d
         if np.any(d < 1.0 - DIM_TOL):
-            out.append(f"quantum dimension below 1 at {_first_bad(d < 1.0 - DIM_TOL)}")
+            out.append(f"quantum dimension below 1 at "
+                       f"{_first_bad(np.flatnonzero(d < 1.0 - DIM_TOL), (m,))}")
     except ValueError as exc:
         out.append(str(exc))
 

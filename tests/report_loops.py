@@ -18,6 +18,7 @@ import numpy as np
 from modinv import build, enumerate_invariants
 from modinv.catalog import catalog_names, model_by_name
 from modinv.modular import UNITARITY_TOL
+from dense import dense
 
 # The float current test the package used before it read currents exactly
 # off N: |d - 1| below this bound.
@@ -111,14 +112,15 @@ def simple_currents_loop(ring):
     elems = [i for i in range(ring.size) if abs(d[i] - 1.0) < CURRENT_TOL]
     pos = {g: k for k, g in enumerate(elems)}
     n = len(elems)
+    N = dense(ring)
     for g in elems:
-        A = ring.N[g]
+        A = N[g]
         if not (np.all(A.sum(axis=1) == 1) and A.max() == 1):
             return f"simple current {g} does not act as a permutation"
     table = np.full((n, n), -1, dtype=int)
     for i, g in enumerate(elems):
         for j, h in enumerate(elems):
-            prod = int(np.nonzero(ring.N[g, h])[0][0])
+            prod = int(np.nonzero(N[g, h])[0][0])
             if prod not in pos:
                 return "simple currents do not close under fusion"
             table[i, j] = pos[prod]
@@ -158,8 +160,9 @@ def permutation_test_loop(Z, ring, spins=None):
         return None
     theta = np.array([int(np.argmax(Z[i])) for i in range(m)])
     rep = {"theta": theta, "fixes_vacuum": bool(theta[0] == 0)}
-    Np = ring.N[theta][:, theta][:, :, theta]
-    rep["fusion_ok"] = bool(np.array_equal(Np, ring.N))
+    N = dense(ring)
+    Np = N[theta][:, theta][:, :, theta]
+    rep["fusion_ok"] = bool(np.array_equal(Np, N))
     if spins is not None:
         rep["spin_ok"] = all(spins.h[int(theta[i])] == spins.h[i] for i in range(m))
     rep["consistent"] = bool(
@@ -170,7 +173,8 @@ def permutation_test_loop(Z, ring, spins=None):
 def simple_current_test_loop(Z, ring):
     d = ring.d
     currents = [i for i in range(ring.size) if abs(d[i] - 1.0) < CURRENT_TOL]
+    N = dense(ring)
     reach = np.zeros((ring.size, ring.size), dtype=bool)
     for s in currents:
-        reach |= ring.N[s].astype(bool)
+        reach |= N[s].astype(bool)
     return bool(np.all(reach[np.asarray(Z) != 0]))

@@ -73,6 +73,13 @@ def test_permutation_and_current_tests_match_the_per_label_loops():
         assert not rep["fixes_vacuum"] and not rep["consistent"]
         assert same_permutation_report(rep, permutation_test_loop(shift, spec.ring, spins))
     assert simple_current_test(shift, spec.ring) == simple_current_test_loop(shift, spec.ring)
+    # Swapping [1] and [7] of Z_8 keeps the vacuum and every weight
+    # (h = j^2/16 mod 1), but [1] x [1] = [2] goes to [7] x [7] = [6].
+    spec = zn_model(8, 1)
+    swap = np.eye(8, dtype=int)[[0, 7, 2, 3, 4, 5, 6, 1]]
+    rep = permutation_test(swap, spec.ring, spec.spins)
+    assert rep["fixes_vacuum"] and rep["spin_ok"] and not rep["fusion_ok"]
+    assert same_permutation_report(rep, permutation_test_loop(swap, spec.ring, spec.spins))
 
 
 def test_permutation_test_memory_is_linear_in_the_fusion_support():

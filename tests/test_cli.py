@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from modinv import Graph, build, enumerate_invariants, graph_catalog, su2_model, zn_model
+from modinv import Graph, build, enumerate_invariants, graph_catalog, su2_model, verify_axioms, zn_model
 from modinv.catalog import BranchingTable, branching_catalog, model_by_name, so8_level1_model
 from modinv.cli import (
     graph_to_dot,
@@ -26,11 +26,12 @@ from modinv.cli import (
 )
 from modinv.classify import classify_invariant, type1_decomposition
 from modinv.extensions import restrict, zn_invariant
-from modinv.fusion import MAX_LABELS, fusion_tensor
+from modinv.fusion import MAX_LABELS
 from modinv.modular import tensor_product
 
 from report_loops import matrix_to_json_loop, render_loop, report_models
 from test_commutant import d5_matrix, d10_matrix
+from dense import dense, ring_from_dense
 
 
 def chi_terms(expr):
@@ -168,7 +169,7 @@ def test_model_json_round_trip():
         data = json.loads(json.dumps(model_to_json(spec)))
         back = model_from_json(data)
         assert back.name == spec.name
-        assert np.array_equal(back.ring.N, spec.ring.N)
+        assert np.array_equal(dense(back.ring), dense(spec.ring))
         assert np.array_equal(back.ring.conj, spec.ring.conj)
         assert back.spins.h == spec.spins.h
         assert all(isinstance(h, Fraction) for h in back.spins.h)
@@ -519,7 +520,7 @@ def test_cli_rejects_values_beyond_int64(tmp_path, capsys, field, value):
 
 
 def test_cli_refuses_oversized_fusion_tensor(capsys):
-    # su2:100000 would need a 10^15-entry tensor: the refusal must come
+    # su2:100000 would hold about 10^14 nonzeros: the refusal must come
     # before any large allocation.
     tracemalloc.start()
     try:
@@ -584,6 +585,49 @@ def test_model_file_axioms_are_checked_within_a_few_copies_of_n(tmp_path, capsys
     assert peak < 64 * 2 ** 20
 
 
+def loaded_by_the_entry_loop(data):
+    """Dense N of a model file as a loop over its fusion entries reads it:
+    each entry sets its cell, so the last one wins and a 0 empties it; a
+    label out of range is refused at the first such entry."""
+    m = len(data["labels"])
+    N = np.zeros((m, m, m), dtype=int)
+    for l, mu, nu, mult in data["fusion"]:
+        if not all(0 <= x < m for x in (l, mu, nu)):
+            raise ValueError(f"fusion entry {[l, mu, nu, mult]} has a label outside 0..{m - 1}")
+        N[l, mu, nu] = mult
+    problems = verify_axioms(ring_from_dense([l["name"] for l in data["labels"]], N))
+    if problems:
+        raise ValueError("; ".join(problems))
+    return N
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda f: f + [[1, 1, 2, 7], [1, 1, 2, 1]],  # repeated: the last value is kept
+    lambda f: f + [[1, 1, 2, 1], [1, 1, 2, 7]],
+    lambda f: f + [[2, 2, 2, 0]],                 # a 0 on an empty cell is dropped
+    lambda f: f + [[1, 0, 1, 0]],                 # a 0 last empties its cell
+    lambda f: f[::-1],                            # entries in any order
+    lambda f: f + [[0, 0, 3, 1], [0, 9, 0, 1]],   # the first label out of range is named
+    lambda f: f + [[1, 1, 2, -1], [2, 1, 1, 3]],
+], ids=["repeat-last-kept", "repeat-last-7", "zero-dropped", "zero-empties",
+        "reversed", "out-of-range", "negative-noncommutative"])
+def test_model_file_fusion_entries_keep_the_entry_loop_semantics(edit):
+    data = model_to_json(zn_model(3, 2))
+    data["name"] = "edited"
+    data["fusion"] = edit(data["fusion"])
+    got = outcome(lambda: dense(model_from_json(data).ring))
+    want = outcome(lambda: loaded_by_the_entry_loop(data))
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else np.array_equal(got, want)
+
+
 def test_a_non_associative_model_file_is_refused(tmp_path, capsys):
     data = model_to_json(zn_model(5, 2))
     data["fusion"][data["fusion"].index([1, 1, 2, 1])] = [1, 1, 3, 1]  # [1] x [1] = [3]
@@ -625,7 +669,6 @@ def test_readme_quick_tour_runs():
 
 
 def test_fusion_tensor_limit_covers_every_builder(tmp_path, capsys):
-    assert fusion_tensor(MAX_LABELS).shape == (MAX_LABELS,) * 3
     m = MAX_LABELS + 1
     for build_spec in (lambda: su2_model(m - 1), lambda: zn_model(m, 2),
                        lambda: tensor_product(su2_model(16), su2_model(16))):
@@ -678,8 +721,7 @@ def test_cli_long_product_names(capsys):
     assert main(["model", "show", name]) == 0
     assert capsys.readouterr().out.startswith(f"model {name}: 1 sectors, w = 1.000000\n")
     assert main(["enumerate", "*".join(["zn:2:1"] * 9)]) == 1
-    assert capsys.readouterr().err == (
-        "error: 512 labels exceed the 256-label limit of a dense fusion tensor\n")
+    assert capsys.readouterr().err == "error: 512 labels exceed the 256-label limit\n"
 
 
 def test_cli_enumerates_a_product_beyond_the_product_scan(capsys):

@@ -15,10 +15,11 @@ from modinv.catalog import sun_current_model
 from modinv.classify import permutation_test
 from modinv.extensions import rehren_admissible
 from modinv.fusion import DIM_TOL, FusionRing, quantum_dimensions, simple_currents
-from modinv.modular import tensor_product
+from modinv.modular import tensor_product, verlinde_check
 
 from report_loops import report_models, rehren_admissible_loop, simple_currents_loop
 from test_commutant import small_su2, small_zn
+from dense import dense, ring_from_dense
 
 
 def test_su2_ring_axioms_clean():
@@ -27,9 +28,9 @@ def test_su2_ring_axioms_clean():
 
 def test_injected_identity_violation_is_reported():
     ring = su2_model(6).ring
-    N = ring.N.copy()
+    N = dense(ring)
     N[0, 1, 2] = 1  # identity no longer acts trivially
-    broken = FusionRing(ring.names, N)
+    broken = ring_from_dense(ring.names, N)
     report = verify_axioms(broken)
     assert report
     assert any("identity" in line for line in report)
@@ -63,7 +64,7 @@ def test_dimension_residual_tolerance():
     for spec in (su2_model(6), su2_model(16), zn_model(10, 9), so8_level1_model()):
         ring = spec.ring
         d = ring.d
-        resid = np.max(np.abs(np.outer(d, d) - ring.N @ d))
+        resid = np.max(np.abs(np.outer(d, d) - dense(ring) @ d))
         assert resid < 1e-9
 
 
@@ -82,18 +83,19 @@ def test_su2_tensor_matches_truncation_rule():
     # Byte for byte at every level up to the 256-label limit, one label
     # slice at a time.
     for k in range(1, 256):
-        N = su2_model(k).ring.N
-        assert N.dtype == np.dtype(int) and N.shape == (k + 1,) * 3
+        ring = su2_model(k).ring
+        assert all(a.dtype == np.dtype(int) for a in ring.nonzeros)
+        N = dense(ring)
         assert all(N[j].tobytes() == su2_loop_slice(k, j).tobytes() for j in range(k + 1)), k
 
 
 def test_fusion_matrix_of_vacuum_is_identity():
     ring = su2_model(6).ring
-    assert np.array_equal(ring.N[0], np.eye(7, dtype=int))
+    assert np.array_equal(dense(ring)[0], np.eye(7, dtype=int))
 
 
 def test_fusion_matrix_of_generator_is_path():
-    A = su2_model(6).ring.N[1]
+    A = dense(su2_model(6).ring)[1]
     expect = np.zeros((7, 7), dtype=int)
     for i in range(6):
         expect[i, i + 1] = expect[i + 1, i] = 1
@@ -101,7 +103,7 @@ def test_fusion_matrix_of_generator_is_path():
 
 
 def test_fusion_matrix_cyclic_shift():
-    A = zn_model(4, 1).ring.N[1]
+    A = dense(zn_model(4, 1).ring)[1]
     expect = np.zeros((4, 4), dtype=int)
     for j in range(4):
         expect[j, (j + 1) % 4] = 1
@@ -109,12 +111,20 @@ def test_fusion_matrix_cyclic_shift():
 
 
 def test_fusion_matrix_bad_label():
-    # N holds one fusion matrix per label and no more (FusionRing checks
-    # its shape), so a label past the ring is an IndexError.
+    # A ring holds nonzeros on its own labels only: FusionRing refuses a
+    # label past the ring, triples out of C order or repeated, and a zero
+    # value; the arrays it holds are read-only.
     ring = su2_model(4).ring
-    assert ring.N.shape[0] == ring.size == 5
-    with pytest.raises(IndexError):
-        ring.N[9]
+    lam, mu, nu, val = ring.nonzeros
+    assert ring.size == 5 and lam.max() == mu.max() == nu.max() == 4
+    for bad in ((*(np.append(x, 9) for x in (lam, mu, nu)), np.append(val, 1)),
+                (lam[::-1], mu[::-1], nu[::-1], val[::-1]),
+                (*(np.append(x, x[-1]) for x in (lam, mu, nu)), np.append(val, 1)),
+                (lam, mu, nu, val * (nu != 0))):
+        with pytest.raises(ValueError, match="not distinct triples in 0..4"):
+            FusionRing(ring.names, *bad)
+    with pytest.raises(ValueError, match="read-only"):
+        lam[0] = 1
 
 
 def test_simple_currents_su2():
@@ -140,7 +150,7 @@ def test_current_group_closure():
         ring = spec.ring
         elems = sorted(set().union(*simple_currents(ring)))
         assert set(ring.conj[elems].tolist()) <= set(elems)
-        products = ring.N[np.ix_(elems, elems)].argmax(axis=2)
+        products = dense(ring)[np.ix_(elems, elems)].argmax(axis=2)
         assert set(products.ravel().tolist()) <= set(elems)
 
 
@@ -158,12 +168,12 @@ def test_simple_currents_that_do_not_close_are_refused():
     N = np.zeros((3, 3, 3), dtype=int)
     N[0] = N[:, 0] = np.eye(3, dtype=int)
     N[1, 1, 2] = N[1, 2, 0] = N[2, 1, 0] = N[2, 2, 1] = N[2, 2, 2] = 1
-    ring = FusionRing(["0", "1", "2"], N)
+    ring = ring_from_dense(["0", "1", "2"], N)
     assert ring.is_current.tolist() == [True, True, False]
     with pytest.raises(ValueError, match="simple currents do not close under fusion"):
         simple_currents(ring)
     N[2, 2] = [0, 2, -1]  # each row of N[2] sums to 1, but one is no unit vector
-    ring = FusionRing(["0", "1", "2"], N)
+    ring = ring_from_dense(["0", "1", "2"], N)
     assert ring.is_current.tolist() == [True, True, False]
 
 
@@ -174,7 +184,7 @@ def test_simple_currents_that_never_reach_the_vacuum_are_refused():
     N = np.zeros((3, 3, 3), dtype=int)
     N[0] = N[:, 0] = np.eye(3, dtype=int)
     N[1, 2, 0] = N[2, 1, 0] = N[1, 1, 1] = N[2, 2, 2] = 1
-    ring = FusionRing(["0", "1", "2"], N)
+    ring = ring_from_dense(["0", "1", "2"], N)
     assert ring.is_current.all() and verify_axioms(ring)
     with pytest.raises(ValueError, match="simple currents do not form a group"):
         simple_currents(ring)
@@ -188,11 +198,11 @@ def test_simple_currents_that_never_reach_the_vacuum_are_refused():
     {(1, 2, 0): -1, (1, 1, 0): 1, (1, 0, 0): 1},  # row sum 1, not a unit row
 ], ids=["two-in-a-row", "entry-2", "empty-row", "column-twice", "negative"])
 def test_vacuum_slice_must_be_a_permutation_matrix(cells):
-    N = zn_model(3, 2).ring.N.copy()  # vacuum slice: 0 -> 0, 1 <-> 2
+    N = dense(zn_model(3, 2).ring)  # vacuum slice: 0 -> 0, 1 <-> 2
     for cell, value in cells.items():
         N[cell] = value
     with pytest.raises(ValueError, match="vacuum slice N\\[:, :, 0\\] is not a permutation matrix"):
-        FusionRing(["0", "1", "2"], N)
+        ring_from_dense(["0", "1", "2"], N)
 
 
 def test_current_subgroups_match_the_power_walk():
@@ -203,22 +213,38 @@ def test_current_subgroups_match_the_power_walk():
 
 
 def test_current_group_and_y_stay_small_beside_n():
-    # N of zn:128:1 is 16 MiB and has m^2 nonzeros of m^3.  Nothing built
-    # from it may copy or cast it: its nonzeros are found once, the
-    # product table and the subgroup masks are m x m, Y is formed one
-    # label at a time and a permutation test reads only the nonzeros.
+    # zn:128:1 has m^2 nonzeros of m^3 cells, and a dense N would be 16
+    # MiB.  The ring holds only the nonzeros, the product table and the
+    # subgroup masks are m x m, Y and the Verlinde check go one label at
+    # a time and a permutation test reads only the nonzeros.
     invs = enumerate_invariants(build(zn_model(128, 1)))
-    spec = zn_model(128, 1)
     tracemalloc.start()
     try:
+        spec = zn_model(128, 1)
         md = build(spec)
         simple_currents(spec.ring)
         reports = [permutation_test(Z, spec.ring, md.spins) for Z in invs]
+        verlinde = verlinde_check(md)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(reports) == len(invs) and all(r["consistent"] for r in reports if r)
+    assert verlinde < 1e-8
     assert peak < 4 * 2 ** 20
+
+
+def test_a_product_ring_is_built_from_its_factors_nonzeros():
+    # su2:16*su2:14 has 255 labels: a dense N would be 127 MiB for its
+    # 658,920 nonzeros, and the einsum that filled it as large again.
+    factors = su2_model(16), su2_model(14)
+    tracemalloc.start()
+    try:
+        ring = tensor_product(*factors).ring
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.size == 255 and len(ring.nonzeros[0]) == 658_920
+    assert peak < 64 * 2 ** 20
 
 
 def nonzero_calls(ring):
@@ -235,7 +261,7 @@ def test_simple_current_table_is_not_built_cell_by_cell():
 def test_frobenius_reciprocity_holds_on_catalog():
     # N_{lam mu}^nu = N_{conj(lam) nu}^mu
     for spec in (su2_model(6), zn_model(7, 2), so8_level1_model()):
-        N = spec.ring.N
+        N = dense(spec.ring)
         assert np.array_equal(N, N[spec.ring.conj].transpose(0, 2, 1))
 
 
@@ -246,7 +272,7 @@ def test_conjugation_read_from_vacuum_slice():
     for a in range(n):
         for b in range(n):
             N[a, b, (a + b) % n] = 1
-    ring = FusionRing([str(j) for j in range(n)], N)
+    ring = ring_from_dense([str(j) for j in range(n)], N)
     assert [int(x) for x in ring.conj] == [(-j) % n for j in range(n)]
 
 
@@ -309,6 +335,19 @@ def dense_associativity_failures(N):
     return [tuple(int(x) for x in row) for row in np.argwhere(lhs != rhs)[:3]]
 
 
+def dense_axiom_messages(N):
+    """The negativity, identity and commutativity lines of verify_axioms,
+    read off the dense N."""
+    def first(mask):
+        return [tuple(int(x) for x in row) for row in np.argwhere(mask)[:3]]
+    eye = np.eye(len(N), dtype=int)
+    out = [f"negative structure constants at {first(N < 0)}"] if np.any(N < 0) else []
+    out += [f"vacuum is not a {side} identity"
+            for side, A in (("left", N[0]), ("right", N[:, 0, :])) if not np.array_equal(A, eye)]
+    comm = N != N.transpose(1, 0, 2)
+    return out + ([f"commutativity fails at {first(comm)}"] if np.any(comm) else [])
+
+
 def row_two_minus_one_ring():
     # Row N[2, 2] = (0, 2, -1) sums to 1 but is no unit vector: 2 is no
     # current, and the currents 0, 1 do not close (1 x 1 = 2).
@@ -316,14 +355,14 @@ def row_two_minus_one_ring():
     N[0] = N[:, 0] = np.eye(3, dtype=int)
     N[1, 1, 2] = N[1, 2, 0] = N[2, 1, 0] = 1
     N[2, 2] = [0, 2, -1]
-    return FusionRing(["0", "1", "2"], N)
+    return ring_from_dense(["0", "1", "2"], N)
 
 
 def row_two_ring():
     # Row N[1, 1] = (0, 0, 2) holds one nonzero, but it is no unit vector.
-    N = zn_model(3, 2).ring.N.copy()
+    N = dense(zn_model(3, 2).ring)
     N[1, 1, 2] = 2
-    return FusionRing(["0", "1", "2"], N)
+    return ring_from_dense(["0", "1", "2"], N)
 
 
 def small_sun_currents(n_max, k_max):
@@ -356,7 +395,7 @@ def outcome(call):
 @example((row_two_ring(), [0, 2, 1]))
 def test_nonzero_readers_match_the_dense_definitions(case):
     ring, theta = case
-    N = ring.N
+    N = dense(ring)
     assert np.array_equal(ring.is_current, dense_is_current(N))
     (currents,) = np.nonzero(dense_is_current(N))
     table = dense_current_table(N, currents)
@@ -384,18 +423,42 @@ def edited_rings(draw):
     commutative, with the same vacuum slice, mostly not associative."""
     ring = draw(st.one_of(small_su2(6), small_zn(8),
                           st.builds(tensor_product, small_su2(2), small_zn(3)))).ring
-    N = ring.N.copy()
+    N = dense(ring)
     m = ring.size
     for _ in range(draw(st.integers(0, 3))):
         l, mu, nu = (draw(st.integers(lo, m - 1)) for lo in (0, 0, 1))
         N[l, mu, nu] = N[mu, l, nu] = draw(st.integers(-1, 3))
-    return FusionRing(ring.names, N)
+    return ring_from_dense(ring.names, N)
+
+
+@st.composite
+def asymmetric_rings(draw):
+    """A small ring with a few cells N_{lm}^n, n > 0, set one at a time
+    (identity rows and columns included): mostly not commutative, with
+    the same vacuum slice."""
+    ring = draw(st.one_of(small_su2(6), small_zn(8),
+                          st.builds(tensor_product, small_su2(2), small_zn(3)))).ring
+    N = dense(ring)
+    m = ring.size
+    for _ in range(draw(st.integers(1, 4))):
+        l, mu, nu = (draw(st.integers(lo, m - 1)) for lo in (0, 0, 1))
+        N[l, mu, nu] = draw(st.integers(-2, 3))
+    return ring_from_dense(ring.names, N)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(edited_rings(), st.sampled_from([fusion.ASSOC_PAIRS, 5]))
-def test_associativity_failures_match_the_dense_einsum(ring, pairs):
-    # With 5 pairs at a time, most slices are summed in several batches.
-    with mock.patch.object(fusion, "ASSOC_PAIRS", pairs):
-        assert fusion._associativity_failures(ring) == dense_associativity_failures(ring.N)
+@given(st.one_of(edited_rings(), asymmetric_rings()))
+def test_axiom_messages_match_the_dense_definitions(ring):
+    lines = [x for x in verify_axioms(ring)
+             if x.startswith(("negative", "vacuum is not", "commutativity"))]
+    assert lines == dense_axiom_messages(dense(ring))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(edited_rings(), st.sampled_from([(fusion.ASSOC_PAIRS, fusion.ASSOC_CELLS), (5, 5)]))
+def test_associativity_failures_match_the_dense_einsum(ring, caps):
+    # With 5 pairs and 5 cells at a time, each label is summed in runs of
+    # one label m.
+    with mock.patch.multiple(fusion, ASSOC_PAIRS=caps[0], ASSOC_CELLS=caps[1]):
+        assert fusion._associativity_failures(ring) == dense_associativity_failures(dense(ring))
 

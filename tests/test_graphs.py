@@ -25,6 +25,7 @@ from modinv.graphs import (
 )
 
 from test_commutant import d5_matrix, e7_matrix
+from dense import dense
 
 
 def test_catalog_shapes():
@@ -70,7 +71,7 @@ def test_graph_validation_and_pf():
 def test_nimrep_a7_is_fusion_tower():
     mats = su2_nimrep_from_graph(6, graph_catalog("A", 7))
     assert mats is not None and len(mats) == 7
-    N = su2_model(6).ring.N
+    N = dense(su2_model(6).ring)
     for j in range(7):
         assert np.array_equal(mats[j], N[j])
 
@@ -92,7 +93,7 @@ def test_nimrep_d5_valid_and_pf_gate():
 
 @functools.lru_cache(maxsize=None)
 def su2_fusion(k):
-    return su2_model(k).ring.N
+    return dense(su2_model(k).ring)
 
 
 def einsum_nimrep(k, graph):

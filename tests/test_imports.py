@@ -183,3 +183,49 @@ def test_every_optional_parameter_has_a_caller():
                 for fn, param, slot in defaulted_parameters(f)
                 if not any(passes(c, param, slot) for c in calls.get(fn, []))]
     assert unpassed == []
+
+
+ALLOCATORS = {"zeros", "empty", "ones", "full"}
+
+
+def is_cubed(shape):
+    """Whether a shape expression is some x ** 3, (x, x, x), x * x * x or
+    (x,) * 3."""
+    if isinstance(shape, ast.BinOp) and isinstance(shape.op, ast.Pow):
+        return isinstance(shape.right, ast.Constant) and shape.right.value == 3
+    if isinstance(shape, ast.Tuple):
+        return len(shape.elts) == 3 and len({ast.dump(e) for e in shape.elts}) == 1
+    factors, stack = [], [shape]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            stack += [node.left, node.right]
+        else:
+            factors.append(ast.dump(node))
+    if len(factors) == 2 and any(isinstance(x, ast.Tuple) for x in (shape.left, shape.right)):
+        return ast.dump(ast.Constant(3)) in factors
+    return any(factors.count(f) >= 3 for f in factors)
+
+
+def dense_fusion_uses(path):
+    """Reads of an attribute N, and array allocations with a cubed shape,
+    as "file:line"."""
+    found = []
+    for n in ast.walk(ast.parse(path.read_text())):
+        if isinstance(n, ast.Attribute) and n.attr == "N":
+            found.append(f"{path.name}:{n.lineno} .N")
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr in ALLOCATORS and n.args and is_cubed(n.args[0])):
+            found.append(f"{path.name}:{n.lineno} {n.func.attr}")
+    return found
+
+
+def test_no_dense_fusion_tensor_in_src():
+    # A ring holds N by its nonzeros only: no src/ code reads a dense N
+    # or allocates an m^3 array.
+    assert all(is_cubed(ast.parse(e, mode="eval").body) for e in
+               ("m ** 3", "(m, m, m)", "m * m * m", "(m,) * 3", "3 * (m,)", "(a * m) * m * m"))
+    assert not any(is_cubed(ast.parse(e, mode="eval").body) for e in
+                   ("(m, m)", "m * m", "min(w, m) * m * m", "(m,) * 2", "m ** 2"))
+    found = [u for f in sorted(SRC.glob("*.py")) for u in dense_fusion_uses(f)]
+    assert found == []

@@ -24,6 +24,7 @@ from modinv import (
 from modinv.catalog import catalog_names, model_by_name
 from modinv.modular import _nondegeneracy, relation_residuals, statistics_phase
 from report_loops import charge_conjugation_from_s, report_models
+from dense import dense
 
 
 def z2_spec(h1):
@@ -200,11 +201,33 @@ def test_vacuum_column_dominates():
         assert np.max(np.abs(S[:, 0].imag)) < 1e-12
 
 
+def test_y_and_c_match_the_dense_slices():
+    # Byte for byte: Y is formed one label at a time, N_lam (d / om), on
+    # a slice scattered from the nonzeros, as it was on the dense N.
+    for name in catalog_names():
+        md = build(model_by_name(name))
+        N, om = dense(md.ring), np.diag(md.Omega)
+        d_om = md.ring.d / om
+        assert np.array_equal(md.Y, np.outer(om, om) * np.array([N_l @ d_om for N_l in N])), name
+        assert md.C.dtype == np.dtype(int) and np.array_equal(md.C, N[:, :, 0]), name
+
+
+@pytest.mark.parametrize("a, b", [("su2:4", "su2:4"), ("zn:6:1", "zn:6:1"), ("so8_1", "su2:3")])
+def test_tensor_product_nonzeros_match_the_dense_einsum(a, b):
+    ra, rb = model_by_name(a).ring, model_by_name(b).ring
+    ma, mb = ra.size, rb.size
+    N = np.einsum("ikp,jlq->ijklpq", dense(ra), dense(rb)).reshape((ma * mb,) * 3)
+    cells = np.nonzero(N)
+    got = tensor_product(model_by_name(a), model_by_name(b)).ring.nonzeros
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, (*cells, N[cells])))
+
+
 def test_y_formula_restated_with_exact_phases():
     # S = S_00 sum_rho exp(2 pi i (h_l + h_m - h_r)) N_{l m}^r d_r
     spec = su2_model(6)
     md = build(spec)
     ring, h = spec.ring, spec.spins.h
+    N = dense(ring)
     m = ring.size
     d = ring.d
     S2 = np.zeros((m, m), dtype=complex)
@@ -212,9 +235,9 @@ def test_y_formula_restated_with_exact_phases():
         for mu in range(m):
             acc = 0
             for r in range(m):
-                if ring.N[l, mu, r]:
+                if N[l, mu, r]:
                     ph = cmath.exp(2j * math.pi * float(h[l] + h[mu] - h[r]))
-                    acc += ph * ring.N[l, mu, r] * d[r]
+                    acc += ph * N[l, mu, r] * d[r]
             S2[l, mu] = md.S[0, 0] * acc
     assert np.max(np.abs(S2 - md.S)) < 1e-8
 
