@@ -7,17 +7,15 @@ parent search that attaches a pair of type I invariants to a general one
 through its vacuum row and column.
 
 The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
-(vacuum column) and sum_l Z_{0l} l (vacuum row), so they depend only on
-those two vectors and on which listed invariants are type I.  Whether a
-matrix is type I is a function of that matrix alone, so its Gram rows
-are memoized per matrix (keyed by its int64 bytes, at most
-TYPE1_MEMO_SIZE entries).  The Gram search peels rows off the residue
-R = Z - z0 z0^T in one explicit stack and cuts every residue that has a
-negative entry or 2 x 2 principal minor, since a sum of v v^T has none;
-the first residue is tested before any node.  The parent search reads
-one table per list, from vacuum vector to its first type I entry, built
-once and kept for the last list seen; each call still restacks the list
-to recognise it.
+(vacuum column) and sum_l Z_{0l} l (vacuum row), so they depend only on those
+two vectors and on which listed invariants are type I.  Whether a matrix is
+type I is a function of that matrix alone, so its Gram rows are memoized per
+matrix (keyed by its int64 bytes, at most TYPE1_MEMO_SIZE entries).  The
+decision is exact integer arithmetic on one path, Python ints from the residue
+R = Z - z0 z0^T to the rows, and the Gram search cuts every residue that no sum
+of v v^T can be.  The parent search reads one table per list, from vacuum
+vector to its first type I entry, built once and kept for the last list seen;
+each call still restacks the list to recognise it.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -107,74 +106,75 @@ def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
 
 
 def _gram_rows(R: np.ndarray) -> Optional[List[np.ndarray]]:
-    """Nonnegative integer rows v with sum over rows of outer(v, v) = R, or
-    None.  Depth first with one stack: each residue peels a row v anchored
-    at its first nonzero diagonal entry lam (v[lam] >= 1), the candidates
-    in descending lexicographic order, so the first full solution is
-    canonical.  Each row is subtracted from one m x m residue and added
-    back on backtracking.
+    """Nonnegative integer rows v with sum v v^T = R, or None, exact on lists
+    of Python ints.  Depth first with one stack: each residue peels a row v
+    anchored at its first nonzero diagonal entry lam (v[lam] >= 1), the
+    candidates in descending lexicographic order, so the first is canonical.
 
-    A residue R = sum v v^T is nonnegative with no negative 2 x 2 principal
-    minor, R_lm^2 <= R_ll R_mm, so a residue that fails this has no
-    solution and is cut.  Only the rows in supp v change, so only they are
-    tested after a peel; the whole of R is tested before the first node.
-    Then a row of R is zero when its diagonal is, so lam is the first
-    nonzero row, v is 0 off supp R[lam], and every value up to the bounds
-    v_j^2 <= R_jj and v_i v_j <= R_ij extends to a candidate."""
-    R = np.array(R, dtype=np.int64)
-    m = R.shape[0]
-    # Residue entries only fall, so squares from 2^31 on, which need Python
-    # ints, are ruled out or in once.
-    dtype = np.int64 if R.max() < 2 ** 31 else object
-    stack: List[Tuple[np.ndarray, np.ndarray]] = []
-    nodes, s = 0, np.arange(m)
+    A residue R = sum v v^T has no negative entry or 2 x 2 principal minor,
+    R_lm^2 <= R_ll R_mm, so one that has is cut: all of R before the first
+    node, then the rows in supp v, the only ones a peel changes.  A row of a
+    passing R is zero when its diagonal is, so lam is the first nonzero row,
+    v is 0 off supp R[lam], and every value up to the bounds v_j^2 <= R_jj
+    and v_i v_j <= R_ij extends to a candidate.  The bounds keep R >= 0, so
+    it stays 0 off each row's first support, the only entries tested."""
+    R = np.asarray(R, dtype=object).tolist()
+    m = len(R)
+    nz = [list(compress(range(m), r)) for r in R]
+    stack, nodes, s = [], 0, range(m)
     while True:
-        Q, diag = R[s].astype(dtype), np.diagonal(R).astype(dtype)
-        if (Q >= 0).all() and (Q * Q <= np.outer(diag[s], diag)).all():
-            if not R.any():
-                return [v for _, v in stack]
-            idxs = np.flatnonzero(R[np.flatnonzero(diag)[0]])
-            v, p = np.zeros(m, dtype=np.int64), 0
+        if all(0 <= R[i][j] and R[i][j] ** 2 <= R[i][i] * R[j][j] for i in s for j in nz[i]):
+            lam = next((j for j in range(m) if R[j][j]), None)
+            if lam is None:
+                return [np.array(v, dtype=np.int64) for _, v in stack]
+            idxs, v, p = [j for j in nz[lam] if R[lam][j]], [0] * m, 0
         else:
             # Back to the last row with a position above its least value
             # (1 at lam, 0 elsewhere): lower it and refill the rest.
             while stack:
                 idxs, v = stack.pop()
-                R += np.outer(v, v)
-                above = np.flatnonzero(v[idxs] > (idxs == idxs[0]))
-                if above.size:
+                _add_outer(R, v, [j for j in idxs if v[j]], 1)
+                above = [q for q, j in enumerate(idxs) if v[j] > (q == 0)]
+                if above:
                     break
             else:
                 return None
-            p = int(above[-1]) + 1
+            p = above[-1] + 1
             v[idxs[p - 1]] -= 1
         nodes += len(idxs) - p
         if nodes > GRAM_NODE_CAP:
             raise RuntimeError(f"Gram decomposition exceeded {GRAM_NODE_CAP:.0e} nodes")
-        for q in range(p, len(idxs)):
-            j, prev = idxs[q], idxs[:q][v[idxs[:q]] > 0]
-            v[j] = min([math.isqrt(int(R[j, j]))] + (R[prev, j] // v[prev]).tolist())
-        R -= np.outer(v, v)
+        s = [i for i in idxs[:p] if v[i]]
+        for j in idxs[p:]:
+            v[j] = min([math.isqrt(R[j][j])] + [R[i][j] // v[i] for i in s])
+            if v[j]:
+                s.append(j)
+        _add_outer(R, v, s, -1)
         stack.append((idxs, v))
-        s = np.flatnonzero(v)
+
+
+def _add_outer(R: List[List[int]], v: List[int], supp: List[int], sign: int) -> None:
+    """R += sign * v v^T in place, on supp v."""
+    for i in supp:
+        row, a = R[i], sign * v[i]
+        for j in supp:
+            row[j] += a * v[j]
 
 
 @functools.lru_cache(maxsize=TYPE1_MEMO_SIZE)
 def _type1_rows(key: bytes, m: int) -> Optional[np.ndarray]:
     """Read-only rows b with Z = b^T b for the m x m int64 matrix Z whose
-    bytes are `key`, or None when Z is not type I."""
+    bytes are `key`, or None; R = Z - z0 z0^T is formed in Python ints."""
     Z = np.frombuffer(key, dtype=np.int64).reshape(m, m)
     if not np.array_equal(Z, Z.T):
         return None
-    b0 = Z[0].copy()
-    R = Z - np.outer(b0, b0)
-    if np.any(R[0]):
-        return None
+    R = Z.astype(object)
+    _add_outer(R, Z[0].tolist(), np.flatnonzero(Z[0]).tolist(), -1)
     rows = _gram_rows(R)
     if rows is None:
         return None
-    rows.sort(key=lambda v: tuple(v), reverse=True)
-    b = np.vstack([b0] + rows)
+    rows.sort(key=lambda v: v.tolist(), reverse=True)
+    b = np.vstack([Z[0]] + rows)
     b.flags.writeable = False
     return b
 
@@ -224,13 +224,13 @@ def chiral_indices(Z: np.ndarray, md: ModularData) -> Dict[str, float]:
 
 
 def sector_counts(Z: np.ndarray) -> Dict[str, int]:
-    """Diagonal count, total squared sum and the two vacuum counts."""
+    """Diagonal count, total squared sum and the two vacuum counts, in Python ints."""
     Z = np.asarray(Z, dtype=int)
     return {
-        "trace": int(np.trace(Z)),
-        "sum_squares": int(np.sum(Z * Z)),
-        "x_plus": int(np.sum(Z[:, 0] ** 2)),
-        "x_minus": int(np.sum(Z[0, :] ** 2)),
+        "trace": sum(np.diagonal(Z).tolist()),
+        "sum_squares": sum(x * x for x in Z[Z != 0].tolist()),
+        "x_plus": sum(x * x for x in Z[:, 0].tolist()),
+        "x_minus": sum(x * x for x in Z[0].tolist()),
     }
 
 

@@ -132,13 +132,15 @@ def quantum_dimensions(ring: FusionRing) -> np.ndarray:
     if abs(v[0]) < 1e-12:
         raise ValueError("ill-conditioned fusion ring: PF vector vanishes at vacuum")
     d = v / v[0]
-    # Polish with one Rayleigh-style pass to reduce eig() roundoff.
-    for _ in range(2):
-        u = M @ d
-        d = u / u[0]
-    Nd = np.bincount(lam * m + mu, weights=val * d[nu], minlength=m * m)
-    resid = float(np.max(np.abs(Nd - np.outer(d, d).ravel())))
-    if resid > DIM_TOL:
+    # Polish with one Rayleigh-style pass to reduce eig() roundoff.  A
+    # polish that meets u[0] = 0 leaves a NaN residual, refused below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            u = M @ d
+            d = u / u[0]
+        Nd = np.bincount(lam * m + mu, weights=val * d[nu], minlength=m * m)
+        resid = float(np.max(np.abs(Nd - np.outer(d, d).ravel())))
+    if not resid <= DIM_TOL:
         raise ValueError(
             f"ill-conditioned fusion ring: PF residual {resid:.3e} exceeds {DIM_TOL:.1e}"
         )

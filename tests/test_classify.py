@@ -346,6 +346,18 @@ def test_gram_minor_test_squares_large_entries_exactly(monkeypatch):
     assert type1_decomposition(np.diag([1, big * big])).b.tolist() == [[1, 0], [0, big]]
 
 
+def test_type1_decomposition_does_not_wrap():
+    # z0 z0^T has 2^64 at (1, 1), which wraps to 0 in int64: the residue
+    # is 5 - 2^64 < 0, not 5 = 2^2 + 1^2, so Z is not type I.
+    assert type1_decomposition(np.array([[1, 2 ** 32], [2 ** 32, 5]])) is None
+
+
+def test_sector_counts_do_not_wrap():
+    x = 2 ** 32
+    assert sector_counts(np.array([[1, x], [x, 5]])) == {
+        "trace": 6, "sum_squares": 2 ** 65 + 26, "x_plus": 2 ** 64 + 1, "x_minus": 2 ** 64 + 1}
+
+
 def _parents_by_full_scan(Z, enumerated):
     """The parent search as one loop that decomposes every symmetric P."""
     plus = minus = None

@@ -2,9 +2,11 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -218,6 +220,24 @@ def test_cli_model_json_and_validate(tmp_path, capsys):
     trunc = tmp_path / "trunc.json"
     trunc.write_text('{"labels": []}')
     assert main(["model", "validate", str(trunc)]) == 2
+
+
+def test_validate_refuses_a_nan_dimension_in_one_line(tmp_path):
+    # The polish of the PF vector meets u[0] = 0 on this ring, so its
+    # residual is NaN: validate names the ill-conditioned ring in its one
+    # error line, and no numpy warning reaches stderr.
+    path = tmp_path / "nan_dims.json"
+    path.write_text(json.dumps({
+        "name": "nan_dims", "conjugation": [0, 1],
+        "labels": [{"index": 0, "name": "a", "h": "0"}, {"index": 1, "name": "b", "h": "3/4"}],
+        "fusion": [[0, 0, 0, 1], [0, 0, 1, -2], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]}))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "modinv.cli", "model", "validate", str(path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("invalid model: ") and "ill-conditioned fusion ring" in proc.stderr
 
 
 def test_cli_show_from_json_file(tmp_path, capsys):

@@ -80,13 +80,18 @@ def su2_loop_slice(k, j1):
 
 
 def test_su2_tensor_matches_truncation_rule():
-    # Byte for byte at every level up to the 256-label limit, one label
-    # slice at a time.
+    # At every level up to the 256-label limit, the nonzeros of each label
+    # j, in C order, are the cells and values read off the loop's slice.
     for k in range(1, 256):
         ring = su2_model(k).ring
+        lam, mu, nu, val = ring.nonzeros
         assert all(a.dtype == np.dtype(int) for a in ring.nonzeros)
-        N = dense(ring)
-        assert all(N[j].tobytes() == su2_loop_slice(k, j).tobytes() for j in range(k + 1)), k
+        ends = np.searchsorted(lam, np.arange(k + 2))
+        for j in range(k + 1):
+            S = su2_loop_slice(k, j).ravel()
+            cells, run = np.flatnonzero(S), slice(ends[j], ends[j + 1])
+            assert np.array_equal(mu[run] * (k + 1) + nu[run], cells), (k, j)
+            assert np.array_equal(val[run], S[cells]), (k, j)
 
 
 def test_fusion_matrix_of_vacuum_is_identity():
