@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -46,20 +47,26 @@ EXIT_VERIFY = 2
 # ---------------------------------------------------------------------------
 # serialization
 
-def model_to_json(spec: ModelSpec) -> Dict[str, object]:
-    """Portable model description: labels with exact weights, the nonzero
-    fusion multiplicities, conjugation permutation."""
+def _model_payload(spec: ModelSpec) -> Dict[str, object]:
+    """model_to_json with the fusion nonzeros as one (nnz, 4) int array."""
     ring = spec.ring
-    fusion = np.column_stack(ring.nonzeros).tolist()
     return {
         "name": spec.name,
         "labels": [
             {"index": i, "name": name, "h": str(spec.spins.h[i])}
             for i, name in enumerate(ring.names)
         ],
-        "fusion": fusion,
+        "fusion": np.column_stack(ring.nonzeros),
         "conjugation": [int(x) for x in ring.conj],
     }
+
+
+def model_to_json(spec: ModelSpec) -> Dict[str, object]:
+    """Portable model description: labels with exact weights, the nonzero
+    fusion multiplicities [l, mu, nu, N], conjugation permutation."""
+    payload = _model_payload(spec)
+    payload["fusion"] = payload["fusion"].tolist()
+    return payload
 
 
 def _integers(values: Sequence[object], what: str) -> List[int]:
@@ -139,6 +146,55 @@ def matrix_to_json(Z: np.ndarray) -> List[List[int]]:
     return np.asarray(Z).astype(int).tolist()
 
 
+# An integer array becomes text through a %-template built once for its
+# shape: one C-level % call in place of one Python step per cell.
+
+def _fill(a: np.ndarray, template: str) -> str:
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"only integer arrays are written as text, not {a.dtype}")
+    return template % tuple(a.ravel().tolist())
+
+
+def _json_layout(items: List[str], pad: str, brackets: str = "[]") -> str:
+    """Rendered items as json.dumps(indent=2) lays out a list (or a dict)
+    whose own line starts with pad."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _json_template(shape: Sequence[int], pad: str) -> str:
+    if not shape:
+        return "%d"
+    return _json_layout([_json_template(shape[1:], pad + "  ")] * shape[0], pad)
+
+
+def _json_text(value: object, pad: str = "") -> str:
+    """The bytes json.dumps(value, indent=2, sort_keys=True) gives, where
+    value may hold integer numpy arrays, each written as its nested list."""
+    if isinstance(value, np.ndarray):
+        return _fill(value, _json_template(value.shape, pad))
+    if isinstance(value, dict):
+        return _json_layout([f"{json.dumps(k)}: {_json_text(v, pad + '  ')}"
+                             for k, v in sorted(value.items())], pad, "{}")
+    if isinstance(value, (list, tuple)):
+        return _json_layout([_json_text(v, pad + "  ") for v in value], pad)
+    return json.dumps(value)
+
+
+def _write_json(path: str, payload: Dict[str, object]) -> None:
+    text = _json_text(payload)
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _matrix_rows(Z: np.ndarray) -> str:
+    """The rows of Z, each as two spaces and its %2d cells."""
+    rows, cols = Z.shape
+    return _fill(Z, "\n".join(["  " + " ".join(["%2d"] * cols)] * rows))
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -196,18 +252,15 @@ def render_partition_function(
 def graph_to_dot(graph: Graph) -> str:
     """DOT text; undirected when the adjacency is symmetric."""
     A = graph.adjacency
-    n = A.shape[0]
     sym = np.array_equal(A, A.T)
     kind, arrow = ("graph", "--") if sym else ("digraph", "->")
     lines = [f"{kind} \"{graph.name or 'G'}\" {{"]
-    for i in range(n):
-        lines.append(f'  n{i} [label="{graph.names[i]}"];')
-    for i in range(n):
-        for j in range(n):
-            if sym and j < i:
-                continue
-            for _ in range(int(A[i, j])):
-                lines.append(f"  n{i} {arrow} n{j};")
+    lines += [f'  n{i} [label="{name}"];' for i, name in enumerate(graph.names)]
+    # Each edge i -> j (i <= j when undirected) is one line per unit of A_ij.
+    i, j = np.nonzero((np.triu(A) if sym else A) > 0)
+    mult = A[i, j]
+    lines += [f"  n{a} {arrow} n{b};"
+              for a, b in zip(np.repeat(i, mult).tolist(), np.repeat(j, mult).tolist())]
     lines.append("}")
     return "\n".join(lines)
 
@@ -275,8 +328,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         for row in md.S:
             print("  [" + "  ".join(_fmt_complex(x) for x in row) + "]")
     if args.json:
-        with open(args.json, "w") as f:
-            json.dump(model_to_json(md.spec), f, indent=2, sort_keys=True)
+        _write_json(args.json, _model_payload(md.spec))
         print(f"wrote {args.json}")
     return EXIT_OK
 
@@ -287,10 +339,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     invs = enumerate_invariants(md, basis=basis)
     print(f"{md.name}: commutant rank {basis.r} ({basis.kind}), "
           f"{len(invs)} physical invariants")
-    fmt = "  " + " ".join(["%2d"] * md.ring.size)
     for i, Z in enumerate(invs):
         print(f"invariant {i}: trace {int(np.trace(Z))}")
-        print("\n".join(fmt % tuple(row) for row in Z.tolist()))
+        print(_matrix_rows(Z))
     if args.oracle:
         ref = brute_force_enumerate(md)
         same = len(ref) == len(invs) and all(
@@ -301,13 +352,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             return EXIT_VERIFY
         print(f"oracle agrees ({len(ref)} invariants)")
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "model": md.name,
             "commutant": {"rank": basis.r, "kind": basis.kind, "exact": basis.exact},
-            "invariants": [matrix_to_json(Z) for Z in invs],
-        }
-        with open(args.json, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
+            "invariants": invs,
+        })
         print(f"wrote {args.json}")
     return EXIT_OK
 
@@ -345,8 +394,6 @@ def cmd_graphs(args: argparse.Namespace) -> int:
         names = ", ".join(g.name for g in graphs) or "(none)"
         print(f"invariant {i} (trace {int(np.trace(Z))}): {names}")
         if args.dot:
-            import os
-
             os.makedirs(args.dot, exist_ok=True)
             for g in graphs:
                 path = os.path.join(
@@ -416,8 +463,7 @@ def cmd_restrict(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         Z = restrict(table, Z_ext)
         print(f"{args.table} / {args.invariant}:")
-    for row in Z:
-        print("  " + " ".join(f"{int(x):2d}" for x in row))
+    print(_matrix_rows(Z))
     print(f"trace {int(np.trace(Z))}, sum {int(Z.sum())}")
     b = table if args.invariant in ("identity", "sweep") else None
     print("Z = " + render_partition_function(Z, names=table.col_names, branching=b))

@@ -1,5 +1,5 @@
 """Test-only references for the report layer: the per-label loops that
-render_partition_function, matrix_to_json, simple_currents,
+render_partition_function, matrix_to_json, graph_to_dot, simple_currents,
 rehren_admissible, permutation_test and simple_current_test were written
 as before they became whole-array operations.  The package must match
 them exactly.
@@ -103,6 +103,24 @@ def render_loop(Z, names=None, branching=None):
                 pre = f"{c}" if c > 1 else ""
                 terms.append(f"{pre}χ{names[lam]}χ{names[mu]}*")
     return " + ".join(terms) if terms else "0"
+
+
+def dot_loop(graph):
+    A = graph.adjacency
+    n = A.shape[0]
+    sym = np.array_equal(A, A.T)
+    kind, arrow = ("graph", "--") if sym else ("digraph", "->")
+    lines = [f"{kind} \"{graph.name or 'G'}\" {{"]
+    for i in range(n):
+        lines.append(f'  n{i} [label="{graph.names[i]}"];')
+    for i in range(n):
+        for j in range(n):
+            if sym and j < i:
+                continue
+            for _ in range(int(A[i, j])):
+                lines.append(f"  n{i} {arrow} n{j};")
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def simple_currents_loop(ring):

@@ -15,10 +15,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import hypothesis.extra.numpy as hnp
 
 from modinv import Graph, build, enumerate_invariants, graph_catalog, su2_model, verify_axioms, zn_model
 from modinv.catalog import BranchingTable, branching_catalog, model_by_name, so8_level1_model
 from modinv.cli import (
+    _json_text,
     graph_to_dot,
     main,
     matrix_to_json,
@@ -31,7 +35,7 @@ from modinv.extensions import restrict, zn_invariant
 from modinv.fusion import MAX_LABELS
 from modinv.modular import tensor_product
 
-from report_loops import matrix_to_json_loop, render_loop, report_models
+from report_loops import dot_loop, matrix_to_json_loop, render_loop, report_models
 from test_commutant import d5_matrix, d10_matrix
 from dense import dense, ring_from_dense
 
@@ -163,6 +167,65 @@ def test_graph_to_dot():
     dot = graph_to_dot(Graph([[0, 1], [0, 0]], ["a", "b"], name="P2"))
     assert dot.startswith('digraph "P2"') and "n0 -> n1;" in dot and "--" not in dot
     assert dot.count("->") == 1
+    # Byte for byte the double loop, loops and multiple edges included.
+    graphs = [graph_catalog(family, n)
+              for family, sizes in (("A", range(1, 31)), ("D", range(4, 31)),
+                                    ("E", (6, 7, 8)), ("T", range(1, 31)))
+              for n in sizes]
+    graphs += [Graph([[0, 1], [0, 0]], ["a", "b"], name="P2"),
+               Graph([[2, 1, 0], [1, 0, 3], [0, 3, 1]], list("abc"), name="multi"),
+               Graph([[0, 2, 0], [1, 0, -1], [0, 0, 1]], list("abc"))]
+    for g in graphs:
+        assert graph_to_dot(g) == dot_loop(g), g.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "su2:6"], ["enumerate", "su2:4*su2:4"], ["enumerate", "zn:96:1"],
+    ["model", "show", "so8_1"], ["model", "show", "su2:4*su2:4"]])
+def test_written_files_are_canonical_dumps(tmp_path, argv):
+    path = tmp_path / "out.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    if argv[0] == "model":
+        spec = model_by_name(argv[2])
+        assert text == json.dumps(model_to_json(spec), indent=2, sort_keys=True)
+
+
+# int64 arrays of 1-3 dimensions, a leading length of 0 included, with
+# small, negative and beyond-2**53 values.
+_int_arrays = st.integers(1, 3).flatmap(lambda ndim: hnp.arrays(
+    np.int64, st.tuples(*[st.integers(0, 3)] * ndim),
+    elements=st.one_of(st.integers(-20, 20), st.integers(-2 ** 63, 2 ** 63 - 1),
+                       st.sampled_from([2 ** 53, -2 ** 53 - 1, 2 ** 63 - 1, -2 ** 63]))))
+_payloads = st.recursive(
+    st.one_of(_int_arrays, st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                            st.lists(inner, max_size=3)),
+    max_leaves=10)
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(max_size=4), _payloads, max_size=4))
+def test_json_writer_is_the_indented_dump(payload):
+    assert _json_text(payload) == json.dumps(_plain(payload), indent=2, sort_keys=True)
+
+
+def test_json_writer_refuses_non_integer_arrays():
+    assert _json_text({"a": np.zeros((0, 3, 3), dtype=int)}) == '{\n  "a": []\n}'
+    for a in (np.array([True, False]), np.array([1.0, 0.0]), np.zeros((2, 2), dtype=bool)):
+        with pytest.raises(TypeError, match="only integer arrays"):
+            _json_text({"Z": a})
 
 
 def test_model_json_round_trip():

@@ -43,6 +43,8 @@ PERFBENCH = SRC.parents[1] / "perfbench"
 UNCALLED = {
     "is_invariant": "the documented checker for one matrix, independent of the search",
     "is_nondegenerate": "the (flag, reason) form of the nondegeneracy rule build applies",
+    "model_to_json": "the plain-list model description; model show --json writes the same "
+                     "payload with the fusion nonzeros as one int array",
     "relation_residuals": "the modular relation residuals the acceptance suite reads",
     "tadpole_exclusion": "the odd-level tadpole record the acceptance suite reads",
 }
