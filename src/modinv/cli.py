@@ -10,6 +10,7 @@ oracle cross-check, a refused commutant basis).  All output is deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -183,10 +184,14 @@ def _json_text(value: object, pad: str = "") -> str:
     return json.dumps(value)
 
 
-def _write_json(path: str, payload: Dict[str, object]) -> None:
+def _write_json(f, payload: Dict[str, object]) -> None:
+    """Replace the text of f, the --json file, which a command opens to
+    append before any work: an unwritable path fails first, and a failed
+    command leaves the file as it was."""
     text = _json_text(payload)
-    with open(path, "w") as f:
-        f.write(text)
+    f.truncate(0)
+    f.write(text)
+    print(f"wrote {f.name}")
 
 
 def _matrix_rows(Z: np.ndarray) -> str:
@@ -312,52 +317,49 @@ def cmd_model(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # show
-    md = _load_model(args.name)
-    ring = md.ring
-    print(f"model {md.name}: {ring.size} sectors, w = {md.w:.6f}")
-    if md.nondegenerate:
-        print(f"nondegenerate, c = {md.c:.6f} (mod 8), z = {_fmt_complex(md.z)}")
-    else:
-        print(f"degenerate: {md.degenerate_reason}")
-    print("labels:")
-    d = ring.d
-    for i, name in enumerate(ring.names):
-        print(f"  {i:3d}  {name:>10s}  h={str(md.spins.h[i]):>8s}  d={d[i]:.6f}")
-    if md.nondegenerate and ring.size <= 8:
-        print("S:")
-        for row in md.S:
-            print("  [" + "  ".join(_fmt_complex(x) for x in row) + "]")
-    if args.json:
-        _write_json(args.json, _model_payload(md.spec))
-        print(f"wrote {args.json}")
+    with open(args.json, "a") if args.json else contextlib.nullcontext() as f:
+        md = _load_model(args.name)
+        ring = md.ring
+        print(f"model {md.name}: {ring.size} sectors, w = {md.w:.6f}")
+        if md.nondegenerate:
+            print(f"nondegenerate, c = {md.c:.6f} (mod 8), z = {_fmt_complex(md.z)}")
+        else:
+            print(f"degenerate: {md.degenerate_reason}")
+        print("labels:")
+        d = ring.d
+        for i, name in enumerate(ring.names):
+            print(f"  {i:3d}  {name:>10s}  h={str(md.spins.h[i]):>8s}  d={d[i]:.6f}")
+        if md.nondegenerate and ring.size <= 8:
+            print("S:")
+            for row in md.S:
+                print("  [" + "  ".join(_fmt_complex(x) for x in row) + "]")
+        if f:
+            _write_json(f, _model_payload(md.spec))
     return EXIT_OK
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    md = _load_model(args.model)
-    basis = commutant_basis(md)
-    invs = enumerate_invariants(md, basis=basis)
-    print(f"{md.name}: commutant rank {basis.r} ({basis.kind}), "
-          f"{len(invs)} physical invariants")
-    for i, Z in enumerate(invs):
-        print(f"invariant {i}: trace {int(np.trace(Z))}")
-        print(_matrix_rows(Z))
-    if args.oracle:
-        ref = brute_force_enumerate(md)
-        same = len(ref) == len(invs) and all(
-            np.array_equal(a, b) for a, b in zip(ref, invs)
-        )
-        if not same:
-            print("oracle mismatch: brute force disagrees", file=sys.stderr)
-            return EXIT_VERIFY
-        print(f"oracle agrees ({len(ref)} invariants)")
-    if args.json:
-        _write_json(args.json, {
-            "model": md.name,
-            "commutant": {"rank": basis.r, "kind": basis.kind, "exact": basis.exact},
-            "invariants": invs,
-        })
-        print(f"wrote {args.json}")
+    with open(args.json, "a") if args.json else contextlib.nullcontext() as f:
+        md = _load_model(args.model)
+        basis = commutant_basis(md)
+        invs = enumerate_invariants(md, basis=basis)
+        print(f"{md.name}: commutant rank {basis.r} ({basis.kind}), "
+              f"{len(invs)} physical invariants")
+        for i, Z in enumerate(invs):
+            print(f"invariant {i}: trace {int(np.trace(Z))}")
+            print(_matrix_rows(Z))
+        if args.oracle:
+            ref = brute_force_enumerate(md)
+            if not (len(ref) == len(invs) and all(map(np.array_equal, ref, invs))):
+                print("oracle mismatch: brute force disagrees", file=sys.stderr)
+                return EXIT_VERIFY
+            print(f"oracle agrees ({len(ref)} invariants)")
+        if f:
+            _write_json(f, {
+                "model": md.name,
+                "commutant": {"rank": basis.r, "kind": basis.kind, "exact": basis.exact},
+                "invariants": invs,
+            })
     return EXIT_OK
 
 
@@ -384,6 +386,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
+    if args.dot:
+        os.makedirs(args.dot, exist_ok=True)
     md = _load_model(args.model)
     if name_family(md.name)[0] != "su2":
         print("graph assignment covers su2 models only", file=sys.stderr)
@@ -394,11 +398,8 @@ def cmd_graphs(args: argparse.Namespace) -> int:
         names = ", ".join(g.name for g in graphs) or "(none)"
         print(f"invariant {i} (trace {int(np.trace(Z))}): {names}")
         if args.dot:
-            os.makedirs(args.dot, exist_ok=True)
             for g in graphs:
-                path = os.path.join(
-                    args.dot, f"{md.name.replace(':', '_')}_inv{i}_{g.name}.dot"
-                )
+                path = os.path.join(args.dot, f"{md.name.replace(':', '_')}_inv{i}_{g.name}.dot")
                 with open(path, "w") as f:
                     f.write(graph_to_dot(g) + "\n")
                 print(f"  wrote {path}")

@@ -8,8 +8,8 @@ order of (lam, mu, nu), never an m^3 array.  What N alone decides is
 read off them here, once: the conjugation (the nu = 0 entries) and the
 cyclic subgroups of the simple-current group.  The current mask, the
 cyclic subgroups, the quantum dimensions and the axioms cost O(nnz) or
-O(m^2) each, and associativity is checked one label and one run of
-labels mu at a time on them.
+O(nnz + m^2) each; associativity is decided by a randomized identity
+test with fresh entropy, and its failing positions are named exactly.
 Everything downstream (modular data, invariant enumeration, extensions)
 consumes the interface defined here.
 """
@@ -30,12 +30,6 @@ __all__ = [
 ]
 
 DIM_TOL = 1e-9
-# Pairs the associativity check forms at once (a few int64 arrays of
-# this length, 2 MiB each), and the cells of the difference slice it sums
-# them into (8 MiB of int64: one run of labels up to m = 101, a few up
-# to 256, so the Python work per label stays small).
-ASSOC_PAIRS = 2 ** 18
-ASSOC_CELLS = 2 ** 20
 # Largest label count of a model.  Downstream every model is held as
 # m x m matrices (Omega, Y, S, T, the commutant's cells and basis), so a
 # larger m is refused before any of them, or the nonzeros, is formed.
@@ -160,51 +154,52 @@ def _spans(start: np.ndarray, end: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return which, np.arange(cnt.sum()) + np.repeat(start - (np.cumsum(cnt) - cnt), cnt)
 
 
+def _grouped(key: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Exact sums of the Python-int weights by key, as an object array."""
+    out = np.zeros(size, dtype=object)
+    np.add.at(out, key, weights)
+    return out
+
+
 def _associativity_failures(ring: FusionRing) -> List[Tuple[int, ...]]:
     """The first three (l, m, n, r), in C order, with
     sum_s N_{lm}^s N_{sn}^r != sum_s N_{mn}^s N_{ls}^r.
 
-    One label l and one run of labels m at a time, on the nonzeros: the
-    left side pairs each nonzero N_{lm}^s with the nonzeros of N[s], the
-    right side each nonzero N_{ls}^r with the nonzeros N_{mn}^s, and both
-    are summed into one slice (m, n, r) of their difference, m in the
-    run.  A run holds at most ASSOC_PAIRS pairs and ASSOC_CELLS cells,
-    or one label m when that alone holds more pairs.  Memory is that slice,
-    the pairs of one run and O(m^2) pointers: it does not grow as m^3,
-    and never holds the m^4 tensor; time goes with the number of pairs.
+    Two trials of a randomized identity test (Freivalds; Rajagopalan-
+    Schulman 2000), each with z, y, x uniform in [0, 2^32) from fresh
+    entropy, in exact Python-int sums over the nonzeros, O(nnz + m^2):
+    a_s = sum N_{sn}^r y_n x_r, C[l, s] = sum_r N_{ls}^r x_r,
+    B[k, s] = sum_n N_{kn}^s y_n, L[l, k] = sum_s N_{lk}^s a_s.  D =
+    L - C B^T is the associator contracted with x_r y_n; l is flagged when
+    (D z)_l != 0 (a failing l is missed with probability <= 3/2^32), and
+    each k with D[l, k] != 0 in either trial names the nonzeros of the
+    exact slice sum_s N_{lk}^s N_s - N_k N_l, in C order.
     """
     lam, mu, nu, val = ring.nonzeros
     m = ring.size
-    rows = np.arange(m * m + 1)
-    third = np.argsort(nu, kind="stable")  # the nonzeros by (nu, lam, mu)
-    # The nonzeros of N[l, m, :] are by_lm[l m]:by_lm[l m + 1]; those of
-    # N[l, :, s] are third[by_nl[s m + l]:by_nl[s m + l + 1]].
-    by_lm = np.searchsorted(lam * m + mu, rows)
-    by_nl = np.searchsorted((nu * m + lam)[third], rows)
-    row_nnz = np.diff(by_lm[::m])  # nonzeros of each N[s]
-    col_nnz = np.diff(by_nl).reshape(m, m)  # [s, l]: nonzeros of N[l, :, s]
-    width = max(1, ASSOC_CELLS // (m * m))
-    net = np.zeros(min(width, m) * m * m, dtype=int)  # zero again after each run
+    v = val.astype(object)
+    trials = []
+    for _ in range(2):
+        z, y, x = np.random.default_rng().integers(0, 2 ** 32, size=(3, m)).astype(object)
+        a = _grouped(lam, v * y[mu] * x[nu], m)
+        C = _grouped(lam * m + mu, v * x[nu], m * m).reshape(m, m)
+        B = _grouped(lam * m + nu, v * y[mu], m * m).reshape(m, m)
+        L = _grouped(lam * m + mu, v * a[nu], m * m).reshape(m, m)
+        trials.append((L, B, C, L @ z != C @ (B.T @ z)))
+    # The nonzeros of N[l, k, :] are by_lk[l m + k]:by_lk[l m + k + 1].
+    by_lk = np.searchsorted(lam * m + mu, np.arange(m * m + 1))
     out: List[Tuple[int, ...]] = []
-    for l in range(m):
-        b = np.arange(by_lm[l * m], by_lm[l * m + m])
-        # Pairs per label m, both sides; a run ends where the running
-        # total passes a multiple of ASSOC_PAIRS, or after `width` labels.
-        pairs = np.cumsum(np.bincount(mu[b], weights=row_nnz[nu[b]], minlength=m).astype(int)
-                          + np.bincount(mu[b], minlength=m) @ col_nnz)
-        ends = np.flatnonzero(np.diff(pairs // ASSOC_PAIRS) + np.diff(rows[:m] // width)) + 1
-        for lo, hi in zip([0, *ends], [*ends, m]):
-            a = np.arange(by_lm[l * m + lo], by_lm[l * m + hi])
-            g, j = _spans(by_lm[nu[a] * m], by_lm[nu[a] * m + m])
-            a = a[g]
-            h, k = _spans(by_nl[mu[b] * m + lo], by_nl[mu[b] * m + hi])
-            c, k = b[h], third[k]
-            cells = np.concatenate([((mu[a] - lo) * m + mu[j]) * m + nu[j],
-                                    ((lam[k] - lo) * m + mu[k]) * m + nu[c]])
-            np.add.at(net, cells, np.concatenate([val[a] * val[j], -val[k] * val[c]]))
-            bad = np.unique(cells[net[cells] != 0])
-            net[bad] = 0
-            out += _first_bad(bad[:3 - len(out)] + (l * m + lo) * m * m, (m,) * 4)
+    for l in np.flatnonzero(trials[0][3] | trials[1][3]):
+        for k in np.flatnonzero(np.any([L[l] != B @ C[l] for L, B, C, _ in trials], axis=0)):
+            # Each N_{lk}^s times the row N[s], less each N_{kn}^s times
+            # the row N[l, s], summed into the (n, r) slice.
+            i = np.arange(by_lk[l * m + k], by_lk[l * m + k + 1])
+            g, j = _spans(by_lk[nu[i] * m], by_lk[nu[i] * m + m])
+            q = np.arange(by_lk[k * m], by_lk[k * m + m])
+            h, p = _spans(by_lk[l * m + nu[q]], by_lk[l * m + nu[q] + 1])
+            net = _grouped(np.concatenate([mu[j] * m + nu[j], mu[q[h]] * m + nu[p]]),
+                           np.concatenate([v[i[g]] * v[j], -(v[q[h]] * v[p])]), m * m)
+            out += _first_bad(np.flatnonzero(net)[:3 - len(out)] + (l * m + k) * m * m, (m,) * 4)
             if len(out) == 3:
                 return out
     return out
@@ -217,7 +212,10 @@ def verify_axioms(ring: FusionRing) -> List[str]:
     vacuum acts as identity, commutativity, associativity, conjugation
     (the vacuum slice, see FusionRing) is an involution fixing the vacuum,
     and the quantum dimensions exist with d >= 1.  Positions are listed
-    in C order, three at most.
+    in C order, three at most.  Associativity is two randomized trials
+    with fresh entropy: a non-associative ring passes with probability
+    <= (3/2^32)^2 < 2^-60, whatever file it came from, and the output is
+    deterministic except with probability below 2^-58.
     """
     out: List[str] = []
     lam, mu, nu, val = ring.nonzeros

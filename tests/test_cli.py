@@ -941,6 +941,29 @@ def test_cli_unwritable_output_path(tmp_path, capsys, option):
     target = {"--json": tmp_path / "missing" / "out.json", "--dot": regular / "dots"}
     *command, flag = option.split()
     assert main([*command, "su2:4", flag, str(target[flag])]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
     assert str(target[flag]) in err
+
+
+@pytest.mark.parametrize("before", [None, "kept\n"])
+def test_a_later_failure_leaves_the_json_path_as_it_was(tmp_path, capsys, before):
+    # The file is opened before the work, to append, and replaced only at
+    # the end: an oracle mismatch (exit 2) leaves an old file untouched
+    # and a new path empty.
+    path = tmp_path / "out.json"
+    if before is not None:
+        path.write_text(before)
+    with mock.patch("modinv.cli.brute_force_enumerate", return_value=[]):
+        assert main(["enumerate", "su2:4", "--oracle", "--json", str(path)]) == 2
+    assert capsys.readouterr().err == "oracle mismatch: brute force disagrees\n"
+    assert path.read_text() == (before or "")
+
+
+def test_a_model_file_can_be_shown_into_itself(tmp_path, capsys):
+    path = tmp_path / "su2_4.json"
+    assert main(["model", "show", "su2:4", "--json", str(path)]) == 0
+    text = path.read_text()
+    assert main(["model", "show", str(path), "--json", str(path)]) == 0
+    assert path.read_text() == text

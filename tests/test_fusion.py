@@ -1,4 +1,5 @@
 """Fusion ring axioms, quantum dimensions and simple currents."""
+import functools
 import json
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from modinv import build, enumerate_invariants, su2_model, zn_model, so8_level1_model, verify_axioms
 from modinv import fusion
-from modinv.catalog import sun_current_model
+from modinv.catalog import catalog_names, model_by_name, sun_current_model
 from modinv.classify import permutation_test
 from modinv.extensions import rehren_admissible
 from modinv.fusion import DIM_TOL, FusionRing, quantum_dimensions, simple_currents
@@ -19,6 +20,7 @@ from modinv.modular import tensor_product, verlinde_check
 
 from report_loops import report_models, rehren_admissible_loop, simple_currents_loop
 from test_commutant import small_su2, small_zn
+from assoc_reference import associativity_failures
 from dense import dense, ring_from_dense
 
 
@@ -460,10 +462,41 @@ def test_axiom_messages_match_the_dense_definitions(ring):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(edited_rings(), st.sampled_from([(fusion.ASSOC_PAIRS, fusion.ASSOC_CELLS), (5, 5)]))
-def test_associativity_failures_match_the_dense_einsum(ring, caps):
-    # With 5 pairs and 5 cells at a time, each label is summed in runs of
-    # one label m.
-    with mock.patch.multiple(fusion, ASSOC_PAIRS=caps[0], ASSOC_CELLS=caps[1]):
-        assert fusion._associativity_failures(ring) == dense_associativity_failures(dense(ring))
+@given(edited_rings())
+def test_associativity_failures_match_the_dense_einsum(ring):
+    assert fusion._associativity_failures(ring) == dense_associativity_failures(dense(ring))
+
+
+@functools.lru_cache(maxsize=None)
+def large_ring(name):
+    return model_by_name(name).ring
+
+
+@st.composite
+def large_edited_rings(draw):
+    """su2:8*su2:8 (m = 81) or su2:4*zn:6:1 (m = 30), too large for the
+    dense m^4 einsum, with 1-3 cells N_{ab}^c = N_{ba}^c, c > 0, changed."""
+    ring = large_ring(draw(st.sampled_from(["su2:8*su2:8", "su2:4*zn:6:1"])))
+    N = dense(ring)
+    m = ring.size
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c = (draw(st.integers(lo, m - 1)) for lo in (0, 0, 1))
+        N[a, b, c] = N[b, a, c] = N[a, b, c] + draw(st.sampled_from([-1, 1, 2]))
+    return ring_from_dense(ring.names, N)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(large_edited_rings())
+def test_associativity_line_matches_the_exact_reference(ring):
+    ref = associativity_failures(ring)
+    lines = [x for x in verify_axioms(ring) if x.startswith("associativity")]
+    assert lines == ([f"associativity fails at {ref}"] if ref else [])
+
+
+def test_every_associative_ring_passes():
+    # No flag of the randomized test is ever false, so each of these
+    # passes on every run, whatever the draws.
+    for name in catalog_names() + ["su2:4*su2:4", "zn:6:1*zn:6:1", "su2:8*su2:8",
+                                   "su2:16*su2:7"]:
+        assert verify_axioms(model_by_name(name).ring) == [], name
 
