@@ -5,7 +5,7 @@ Submodules:
   modular     Omega/Y/S/T construction from exact weights
   catalog     built-in models and branching tables
   commutant   invariant enumeration (echelonized commutant + oracle)
-  classify    structural reports for single invariants
+  classify    structural reports for invariants, one or a whole list
   graphs      ADE/tadpole catalog, su(2) nimreps, spectral assignment
   extensions  admissible extensions, Z_n invariants, restriction
   cli         command line interface and serialization
@@ -39,7 +39,7 @@ from .commutant import (
     is_invariant,
     t_support,
 )
-from .classify import classify_invariant, find_parents, type1_decomposition
+from .classify import classify_invariant, classify_list, find_parents, type1_decomposition
 from .graphs import Graph, ade_assignment, graph_catalog
 from .extensions import rehren_admissible, restrict, theta_vector, zn_invariant
 

@@ -1,10 +1,19 @@
-"""Structural analysis of a physical invariant Z.
+"""Structural analysis of physical invariants, one Z or a whole list.
 
 Covers the permutation (automorphism) test, vacuum symmetry, the simple
 current support criterion (currents read exactly off N), integer Gram
 decompositions Z = b^T b (type I data), chiral index bookkeeping, and the
 parent search that attaches a pair of type I invariants to a general one
 through its vacuum row and column.
+
+`classify_list(invs, md)` reports on a whole list in one pass.  It stacks
+the list once as an (n, m, m) int64 array and computes each field as one
+whole-array kernel over the stack; the per-model tables the kernels read
+(the sorted fusion keys, the current-pair mask, the spin classes, the
+degenerate sectors) are cached on the ring, the weights and the model.
+`permutation_test`, `vacuum_symmetry`, `simple_current_test`,
+`chiral_indices` and `sector_counts` are the same kernels on one matrix,
+and `classify_invariant` is made of them.
 
 The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
 (vacuum column) and sum_l Z_{0l} l (vacuum row), so they depend only on those
@@ -13,9 +22,12 @@ type I is a function of that matrix alone, so its Gram rows are memoized per
 matrix (keyed by its int64 bytes, at most TYPE1_MEMO_SIZE entries).  The
 decision is exact integer arithmetic on one path, Python ints from the residue
 R = Z - z0 z0^T to the rows, and the Gram search cuts every residue that no sum
-of v v^T can be.  The parent search reads one table per list, from vacuum
-vector to its first type I entry, built once and kept for the last list seen;
-each call still restacks the list to recognise it.
+of v v^T can be.  The parent table of a list maps each vacuum vector to its
+first type I entry; it is built once per list, deciding each distinct
+vacuum-symmetric entry once, and kept for the last list seen.
+`classify_list` reads the type I rows off that same table, so it decides
+each matrix once whatever the memo keeps; `find_parents` on one Z still
+restacks the list to recognise it.
 """
 
 from __future__ import annotations
@@ -24,13 +36,13 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .catalog import BranchingTable
 from .fusion import FusionRing
-from .modular import ModularData, degenerate_sectors
+from .modular import ModularData
 
 __all__ = [
     "permutation_test",
@@ -42,6 +54,7 @@ __all__ = [
     "find_parents",
     "InvariantReport",
     "classify_invariant",
+    "classify_list",
 ]
 
 # Node budget of one Gram decomposition search.
@@ -60,35 +73,63 @@ def permutation_test(
     preserves the fusion rules (checked on supp N, enough for a bijection)
     and, when spins are given, the weights.  A non-permutation Z yields None.
     """
-    Z = np.asarray(Z)
-    if not (
-        np.all((Z == 0) | (Z == 1))
-        and np.all(Z.sum(axis=0) == 1)
-        and np.all(Z.sum(axis=1) == 1)
-    ):
-        return None
-    theta = Z.argmax(axis=1)
-    rep: Dict[str, object] = {"theta": theta, "fixes_vacuum": bool(theta[0] == 0)}
-    # theta is a bijection, so it preserves N exactly when the permuted
-    # nonzeros, sorted, are the nonzeros themselves.
-    lam, mu, nu, val = ring.nonzeros
-    shape = (ring.size,) * 3
-    moved = np.ravel_multi_index((theta[lam], theta[mu], theta[nu]), shape)
-    order = np.argsort(moved)
-    rep["fusion_ok"] = bool(np.array_equal(moved[order], np.ravel_multi_index((lam, mu, nu), shape))
-                            and np.array_equal(val[order], val))
+    return _permutations(np.asarray(Z)[None], ring, spins)[0]
+
+
+def _permutations(
+    mats: np.ndarray, ring: FusionRing, spins=None
+) -> List[Optional[Dict[str, object]]]:
+    """permutation_test of each matrix of the (n, m, m) stack, all the
+    permutation matrices checked together."""
+    reports: List[Optional[Dict[str, object]]] = [None] * len(mats)
+    # A permutation matrix is the one-hot matrix of its rows' argmax, and
+    # that is a bijection.
+    theta = mats.argmax(axis=2)
+    labels = np.arange(mats.shape[1])
+    perm = ((mats == (theta[:, :, None] == labels)).all(axis=(1, 2))
+            & (np.sort(theta, axis=1) == labels).all(axis=1))
+    (rows,) = perm.nonzero()
+    if not len(rows):
+        return reports
+    theta = theta[rows]
+    # theta is a bijection, so it preserves N exactly when the keys of
+    # the moved nonzeros, each with its value's code, sorted, are the keys.
+    lam, mu, nu, _ = ring.nonzeros
+    c, code, keys = ring.keys
+    moved = theta.take(lam, axis=1)
+    for x in (mu, nu):
+        moved *= ring.size
+        moved += theta.take(x, axis=1)
+    moved *= c
+    moved += code
+    moved.sort(axis=1, kind="stable")
+    ok = (moved == keys).all(axis=1)
+    fixes = theta[:, 0] == 0
+    fusion = ok.tolist()
+    ok &= fixes
+    spin = [None] * len(rows)
     if spins is not None:
-        rep["spin_ok"] = [spins.h[t] for t in theta.tolist()] == list(spins.h)
-    rep["consistent"] = bool(
-        rep["fixes_vacuum"] and rep["fusion_ok"] and rep.get("spin_ok", True)
-    )
-    return rep
+        same = (spins.classes[theta] == spins.classes).all(axis=1)
+        spin = same.tolist()
+        ok &= same
+    for i, t, f, fu, sp, con in zip(rows.tolist(), theta, fixes.tolist(), fusion, spin,
+                                    ok.tolist()):
+        rep: Dict[str, object] = {"theta": t, "fixes_vacuum": f, "fusion_ok": fu}
+        if spins is not None:
+            rep["spin_ok"] = sp
+        rep["consistent"] = con
+        reports[i] = rep
+    return reports
 
 
 def vacuum_symmetry(Z: np.ndarray) -> bool:
     """Vacuum row equals vacuum column."""
-    Z = np.asarray(Z)
-    return bool(np.array_equal(Z[0, :], Z[:, 0]))
+    return bool(_vacuum_symmetric(np.asarray(Z)))
+
+
+def _vacuum_symmetric(mats: np.ndarray) -> np.ndarray:
+    """vacuum_symmetry of each matrix of a (..., m, m) stack."""
+    return (mats[..., 0, :] == mats[..., :, 0]).all(axis=-1)
 
 
 def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
@@ -98,11 +139,12 @@ def simple_current_test(Z: np.ndarray, ring: FusionRing) -> bool:
     has N_{sigma l}^m = 1.  Holds for all pure simple-current invariants;
     fails for exceptional couplings.
     """
-    lam, mu, nu, _ = ring.nonzeros
-    current = ring.is_current[lam]
-    joined = np.zeros((ring.size, ring.size), dtype=bool)
-    joined[mu[current], nu[current]] = True
-    return bool(np.all(joined[np.asarray(Z) != 0]))
+    return bool(_current_supported(np.asarray(Z), ring))
+
+
+def _current_supported(mats: np.ndarray, ring: FusionRing) -> np.ndarray:
+    """simple_current_test of each matrix of a (..., m, m) stack."""
+    return ((mats == 0) | ring.current_pairs).all(axis=(-2, -1))
 
 
 def _gram_rows(R: np.ndarray) -> Optional[List[np.ndarray]]:
@@ -188,13 +230,15 @@ def type1_decomposition(Z: np.ndarray) -> Optional[BranchingTable]:
     fresh object over a copy of the memoized rows.
     """
     Z = np.asarray(Z, dtype=np.int64)
-    m = Z.shape[0]
-    b = _type1_rows(np.ascontiguousarray(Z).tobytes(), m)
+    return _table(_type1_rows(np.ascontiguousarray(Z).tobytes(), Z.shape[0]))
+
+
+def _table(b: Optional[np.ndarray]) -> Optional[BranchingTable]:
     if b is None:
         return None
     return BranchingTable(
         b.copy(), [f"tau{t}" for t in range(b.shape[0])],
-        [str(i) for i in range(m)], name="gram"
+        [str(i) for i in range(b.shape[1])], name="gram"
     )
 
 
@@ -205,33 +249,41 @@ def chiral_indices(Z: np.ndarray, md: ModularData) -> Dict[str, float]:
     w_alpha uses only the degenerate sectors in the vacuum row, and
     w_zero = w_plus^2 / w_alpha.
     """
-    Z = np.asarray(Z)
-    d = md.ring.d
-    w = md.w
-    den_p = float(d @ Z[:, 0])
-    den_m = float(Z[0, :] @ d)
-    if den_p <= 0 or den_m <= 0:
-        raise ValueError("vacuum row/column of Z is empty")
-    deg = degenerate_sectors(md)
-    den_a = float(sum(Z[0, l] * d[l] for l in deg))
-    out = {
-        "w_plus": w / den_p,
-        "w_minus": w / den_m,
-        "w_alpha": w / den_a if den_a > 0 else math.inf,
-    }
-    out["w_zero"] = out["w_plus"] ** 2 / out["w_alpha"]
+    return _indices(np.asarray(Z)[None], md)[0]
+
+
+def _indices(mats: np.ndarray, md: ModularData) -> List[Dict[str, float]]:
+    """chiral_indices of each matrix of the (n, m, m) stack."""
+    d, deg, w = md.ring.d, md.degenerate, md.w
+    out = []
+    for p, q, a in zip((mats[:, :, 0] @ d).tolist(), (mats[:, 0, :] @ d).tolist(),
+                       (mats[:, 0, deg] @ d[deg]).tolist()):
+        if p <= 0 or q <= 0:
+            raise ValueError("vacuum row/column of Z is empty")
+        w_alpha = w / a if a > 0 else math.inf
+        out.append({"w_plus": w / p, "w_minus": w / q, "w_alpha": w_alpha,
+                    "w_zero": (w / p) ** 2 / w_alpha})
     return out
 
 
 def sector_counts(Z: np.ndarray) -> Dict[str, int]:
     """Diagonal count, total squared sum and the two vacuum counts, in Python ints."""
-    Z = np.asarray(Z, dtype=int)
-    return {
-        "trace": sum(np.diagonal(Z).tolist()),
-        "sum_squares": sum(x * x for x in Z[Z != 0].tolist()),
-        "x_plus": sum(x * x for x in Z[:, 0].tolist()),
-        "x_minus": sum(x * x for x in Z[0].tolist()),
-    }
+    return _counts(np.asarray(Z, dtype=int)[None])[0]
+
+
+def _counts(mats: np.ndarray) -> List[Dict[str, int]]:
+    """sector_counts of each matrix of the (n, m, m) stack: in int64 when
+    m^2 max|Z|^2 < 2^63 bounds every sum, else in Python ints.  Each row
+    of the flattened stack is laid out as its diagonal, then the squares
+    of column 0, of row 0 and of all cells, and one reduceat sums the four."""
+    n, m = mats.shape[:2]
+    top = max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
+    a = (mats if m * m * top * top < 2 ** 63 else mats.astype(object)).reshape(n, m * m)
+    sq = a * a
+    sums = np.add.reduceat(np.concatenate((a[:, ::m + 1], sq[:, ::m], sq[:, :m], sq), axis=1),
+                           [0, m, 2 * m, 3 * m], axis=1)
+    return [{"trace": t, "sum_squares": s, "x_plus": p, "x_minus": q}
+            for t, p, q, s in sums.tolist()]
 
 
 class _StackedList:
@@ -250,20 +302,34 @@ class _StackedList:
 
 
 @functools.lru_cache(maxsize=1)
-def _parent_index(stacked: _StackedList) -> Dict[bytes, int]:
-    """Vacuum vector (int64 bytes) -> index of the first type I entry with
-    that vacuum column.  A type I P is symmetric, so P[:, 0] = P[0, :] and
-    the one table serves the plus and the minus parent.  Each
-    vacuum-symmetric entry whose vector has no parent yet is decided once."""
+def _parent_index(stacked: _StackedList) -> Tuple[Dict[bytes, int], List[Optional[np.ndarray]]]:
+    """The parent table of a list and the type I rows of its entries.
+
+    The table maps a vacuum vector (int64 bytes) to the index of the first
+    type I entry with that vacuum column.  A type I P is symmetric, so
+    P[:, 0] = P[0, :] and the one table serves the plus and the minus
+    parent.  The rows are the memoized ones of each vacuum-symmetric
+    entry, None for the others; each distinct entry is decided once,
+    whatever the memo keeps."""
     mats = stacked.mats
-    m = mats.shape[1]
-    cols = mats[:, :, 0]
+    rows: List[Optional[np.ndarray]] = [None] * len(mats)
+    decided: Dict[bytes, Optional[np.ndarray]] = {}
     first: Dict[bytes, int] = {}
-    for i in np.nonzero(np.all(cols == mats[:, 0, :], axis=1))[0].tolist():
-        key = cols[i].tobytes()
-        if key not in first and _type1_rows(mats[i].tobytes(), m) is not None:
-            first[key] = i
-    return first
+    for i in np.flatnonzero(_vacuum_symmetric(mats)).tolist():
+        key = mats[i].tobytes()
+        if key not in decided:
+            decided[key] = _type1_rows(key, mats.shape[1])
+        rows[i] = decided[key]
+        if rows[i] is not None:
+            first.setdefault(mats[i, :, 0].tobytes(), i)
+    return first, rows
+
+
+def _parents_of(first: Dict[bytes, int], col: np.ndarray, row: np.ndarray
+                ) -> Dict[str, Optional[int]]:
+    """The plus and minus parents of an int64 vacuum column and row, read
+    off a parent table."""
+    return {"plus": first.get(col.tobytes()), "minus": first.get(row.tobytes())}
 
 
 def find_parents(
@@ -276,14 +342,14 @@ def find_parents(
     indices into `enumerated` (first match each), None where no parent
     exists in the list.  Both are read off one table per list, from vacuum
     vector to its first type I entry, kept for the last list seen; each
-    call restacks the list to find it.
+    call restacks the list to find it, which classify_list does once.
     """
     Z = np.asarray(Z, dtype=np.int64)
     m = Z.shape[0]
     # A fresh copy, so the cached key cannot change under a caller's array.
     mats = np.array(enumerated, dtype=np.int64).reshape(len(enumerated), m, m)
-    first = _parent_index(_StackedList(mats))
-    return {"plus": first.get(Z[:, 0].tobytes()), "minus": first.get(Z[0].tobytes())}
+    first, _ = _parent_index(_StackedList(mats))
+    return _parents_of(first, Z[:, 0], Z[0])
 
 
 @dataclass
@@ -300,25 +366,39 @@ class InvariantReport:
     parents: Optional[Dict[str, Optional[int]]]
 
 
+def _report(vac: bool, b: Optional[BranchingTable], *fields) -> InvariantReport:
+    """A report from the vacuum symmetry, the branching table and the
+    other fields in InvariantReport's order."""
+    perm, current, indices, counts, parents = fields
+    return InvariantReport("type II" if b is None else "type I", not vac, perm, current, b,
+                           indices, counts, parents)
+
+
 def classify_invariant(
     Z: np.ndarray,
     md: ModularData,
     enumerated: Optional[Sequence[np.ndarray]] = None,
 ) -> InvariantReport:
     """Full structural report for one invariant of a model."""
-    Z = np.asarray(Z, dtype=int)
+    Z = np.asarray(Z, dtype=np.int64)
     ring = md.ring
-    perm = permutation_test(Z, ring, md.spins)
     vac = vacuum_symmetry(Z)
-    b = type1_decomposition(Z) if vac else None
-    kind = "type I" if b is not None else "type II"
-    return InvariantReport(
-        kind=kind,
-        heterotic=not vac,
-        permutation=perm,
-        simple_current_supported=simple_current_test(Z, ring),
-        branching=b,
-        indices=chiral_indices(Z, md),
-        counts=sector_counts(Z),
-        parents=None if enumerated is None else find_parents(Z, enumerated),
-    )
+    return _report(
+        vac, type1_decomposition(Z) if vac else None, permutation_test(Z, ring, md.spins),
+        simple_current_test(Z, ring), chiral_indices(Z, md), sector_counts(Z),
+        None if enumerated is None else find_parents(Z, enumerated))
+
+
+def classify_list(invs: Sequence[np.ndarray], md: ModularData) -> List[InvariantReport]:
+    """classify_invariant(Z, md, enumerated=invs) for every Z of invs, in
+    one pass: the list is stacked once, each field is one whole-array
+    kernel over the stack, and the parent table and the type I rows are
+    read once."""
+    m = md.ring.size
+    mats = np.array(invs, dtype=np.int64).reshape(len(invs), m, m)
+    first, rows = _parent_index(_StackedList(mats))
+    parents = [_parents_of(first, col, row) for col, row in zip(mats[:, :, 0], mats[:, 0, :])]
+    return list(map(
+        _report, _vacuum_symmetric(mats).tolist(), map(_table, rows),
+        _permutations(mats, md.ring, md.spins), _current_supported(mats, md.ring).tolist(),
+        _indices(mats, md), _counts(mats), parents))

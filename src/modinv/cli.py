@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from .catalog import (
     model_by_name,
     name_family,
 )
-from .classify import classify_invariant
+from .classify import classify_list
 from .commutant import brute_force_enumerate, commutant_basis, enumerate_invariants
 from .extensions import (
     rehren_admissible,
@@ -82,6 +83,28 @@ def _integers(values: Sequence[object], what: str) -> List[int]:
     return out
 
 
+def _fusion_entries(fusion: Sequence[Sequence[object]]) -> np.ndarray:
+    """The fusion entries as one (n, 4) int64 array, read as _integers
+    reads each entry.  Values of type int within int64 are taken in one
+    conversion; only the entries holding another value go through
+    _integers, in order, so the first offending entry raises its message."""
+    entries = list(fusion)
+    flat = list(chain.from_iterable(entries))
+    if set(map(len, entries)) - {4}:
+        short = next(e for e in entries if len(e) != 4)
+        raise ValueError(f"fusion entry {list(short)} does not hold 4 values")
+    try:
+        if set(map(type, flat)) <= {int}:
+            return np.array(flat, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        pass
+    odd = sorted({i // 4 for i, x in enumerate(flat)
+                  if type(x) is not int or not -2 ** 63 <= x < 2 ** 63})
+    for i in odd:
+        flat[4 * i:4 * i + 4] = _integers(entries[i], "fusion entry")
+    return np.array(flat, dtype=np.int64).reshape(-1, 4)
+
+
 # A weight as model_to_json writes it: an optional sign, digits, and
 # optionally / and digits.  No point or exponent, so the size of the
 # Fraction is the size of the text.
@@ -106,7 +129,7 @@ def model_from_json(data: Dict[str, object]) -> ModularData:
         index = _integers([l["index"] for l in labels], "label index list")
         names = [str(l["name"]) for l in labels]
         h = [_weight(l["h"]) for l in labels]
-        fusion = [_integers(entry, "fusion entry") for entry in data["fusion"]]
+        fusion = _fusion_entries(data["fusion"])
         conj = _integers(data["conjugation"], "conjugation")
     except KeyError as exc:
         raise ValueError(f"model has no {exc} entry") from None
@@ -118,15 +141,14 @@ def model_from_json(data: Dict[str, object]) -> ModularData:
     if index != list(range(m)):
         raise ValueError(f"label indices {index} are not a permutation of 0..{m - 1}")
     check_size(m)
-    for l, mu, nu, mult in fusion:
-        if not all(0 <= x < m for x in (l, mu, nu)):
-            raise ValueError(f"fusion entry {[l, mu, nu, mult]} has a label "
-                             f"outside 0..{m - 1}")
+    outside = np.flatnonzero(((fusion[:, :3] < 0) | (fusion[:, :3] >= m)).any(axis=1))
+    if len(outside):
+        raise ValueError(f"fusion entry {fusion[outside[0]].tolist()} has a label "
+                         f"outside 0..{m - 1}")
     # N_{l mu}^nu is the last value an entry gives it, 0 when none does.
-    entries = np.array(fusion, dtype=int).reshape(-1, 4)
-    key = (entries[:, 0] * m + entries[:, 1]) * m + entries[:, 2]
+    key = (fusion[:, 0] * m + fusion[:, 1]) * m + fusion[:, 2]
     _, last = np.unique(key[::-1], return_index=True)
-    entries = entries[len(entries) - 1 - last]
+    entries = fusion[len(fusion) - 1 - last]
     ring = FusionRing(names, *entries[entries[:, 3] != 0].T)
     if conj != ring.conj.tolist():
         raise ValueError(f"conjugation {conj} is not the vacuum slice's {ring.conj.tolist()}")
@@ -367,8 +389,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     md = _load_model(args.model)
     invs = enumerate_invariants(md)
     print(f"{md.name}: {len(invs)} invariants")
-    for i, Z in enumerate(invs):
-        rep = classify_invariant(Z, md, enumerated=invs)
+    for i, (Z, rep) in enumerate(zip(invs, classify_list(invs, md))):
         tags = [rep.kind]
         if rep.permutation is not None:
             tags.append("automorphism")

@@ -98,6 +98,39 @@ class FusionRing:
         unit[row[val != 1]] = False
         return unit.reshape(m, m).all(axis=1)
 
+    @functools.cached_property
+    def keys(self) -> Tuple[int, np.ndarray, np.ndarray]:
+        """(c, code, sorted keys): `code` numbers the value of each nonzero
+        in 0..c-1, equal exactly when the values are, and one int64 key
+        per nonzero, ((lam m + mu) m + nu) c + code, ascends like the
+        nonzeros (cached, read-only).  A value is numbered by its offset
+        from the least one, or by its rank when the offsets would make a
+        key overflow."""
+        lam, mu, nu, val = self.nonzeros
+        m = self.size
+        lo = int(val.min())
+        c = int(val.max()) - lo + 1
+        if m ** 3 * c < 2 ** 63:
+            code = val - lo
+        else:
+            values, code = np.unique(val, return_inverse=True)
+            c = len(values)
+        keys = ((lam * m + mu) * m + nu) * c + code
+        for a in (code, keys):
+            a.flags.writeable = False
+        return c, code, keys
+
+    @functools.cached_property
+    def current_pairs(self) -> np.ndarray:
+        """m x m mask of the pairs (mu, nu) that a simple current joins:
+        N_{sigma mu}^nu != 0 for some current sigma (cached, read-only)."""
+        lam, mu, nu, _ = self.nonzeros
+        current = self.is_current[lam]
+        joined = np.zeros((self.size, self.size), dtype=bool)
+        joined[mu[current], nu[current]] = True
+        joined.flags.writeable = False
+        return joined
+
     @property
     def global_index(self) -> float:
         """w = sum of squared quantum dimensions."""

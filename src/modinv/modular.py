@@ -13,6 +13,7 @@ decidable; all matrix data is floating point.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,17 @@ class SpinAssignment:
 
     def __len__(self) -> int:
         return len(self.h)
+
+    @functools.cached_property
+    def classes(self) -> np.ndarray:
+        """Class id of each label, equal exactly when the weights are:
+        a weight in lowest terms is its numerator and denominator
+        (cached, read-only)."""
+        first: Dict[Tuple[int, int], int] = {}
+        ids = np.array([first.setdefault((x.numerator, x.denominator), len(first))
+                        for x in self.h], dtype=np.intp)
+        ids.flags.writeable = False
+        return ids
 
 
 def statistics_phase(spins: SpinAssignment, lam: int) -> complex:
@@ -119,6 +131,13 @@ class ModularData:
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @functools.cached_property
+    def degenerate(self) -> np.ndarray:
+        """degenerate_sectors(self) as an index array (cached, read-only)."""
+        deg = np.array(degenerate_sectors(self), dtype=np.intp)
+        deg.flags.writeable = False
+        return deg
 
 
 def _omega_y_residual(Omega: np.ndarray, Y: np.ndarray, z: complex) -> float:

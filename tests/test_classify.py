@@ -1,4 +1,5 @@
 """Invariant classification: permutations, type I/II, parents, indices."""
+import functools
 import gc
 import hashlib
 import json
@@ -42,6 +43,7 @@ from modinv.extensions import restrict
 from modinv.modular import tensor_product
 
 from report_loops import permutation_test_loop, report_models, simple_current_test_loop
+from dense import ring_from_dense
 from test_commutant import d5_matrix, d10_matrix, e7_matrix
 
 
@@ -80,6 +82,27 @@ def test_permutation_and_current_tests_match_the_per_label_loops():
     rep = permutation_test(swap, spec.ring, spec.spins)
     assert rep["fixes_vacuum"] and rep["spin_ok"] and not rep["fusion_ok"]
     assert same_permutation_report(rep, permutation_test_loop(swap, spec.ring, spec.spins))
+
+
+@pytest.mark.parametrize("values", [
+    (5, 5, 3, 3), (5, 6, 3, 3), (2 ** 62, 2 ** 62, 3, 3), (2 ** 62, 2 ** 62 + 1, 3, 3),
+    (-2 ** 62, -2 ** 62, 2 ** 62, 2 ** 62),
+], ids=["offset", "offset-differs", "rank", "rank-differs", "rank-negative"])
+def test_permutation_fusion_check_reads_every_value_exactly(values):
+    # The sorted keys number each value by its offset from the least one,
+    # or by its rank when m^3 times the spread passes 2^63.  Swapping [1]
+    # and [2] preserves N exactly when N_11^1 = N_22^2 and N_11^2 = N_22^1.
+    a, b, c, d = values
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    for x in range(3):
+        N[0, x, x] = N[x, 0, x] = 1
+    N[1, 1, 0] = N[2, 2, 0] = 1
+    N[1, 1, 1], N[2, 2, 2], N[1, 1, 2], N[2, 2, 1] = a, b, c, d
+    ring = ring_from_dense(["0", "1", "2"], N)
+    swap = np.eye(3, dtype=int)[[0, 2, 1]]
+    rep = permutation_test(swap, ring)
+    assert same_permutation_report(rep, permutation_test_loop(swap, ring))
+    assert rep["fusion_ok"] == (a == b and c == d)
 
 
 def test_permutation_test_memory_is_linear_in_the_fusion_support():
@@ -657,3 +680,52 @@ def test_gram_pruning_gives_the_same_rows():
                 assert all(np.array_equal(a, b) for a, b in zip(new, old))
                 found += 1
     assert found > 0 and missing > 0
+
+
+def _same_report(got, want):
+    """Field by field; the float indices within 1e-12 relative."""
+    return (got.kind == want.kind and got.heterotic is want.heterotic
+            and same_permutation_report(got.permutation, want.permutation)
+            and got.simple_current_supported is want.simple_current_supported
+            and _same_table(got.branching, want.branching)
+            and got.counts == want.counts and all(type(v) is int for v in got.counts.values())
+            and got.parents == want.parents
+            and got.indices.keys() == want.indices.keys()
+            and all(got.indices[k] == pytest.approx(want.indices[k], rel=1e-12)
+                    for k in want.indices))
+
+
+def test_classify_list_matches_classify_invariant():
+    # One list pass gives each Z the report classify_invariant gives it
+    # against the same list.
+    md = build(model_by_name("sun_currents:20:2"))
+    models = report_models() + [("sun_currents:20:2", md, enumerate_invariants(md))]
+    for name, md, invs in models:
+        reports = classify.classify_list(invs, md)
+        assert len(reports) == len(invs), name
+        for Z, rep in zip(invs, reports):
+            assert _same_report(rep, classify_invariant(Z, md, enumerated=invs)), name
+    assert classify.classify_list([], md) == []
+
+
+@pytest.mark.parametrize("memo", [classify.TYPE1_MEMO_SIZE, 1], ids=["memo", "memo-1"])
+def test_classify_list_stacks_once_and_decides_each_matrix_once(monkeypatch, memo):
+    # All 1,024 invariants of sun_currents:20:2 are vacuum-symmetric.  From
+    # cleared memos, one call builds one parent table and runs one Gram
+    # search per distinct symmetric matrix, whatever the memo holds.
+    md = build(model_by_name("sun_currents:20:2"))
+    invs = enumerate_invariants(md)
+    vac = {Z.tobytes() for Z in invs if vacuum_symmetry(Z)}
+    sym = {Z.tobytes() for Z in invs if np.array_equal(Z, Z.T)}
+    assert len(vac) == len(invs) == 1024
+    searched = []
+    gram = classify._gram_rows
+    monkeypatch.setattr(classify, "_gram_rows", lambda R: searched.append(1) or gram(R))
+    monkeypatch.setattr(classify, "_type1_rows",
+                        functools.lru_cache(maxsize=memo)(classify._type1_rows.__wrapped__))
+    classify._parent_index.cache_clear()
+    reports = classify.classify_list(invs, md)
+    assert classify._parent_index.cache_info().misses == 1
+    assert len(searched) == len(sym) <= len(vac)
+    assert [rep.parents for rep in reports] == [find_parents(Z, invs) for Z in invs]
+    assert classify._parent_index.cache_info().misses == 1

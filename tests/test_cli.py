@@ -360,6 +360,45 @@ def test_cli_classify_products(capsys):
     assert capsys.readouterr().out.startswith("su2:10*su2:10: 27 invariants\n")
 
 
+# sha256 of `modinv classify` stdout, recorded with the per-Z classification
+# that the one list pass replaced.
+CLASSIFY_SHA256 = {
+    "sun_currents:12:2": "89f3fd585d8df74d8842d10f7f29fa3cd52fc6b8b7a50a443eda48c5839ede2d",
+    "sun_currents:8:4": "c2435a91f8e1145724ee0b6f2ab99e49e6816fe243eaf497241de816aaf6330a",
+    "su2:4*su2:4": "2541bc2f3721aac4908ca61751e523cc7a75eba55531abbedb178c2f0238177a",
+    "so16_1": "a3d8d94cb9465751d0772e90939ba37f92d1c4b1127078a666222864d24e82d2",
+    "su2:16": "54345df9302c2e27a7205e31a8dbc48d22b8b0ecceac3a76c4d3acdf37a636de",
+    "sun_currents:20:2": "690cc517ac99e68c5d85890e2fa1e9fc993e3a99e85b2a78ec880d376f48977a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_SHA256))
+def test_cli_classify_output_is_pinned(capsys, name):
+    assert main(["classify", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[name]
+
+
+def test_cli_classify_is_one_list_pass(monkeypatch, capsys):
+    # One classify_list call for the whole list, and no per-Z call of
+    # classify_invariant or find_parents.
+    import modinv.classify
+    import modinv.cli
+    lists = []
+    real = modinv.cli.classify_list
+    monkeypatch.setattr(modinv.cli, "classify_list",
+                        lambda invs, md: lists.append(len(invs)) or real(invs, md))
+
+    def per_z(*args, **kwargs):
+        raise AssertionError("a per-Z call")
+
+    monkeypatch.setattr(modinv.classify, "classify_invariant", per_z)
+    monkeypatch.setattr(modinv.classify, "find_parents", per_z)
+    assert main(["classify", "sun_currents:12:2"]) == 0
+    assert lists == [64]
+    assert capsys.readouterr().out.startswith("sun_currents:12:2: 64 invariants\n")
+
+
 def test_cli_graphs(tmp_path, capsys):
     dotdir = tmp_path / "dots"
     assert main(["graphs", "su2:6", "--dot", str(dotdir)]) == 0
@@ -479,6 +518,26 @@ def test_cli_malformed_model_files(tmp_path, capsys):
     assert main(["enumerate", str(zero)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({2: [1, 0, 1]}, "fusion entry [1, 0, 1] does not hold 4 values"),
+    ({1: [0, 1, 1, 2 ** 70], 3: [1, 1, 0, 1.5]}, "fusion entry [0, 1, 1, 1180591620717411303424] "
+                                                  "has a value beyond 64-bit integers"),
+    ({1: [0, 1, 1, 1.5], 3: [1, 1, 0, 2 ** 70]}, "fusion entry [0, 1, 1, 1.5] has a "
+                                                  "non-integer value"),
+    ({0: [0, 0, 0, 1.0], 2: [1, 0, 2, 1]}, "fusion entry [1, 0, 2, 1] has a label outside 0..1"),
+], ids=["short", "beyond-first", "non-integer-first", "label"])
+def test_model_file_names_the_first_offending_fusion_entry(tmp_path, capsys, entries, message):
+    data = z2_json("1/4")
+    for i, entry in entries.items():
+        data["fusion"][i] = entry
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json(data)
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(data))
+    assert main(["model", "validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid model: {message}\n"
 
 
 @pytest.mark.parametrize("field", ["index", "fusion", "conjugation"])
