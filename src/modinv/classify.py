@@ -7,13 +7,16 @@ parent search that attaches a pair of type I invariants to a general one
 through its vacuum row and column.
 
 `classify_list(invs, md)` reports on a whole list in one pass.  It stacks
-the list once as an (n, m, m) int64 array and computes each field as one
-whole-array kernel over the stack; the per-model tables the kernels read
-(the sorted fusion keys, the current-pair mask, the spin classes, the
-degenerate sectors) are cached on the ring, the weights and the model.
-`permutation_test`, `vacuum_symmetry`, `simple_current_test`,
-`chiral_indices` and `sector_counts` are the same kernels on one matrix,
-and `classify_invariant` is made of them.
+the list once as an (n, m, m) int64 array and computes the permutation
+test, vacuum symmetry, current support and chiral indices as one
+whole-array kernel each over the stack; the per-model tables the kernels
+read (the current-pair mask, the spin classes, the degenerate sectors) are
+cached on the ring, the weights and the model, beside the ring's flat
+positions of N's nonzeros.  `permutation_test`, `vacuum_symmetry`,
+`simple_current_test` and `chiral_indices` are the same kernels on one
+matrix.  `sector_counts` sums one matrix in Python ints, so no count can
+wrap, and the list pass calls it on each matrix.  `classify_invariant` is
+made of these views.
 
 The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
 (vacuum column) and sum_l Z_{0l} l (vacuum row), so they depend only on those
@@ -81,43 +84,37 @@ def _permutations(
 ) -> List[Optional[Dict[str, object]]]:
     """permutation_test of each matrix of the (n, m, m) stack, all the
     permutation matrices checked together."""
-    reports: List[Optional[Dict[str, object]]] = [None] * len(mats)
+    n, m = mats.shape[:2]
+    reports: List[Optional[Dict[str, object]]] = [None] * n
     # A permutation matrix is the one-hot matrix of its rows' argmax, and
     # that is a bijection.
     theta = mats.argmax(axis=2)
-    labels = np.arange(mats.shape[1])
-    perm = ((mats == (theta[:, :, None] == labels)).all(axis=(1, 2))
-            & (np.sort(theta, axis=1) == labels).all(axis=1))
+    labels = np.arange(m)
+    ones = theta[:, :, None] == labels
+    perm = (mats == ones).reshape(n, m * m).all(axis=1) & ones.any(axis=1).all(axis=1)
     (rows,) = perm.nonzero()
     if not len(rows):
         return reports
     theta = theta[rows]
-    # theta is a bijection, so it preserves N exactly when the keys of
-    # the moved nonzeros, each with its value's code, sorted, are the keys.
-    lam, mu, nu, _ = ring.nonzeros
-    c, code, keys = ring.keys
+    # theta is a bijection, so it preserves N exactly when the moved
+    # positions, sorted, are the positions of the nonzeros and the values
+    # sorted with them are their values.
+    lam, mu, nu, val = ring.nonzeros
     moved = theta.take(lam, axis=1)
     for x in (mu, nu):
-        moved *= ring.size
+        moved *= m
         moved += theta.take(x, axis=1)
-    moved *= c
-    moved += code
-    moved.sort(axis=1, kind="stable")
-    ok = (moved == keys).all(axis=1)
-    fixes = theta[:, 0] == 0
-    fusion = ok.tolist()
-    ok &= fixes
-    spin = [None] * len(rows)
+    order = moved.argsort(axis=1)
+    moved.sort(axis=1)
+    fusion = ((moved == ring.flat) & (val[order] == val)).all(axis=1).tolist()
+    spin = [True] * len(rows)
     if spins is not None:
-        same = (spins.classes[theta] == spins.classes).all(axis=1)
-        spin = same.tolist()
-        ok &= same
-    for i, t, f, fu, sp, con in zip(rows.tolist(), theta, fixes.tolist(), fusion, spin,
-                                    ok.tolist()):
-        rep: Dict[str, object] = {"theta": t, "fixes_vacuum": f, "fusion_ok": fu}
+        spin = (spins.classes[theta] == spins.classes).all(axis=1).tolist()
+    for i, t, t0, fu, sp in zip(rows.tolist(), theta, theta[:, 0].tolist(), fusion, spin):
+        rep: Dict[str, object] = {"theta": t, "fixes_vacuum": t0 == 0, "fusion_ok": fu}
         if spins is not None:
             rep["spin_ok"] = sp
-        rep["consistent"] = con
+        rep["consistent"] = t0 == 0 and fu and sp
         reports[i] = rep
     return reports
 
@@ -230,7 +227,7 @@ def type1_decomposition(Z: np.ndarray) -> Optional[BranchingTable]:
     fresh object over a copy of the memoized rows.
     """
     Z = np.asarray(Z, dtype=np.int64)
-    return _table(_type1_rows(np.ascontiguousarray(Z).tobytes(), Z.shape[0]))
+    return _table(_type1_rows(Z.tobytes(), Z.shape[0]))
 
 
 def _table(b: Optional[np.ndarray]) -> Optional[BranchingTable]:
@@ -268,22 +265,13 @@ def _indices(mats: np.ndarray, md: ModularData) -> List[Dict[str, float]]:
 
 def sector_counts(Z: np.ndarray) -> Dict[str, int]:
     """Diagonal count, total squared sum and the two vacuum counts, in Python ints."""
-    return _counts(np.asarray(Z, dtype=int)[None])[0]
-
-
-def _counts(mats: np.ndarray) -> List[Dict[str, int]]:
-    """sector_counts of each matrix of the (n, m, m) stack: in int64 when
-    m^2 max|Z|^2 < 2^63 bounds every sum, else in Python ints.  Each row
-    of the flattened stack is laid out as its diagonal, then the squares
-    of column 0, of row 0 and of all cells, and one reduceat sums the four."""
-    n, m = mats.shape[:2]
-    top = max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
-    a = (mats if m * m * top * top < 2 ** 63 else mats.astype(object)).reshape(n, m * m)
-    sq = a * a
-    sums = np.add.reduceat(np.concatenate((a[:, ::m + 1], sq[:, ::m], sq[:, :m], sq), axis=1),
-                           [0, m, 2 * m, 3 * m], axis=1)
-    return [{"trace": t, "sum_squares": s, "x_plus": p, "x_minus": q}
-            for t, p, q, s in sums.tolist()]
+    Z = np.asarray(Z, dtype=int)
+    return {
+        "trace": sum(np.diagonal(Z).tolist()),
+        "sum_squares": sum(x * x for x in Z[Z != 0].tolist()),
+        "x_plus": sum(x * x for x in Z[:, 0].tolist()),
+        "x_minus": sum(x * x for x in Z[0].tolist()),
+    }
 
 
 class _StackedList:
@@ -343,6 +331,11 @@ def find_parents(
     exists in the list.  Both are read off one table per list, from vacuum
     vector to its first type I entry, kept for the last list seen; each
     call restacks the list to find it, which classify_list does once.
+    Building the table decides type I for every distinct vacuum-symmetric
+    entry, not only until each vacuum vector has its parent, since
+    classify_list reads those answers too; so the first call on a list
+    runs every such Gram search, and raises the search's RuntimeError on
+    any entry that passes GRAM_NODE_CAP.
     """
     Z = np.asarray(Z, dtype=np.int64)
     m = Z.shape[0]
@@ -401,4 +394,4 @@ def classify_list(invs: Sequence[np.ndarray], md: ModularData) -> List[Invariant
     return list(map(
         _report, _vacuum_symmetric(mats).tolist(), map(_table, rows),
         _permutations(mats, md.ring, md.spins), _current_supported(mats, md.ring).tolist(),
-        _indices(mats, md), _counts(mats), parents))
+        _indices(mats, md), map(sector_counts, mats), parents))

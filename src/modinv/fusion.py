@@ -51,7 +51,9 @@ class FusionRing:
     (lam, mu, nu, val), label arrays and the values N_{lam mu}^nu, with
     distinct in-range triples in C order of (lam, mu, nu), so the
     nonzeros of each N[lam] are contiguous; the arrays are read-only.
-    conj is the conjugation permutation, read off the vacuum slice:
+    `flat` is the position ((lam m + mu) m + nu) of each nonzero in the
+    flattened m x m x m array, ascending, also read-only.  conj is the
+    conjugation permutation, read off the vacuum slice:
     N_{lam mu}^0 = delta_{mu, conj(lam)}, so the nu = 0 entries must
     form a permutation matrix.
     """
@@ -66,7 +68,8 @@ class FusionRing:
         lam, mu, nu, val = self.nonzeros
         for a in self.nonzeros:
             a.flags.writeable = False
-        key = (lam * m + mu) * m + nu
+        self.flat = key = (lam * m + mu) * m + nu
+        key.flags.writeable = False
         if not (all(0 <= x.min(initial=0) and x.max(initial=0) < m for x in (lam, mu, nu))
                 and (key[1:] > key[:-1]).all() and val.all()):
             raise ValueError(f"fusion nonzeros are not distinct triples in 0..{m - 1}, "
@@ -97,28 +100,6 @@ class FusionRing:
         unit = np.bincount(row, minlength=m * m) == 1
         unit[row[val != 1]] = False
         return unit.reshape(m, m).all(axis=1)
-
-    @functools.cached_property
-    def keys(self) -> Tuple[int, np.ndarray, np.ndarray]:
-        """(c, code, sorted keys): `code` numbers the value of each nonzero
-        in 0..c-1, equal exactly when the values are, and one int64 key
-        per nonzero, ((lam m + mu) m + nu) c + code, ascends like the
-        nonzeros (cached, read-only).  A value is numbered by its offset
-        from the least one, or by its rank when the offsets would make a
-        key overflow."""
-        lam, mu, nu, val = self.nonzeros
-        m = self.size
-        lo = int(val.min())
-        c = int(val.max()) - lo + 1
-        if m ** 3 * c < 2 ** 63:
-            code = val - lo
-        else:
-            values, code = np.unique(val, return_inverse=True)
-            c = len(values)
-        keys = ((lam * m + mu) * m + nu) * c + code
-        for a in (code, keys):
-            a.flags.writeable = False
-        return c, code, keys
 
     @functools.cached_property
     def current_pairs(self) -> np.ndarray:

@@ -87,11 +87,11 @@ def test_permutation_and_current_tests_match_the_per_label_loops():
 @pytest.mark.parametrize("values", [
     (5, 5, 3, 3), (5, 6, 3, 3), (2 ** 62, 2 ** 62, 3, 3), (2 ** 62, 2 ** 62 + 1, 3, 3),
     (-2 ** 62, -2 ** 62, 2 ** 62, 2 ** 62),
-], ids=["offset", "offset-differs", "rank", "rank-differs", "rank-negative"])
+], ids=["small", "small-differs", "large", "large-differs", "negative"])
 def test_permutation_fusion_check_reads_every_value_exactly(values):
-    # The sorted keys number each value by its offset from the least one,
-    # or by its rank when m^3 times the spread passes 2^63.  Swapping [1]
-    # and [2] preserves N exactly when N_11^1 = N_22^2 and N_11^2 = N_22^1.
+    # The moved values are compared with the values themselves, however
+    # large.  Swapping [1] and [2] preserves N exactly when N_11^1 = N_22^2
+    # and N_11^2 = N_22^1.
     a, b, c, d = values
     N = np.zeros((3, 3, 3), dtype=np.int64)
     for x in range(3):
