@@ -15,8 +15,17 @@ cached on the ring, the weights and the model, beside the ring's flat
 positions of N's nonzeros.  `permutation_test`, `vacuum_symmetry`,
 `simple_current_test` and `chiral_indices` are the same kernels on one
 matrix.  `sector_counts` sums one matrix in Python ints, so no count can
-wrap, and the list pass calls it on each matrix.  `classify_invariant` is
-made of these views.
+wrap, and a report from the list pass calls it on its own matrix.
+
+`classify_invariant` against a list reads its report off that same list
+pass from the second of consecutive calls with one list and one model on,
+so the pass runs once for the run of calls, and each report is built of
+fresh objects.  The first call of a run takes the one-matrix path, made of
+the one-matrix views, so a one-off call and calls alternating between
+lists run no list pass; so do a Z not in the list, found by the hash of
+its bytes, and every call against a list of at most two entries, where
+the pass would serve one call and cost more than it saves.  An entry whose
+vacuum row or column is empty raises only in its own report.
 
 The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
 (vacuum column) and sum_l Z_{0l} l (vacuum row), so they depend only on those
@@ -27,19 +36,21 @@ decision is exact integer arithmetic on one path, Python ints from the residue
 R = Z - z0 z0^T to the rows, and the Gram search cuts every residue that no sum
 of v v^T can be.  The parent table of a list maps each vacuum vector to its
 first type I entry; it is built once per list, deciding each distinct
-vacuum-symmetric entry once, and kept for the last list seen.
-`classify_list` reads the type I rows off that same table, so it decides
-each matrix once whatever the memo keeps; `find_parents` on one Z still
-restacks the list to recognise it.
+vacuum-symmetric entry once, and kept for the last list seen in one slot
+with the list's stack and fields.  The list pass reads the type I rows off
+that same table, so it decides each matrix once whatever the memo keeps;
+`find_parents` and `classify_invariant` on one Z still restack the list,
+O(n m^2), to recognise it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +76,10 @@ GRAM_NODE_CAP = 10 ** 7
 # Matrices whose type I answer is kept.  Some lists are as long or longer:
 # sun_currents:20:2 has 1,024 invariants and sun_currents:24:2 has 8,192.
 TYPE1_MEMO_SIZE = 1024
+# Elements of each (permutation rows x fusion nonzeros) temporary of the
+# permutation test of a stack: the rows are checked in blocks of
+# max(1, PERMUTATION_BLOCK_CELLS // nnz).
+PERMUTATION_BLOCK_CELLS = 1 << 16
 
 
 def permutation_test(
@@ -100,13 +115,17 @@ def _permutations(
     # positions, sorted, are the positions of the nonzeros and the values
     # sorted with them are their values.
     lam, mu, nu, val = ring.nonzeros
-    moved = theta.take(lam, axis=1)
-    for x in (mu, nu):
-        moved *= m
-        moved += theta.take(x, axis=1)
-    order = moved.argsort(axis=1)
-    moved.sort(axis=1)
-    fusion = ((moved == ring.flat) & (val[order] == val)).all(axis=1).tolist()
+    step = max(1, PERMUTATION_BLOCK_CELLS // len(val))
+    fusion: List[bool] = []
+    for lo in range(0, len(rows), step):
+        t = theta[lo:lo + step]
+        moved = t.take(lam, axis=1)
+        for x in (mu, nu):
+            moved *= m
+            moved += t.take(x, axis=1)
+        order = moved.argsort(axis=1)
+        moved.sort(axis=1)
+        fusion += ((moved == ring.flat) & (val[order] == val)).all(axis=1).tolist()
     spin = [True] * len(rows)
     if spins is not None:
         spin = (spins.classes[theta] == spins.classes).all(axis=1).tolist()
@@ -246,21 +265,29 @@ def chiral_indices(Z: np.ndarray, md: ModularData) -> Dict[str, float]:
     w_alpha uses only the degenerate sectors in the vacuum row, and
     w_zero = w_plus^2 / w_alpha.
     """
-    return _indices(np.asarray(Z)[None], md)[0]
+    return _nonempty(_indices(np.asarray(Z)[None], md)[0])
 
 
-def _indices(mats: np.ndarray, md: ModularData) -> List[Dict[str, float]]:
-    """chiral_indices of each matrix of the (n, m, m) stack."""
+def _indices(mats: np.ndarray, md: ModularData) -> List[Optional[Dict[str, float]]]:
+    """chiral_indices of each matrix of the (n, m, m) stack, None for a
+    matrix whose vacuum row or column is empty."""
     d, deg, w = md.ring.d, md.degenerate, md.w
-    out = []
+    out: List[Optional[Dict[str, float]]] = []
     for p, q, a in zip((mats[:, :, 0] @ d).tolist(), (mats[:, 0, :] @ d).tolist(),
                        (mats[:, 0, deg] @ d[deg]).tolist()):
         if p <= 0 or q <= 0:
-            raise ValueError("vacuum row/column of Z is empty")
+            out.append(None)
+            continue
         w_alpha = w / a if a > 0 else math.inf
         out.append({"w_plus": w / p, "w_minus": w / q, "w_alpha": w_alpha,
                     "w_zero": (w / p) ** 2 / w_alpha})
     return out
+
+
+def _nonempty(indices: Optional[Dict[str, float]]) -> Dict[str, float]:
+    if indices is None:
+        raise ValueError("vacuum row/column of Z is empty")
+    return indices
 
 
 def sector_counts(Z: np.ndarray) -> Dict[str, int]:
@@ -289,28 +316,94 @@ class _StackedList:
         return np.array_equal(self.mats, other.mats)
 
 
-@functools.lru_cache(maxsize=1)
-def _parent_index(stacked: _StackedList) -> Tuple[Dict[bytes, int], List[Optional[np.ndarray]]]:
-    """The parent table of a list and the type I rows of its entries.
-
-    The table maps a vacuum vector (int64 bytes) to the index of the first
-    type I entry with that vacuum column.  A type I P is symmetric, so
+class _ListPass:
+    """What is kept for the last list seen: its stack, the one copy; its
+    parent table, vacuum vector (int64 bytes) -> index of the first type I
+    entry with that vacuum column; and the memoized type I rows of each
+    vacuum-symmetric entry, None for the others, each distinct entry
+    decided once whatever the memo keeps.  A type I P is symmetric, so
     P[:, 0] = P[0, :] and the one table serves the plus and the minus
-    parent.  The rows are the memoized ones of each vacuum-symmetric
-    entry, None for the others; each distinct entry is decided once,
-    whatever the memo keeps."""
-    mats = stacked.mats
-    rows: List[Optional[np.ndarray]] = [None] * len(mats)
-    decided: Dict[bytes, Optional[np.ndarray]] = {}
-    first: Dict[bytes, int] = {}
-    for i in np.flatnonzero(_vacuum_symmetric(mats)).tolist():
-        key = mats[i].tobytes()
-        if key not in decided:
-            decided[key] = _type1_rows(key, mats.shape[1])
-        rows[i] = decided[key]
-        if rows[i] is not None:
-            first.setdefault(mats[i, :, 0].tobytes(), i)
-    return first, rows
+    parent.
+
+    `md` is a weak reference to the model of the last classification
+    against the list, so the slot keeps no model alive, and `fields`,
+    once built for it, the whole-array fields of every entry:
+    vacuum symmetry, permutation report, current support and indices.
+    `_ListPass.last` is the slot made last, the one `_parent_index` holds
+    once any list is seen."""
+
+    last: Optional[_ListPass] = None
+
+    def __init__(self, mats: np.ndarray):
+        self.mats = mats
+        self.rows: List[Optional[np.ndarray]] = [None] * len(mats)
+        self.first: Dict[bytes, int] = {}
+        decided: Dict[bytes, Optional[np.ndarray]] = {}
+        for i in np.flatnonzero(_vacuum_symmetric(mats)).tolist():
+            key = mats[i].tobytes()
+            if key not in decided:
+                decided[key] = _type1_rows(key, mats.shape[1])
+            self.rows[i] = decided[key]
+            if self.rows[i] is not None:
+                self.first.setdefault(mats[i, :, 0].tobytes(), i)
+        self.md: Optional[weakref.ref] = None
+        self.fields: Optional[list] = None
+        _ListPass.last = self
+
+    def _seen(self, md: ModularData) -> bool:
+        return self.md is not None and self.md() is md
+
+    @functools.cached_property
+    def where(self) -> Dict[int, int]:
+        """The first index of each entry, keyed by the hash of its bytes
+        (a hash, not the bytes, so the keys take no copy of the stack)."""
+        where: Dict[int, int] = {}
+        for i, Z in enumerate(self.mats):
+            where.setdefault(hash(Z.tobytes()), i)
+        return where
+
+    def report(self, i: int, md: ModularData) -> InvariantReport:
+        """A fresh report of entry i, read off the fields of every entry
+        for md, built unless they are already built for md; its counts
+        and parents are read off entry i alone."""
+        if self.fields is None or not self._seen(md):
+            mats, ring = self.mats, md.ring
+            self.md, self.fields = weakref.ref(md), list(zip(
+                _vacuum_symmetric(mats).tolist(), _permutations(mats, ring, md.spins),
+                _current_supported(mats, ring).tolist(), _indices(mats, md)))
+        vac, perm, current, indices = self.fields[i]
+        if perm is not None:
+            perm = dict(perm, theta=perm["theta"].copy())
+        Z = self.mats[i]
+        return _report(vac, _table(self.rows[i]), perm, current, dict(_nonempty(indices)),
+                       sector_counts(Z), _parents_of(self.first, Z[:, 0], Z[0]))
+
+    def lookup(self, Z: np.ndarray, md: ModularData) -> Optional[InvariantReport]:
+        """Z's report off the fields for md, or None where the one-matrix
+        path applies: on the first of consecutive calls with md, against a
+        list of at most two entries and for a Z not in the list."""
+        if not self._seen(md):
+            self.md, self.fields = weakref.ref(md), None
+            return None
+        if len(self.mats) <= 2:
+            return None
+        key = Z.tobytes()
+        i = self.where.get(hash(key))
+        return None if i is None or self.mats[i].tobytes() != key else self.report(i, md)
+
+
+@functools.lru_cache(maxsize=1)
+def _parent_index(stacked: _StackedList) -> _ListPass:
+    """The one slot: the _ListPass of the last list seen."""
+    return _ListPass(stacked.mats)
+
+
+def _list_pass(enumerated: Sequence[np.ndarray], m: int) -> _ListPass:
+    """The _ListPass of a list of m x m matrices; each call restacks the
+    list, O(n m^2), to recognise it."""
+    # A fresh copy, so the cached key cannot change under a caller's array.
+    mats = np.array(enumerated, dtype=np.int64).reshape(len(enumerated), m, m)
+    return _parent_index(_StackedList(mats))
 
 
 def _parents_of(first: Dict[bytes, int], col: np.ndarray, row: np.ndarray
@@ -338,11 +431,7 @@ def find_parents(
     any entry that passes GRAM_NODE_CAP.
     """
     Z = np.asarray(Z, dtype=np.int64)
-    m = Z.shape[0]
-    # A fresh copy, so the cached key cannot change under a caller's array.
-    mats = np.array(enumerated, dtype=np.int64).reshape(len(enumerated), m, m)
-    first, _ = _parent_index(_StackedList(mats))
-    return _parents_of(first, Z[:, 0], Z[0])
+    return _parents_of(_list_pass(enumerated, Z.shape[0]).first, Z[:, 0], Z[0])
 
 
 @dataclass
@@ -372,14 +461,24 @@ def classify_invariant(
     md: ModularData,
     enumerated: Optional[Sequence[np.ndarray]] = None,
 ) -> InvariantReport:
-    """Full structural report for one invariant of a model."""
+    """Full structural report for one invariant of a model.
+
+    Against a list, from the second of consecutive calls with that list
+    and md on, a Z in the list reads its report off the list pass of
+    classify_list, built once for the run of calls."""
     Z = np.asarray(Z, dtype=np.int64)
+    parents = None
+    if enumerated is not None:
+        # find_parents recognises the list, so its slot is _ListPass.last.
+        parents = find_parents(Z, enumerated)
+        rep = _ListPass.last.lookup(Z, md)
+        if rep is not None:
+            return rep
     ring = md.ring
     vac = vacuum_symmetry(Z)
     return _report(
         vac, type1_decomposition(Z) if vac else None, permutation_test(Z, ring, md.spins),
-        simple_current_test(Z, ring), chiral_indices(Z, md), sector_counts(Z),
-        None if enumerated is None else find_parents(Z, enumerated))
+        simple_current_test(Z, ring), chiral_indices(Z, md), sector_counts(Z), parents)
 
 
 def classify_list(invs: Sequence[np.ndarray], md: ModularData) -> List[InvariantReport]:
@@ -387,11 +486,5 @@ def classify_list(invs: Sequence[np.ndarray], md: ModularData) -> List[Invariant
     one pass: the list is stacked once, each field is one whole-array
     kernel over the stack, and the parent table and the type I rows are
     read once."""
-    m = md.ring.size
-    mats = np.array(invs, dtype=np.int64).reshape(len(invs), m, m)
-    first, rows = _parent_index(_StackedList(mats))
-    parents = [_parents_of(first, col, row) for col, row in zip(mats[:, :, 0], mats[:, 0, :])]
-    return list(map(
-        _report, _vacuum_symmetric(mats).tolist(), map(_table, rows),
-        _permutations(mats, md.ring, md.spins), _current_supported(mats, md.ring).tolist(),
-        _indices(mats, md), map(sector_counts, mats), parents))
+    listed = _list_pass(invs, md.ring.size)
+    return [listed.report(i, md) for i in range(len(invs))]

@@ -121,6 +121,38 @@ def test_permutation_test_memory_is_linear_in_the_fusion_support():
     assert peak < m ** 3 * 8 // 8, peak
 
 
+def test_permutation_blocks_give_the_same_reports(monkeypatch):
+    # The permutation rows of a stack checked in blocks, down to one row a
+    # block, give the reports of one block; the stack mixes the 144
+    # invariants of sun_currents:8:4 with permutations that fix the vacuum
+    # but mostly break N, and with non-permutations.
+    md = build(model_by_name("sun_currents:8:4"))
+    invs = enumerate_invariants(md)
+    m, nnz = md.ring.size, len(md.ring.nonzeros[3])
+    rng = np.random.default_rng(5)
+    moves = [np.eye(m, dtype=np.int64)[np.r_[0, 1 + rng.permutation(m - 1)]] for _ in range(40)]
+    mats = np.array(invs + moves + [2 * invs[0], invs[0] + invs[1]], dtype=np.int64)
+    whole = classify._permutations(mats, md.ring, md.spins)
+    assert 0 < sum(not w["fusion_ok"] for w in whole[:-2]) and whole[-2:] == [None, None]
+    for cells in (1, 7 * nnz, 8 * nnz - 1):
+        monkeypatch.setattr(classify, "PERMUTATION_BLOCK_CELLS", cells)
+        got = classify._permutations(mats, md.ring, md.spins)
+        assert all(same_permutation_report(g, w) for g, w in zip(got, whole))
+    # Blocks of 16 rows keep the peak below half of one rows x nnz array.
+    md = build(model_by_name("sun_currents:20:2"))
+    mats = np.array(enumerate_invariants(md), dtype=np.int64)
+    nnz = len(md.ring.nonzeros[3])
+    monkeypatch.setattr(classify, "PERMUTATION_BLOCK_CELLS", 16 * nnz)
+    tracemalloc.start()
+    try:
+        reports = classify._permutations(mats, md.ring, md.spins)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(rep is not None for rep in reports) and len(mats) == 1024
+    assert peak < len(mats) * nnz * 8 // 2, peak
+
+
 def test_permutation_test_d5():
     spec = su2_model(6)
     rep = permutation_test(d5_matrix(), spec.ring, spec.spins)
@@ -490,6 +522,124 @@ def test_classifying_a_list_builds_its_parent_index_once():
     assert [rep.parents for rep in reps] == [_parents_by_full_scan(Z, invs) for Z in invs]
 
 
+def _counting_permutations(monkeypatch):
+    """Patch classify._permutations to record the size of each stack."""
+    sizes = []
+    kernel = classify._permutations
+    monkeypatch.setattr(classify, "_permutations",
+                        lambda mats, *args: sizes.append(len(mats)) or kernel(mats, *args))
+    return sizes
+
+
+def _one_matrix_report(Z, md, invs):
+    """classify_invariant's report from the one-matrix views and the full
+    parent scan."""
+    vac = vacuum_symmetry(Z)
+    b = type1_decomposition(Z) if vac else None
+    return classify.InvariantReport(
+        "type II" if b is None else "type I", not vac, permutation_test(Z, md.ring, md.spins),
+        simple_current_test(Z, md.ring), b, chiral_indices(Z, md), sector_counts(Z),
+        _parents_by_full_scan(Z, invs))
+
+
+def test_consecutive_calls_run_the_list_pass_once(monkeypatch):
+    # n per-Z calls over one list: the first takes the one-matrix path and
+    # the second runs the list pass, which the other n - 2 read.
+    md = build(model_by_name("sun_currents:8:4"))
+    invs = enumerate_invariants(md)
+    sizes = _counting_permutations(monkeypatch)
+    classify._parent_index.cache_clear()
+    reps = [classify_invariant(Z, md, enumerated=invs) for Z in invs]
+    assert sizes == [1, len(invs)] == [1, 144]
+    # A Z not in the list keeps the one-matrix path.
+    outside = invs[0].copy()
+    outside[0, 0] += 1
+    rep = classify_invariant(outside, md, enumerated=invs)
+    assert sizes == [1, len(invs), 1]
+    assert _same_report(rep, _one_matrix_report(outside, md, invs))
+    for Z, rep in zip(invs, reps):
+        assert _same_report(rep, _one_matrix_report(Z, md, invs))
+
+
+def test_colliding_hashes_fall_back_to_the_one_matrix_path(monkeypatch):
+    # The pass finds Z by the hash of its bytes and checks the bytes, so
+    # with every hash equal each Z still gets its own report.
+    md = build(model_by_name("zn:96:1"))
+    invs = enumerate_invariants(md)
+    monkeypatch.setattr(classify, "hash", lambda key: 0, raising=False)
+    classify._parent_index.cache_clear()
+    for Z in invs + invs:
+        rep = classify_invariant(Z, md, enumerated=invs)
+        assert _same_report(rep, _one_matrix_report(Z, md, invs))
+
+
+def test_one_off_and_interleaved_calls_run_no_list_pass(monkeypatch):
+    md = build(model_by_name("sun_currents:20:2"))
+    invs = enumerate_invariants(md)
+    md_zn = build(model_by_name("zn:96:1"))
+    zn = enumerate_invariants(md_zn)
+    sizes = _counting_permutations(monkeypatch)
+    classify._parent_index.cache_clear()
+    classify_invariant(invs[5], md, enumerated=invs)
+    assert sizes == [1]
+    for i in range(4):
+        classify_invariant(zn[i], md_zn, enumerated=zn)
+        classify_invariant(invs[i], md, enumerated=invs)
+    # The same list with another model, or with no model in between.
+    md_again = build(model_by_name("zn:96:1"))
+    for model in (md_zn, md_again, md_zn):
+        classify_invariant(zn[0], model, enumerated=zn)
+    assert sizes == [1] * 12
+    # A pass over a list of two would serve one call at most.
+    md_two = build(model_by_name("su2:4"))
+    two = enumerate_invariants(md_two)
+    assert len(two) == 2
+    for Z in two + two:
+        classify_invariant(Z, md_two, enumerated=two)
+    assert sizes == [1] * 16
+
+
+def test_mutating_a_list_entry_between_calls():
+    # Each call sees the list as it is at that call, as a fresh list would.
+    md = build(model_by_name("zn:96:1"))
+    invs = [Z.copy() for Z in enumerate_invariants(md)]
+    classify._parent_index.cache_clear()
+    for Z in invs[:3]:
+        classify_invariant(Z, md, enumerated=invs)
+    assert classify_invariant(invs[0], md, enumerated=invs).parents == {"plus": 3, "minus": 3}
+    # invs[3] was the type I parent of invs[0]; breaking its symmetry makes
+    # it type II and leaves invs[0] without parents.
+    invs[3][5, 7] += 1
+    for _ in range(3):
+        for i in (0, 3):
+            rep = classify_invariant(invs[i], md, enumerated=invs)
+            assert _same_report(rep, _one_matrix_report(invs[i], md, invs))
+    assert rep.kind == "type II" and rep.parents == {"plus": None, "minus": None}
+    invs[3][5, 7] -= 1
+    for _ in range(3):
+        rep = classify_invariant(invs[3], md, enumerated=invs)
+        assert rep.kind == "type I" and rep.parents == {"plus": 3, "minus": 3}
+
+
+def test_refused_entry_raises_only_in_its_own_report():
+    # An entry with an empty vacuum row and column does not make another
+    # entry's call raise, through either path; its own call and the whole
+    # list pass still raise.
+    md = build(model_by_name("su2:4"))
+    invs = enumerate_invariants(md)
+    zeros = np.zeros_like(invs[0])
+    listed = invs + [zeros]
+    classify._parent_index.cache_clear()
+    for _ in range(3):
+        assert classify_invariant(invs[0], md, enumerated=listed).kind == "type I"
+        with pytest.raises(ValueError):
+            classify_invariant(zeros, md, enumerated=listed)
+    with pytest.raises(ValueError):
+        classify.classify_list(listed, md)
+    with pytest.raises(ValueError, match="vacuum row/column of Z is empty"):
+        chiral_indices(zeros, md)
+
+
 def _type1_rows_unscreened(Z):
     """_type1_rows with the Gram search before pruning, which applies no
     2 x 2 minor test to any residue."""
@@ -609,6 +759,22 @@ def test_report_branching_is_fresh_per_report():
     direct.b[...] = 7
     direct.row_names.append("extra")
     assert _same_table(type1_decomposition(invs[3]), again.branching)
+    # The other fields too, on both paths: the one-matrix first call and
+    # the list pass the later calls read.
+    classify._parent_index.cache_clear()
+    for Z in (invs[3], invs[0]):
+        want = classify_invariant(Z, md, enumerated=invs)
+        for _ in range(3):
+            rep = classify_invariant(Z, md, enumerated=invs)
+            assert _same_report(rep, want)
+            if rep.permutation is not None:
+                rep.permutation["theta"][...] = 7
+                rep.permutation["fusion_ok"] = None
+            for field in (rep.indices, rep.counts, rep.parents):
+                field.update(dict.fromkeys(field, 7))
+                field["extra"] = 7
+    assert want.permutation is not None
+    assert _same_report(classify.classify_list(invs, md)[0], want)
 
 
 def _gram_rows_unpruned(R, node_cap):
