@@ -17,30 +17,31 @@ positions of N's nonzeros.  `permutation_test`, `vacuum_symmetry`,
 matrix.  `sector_counts` sums one matrix in Python ints, so no count can
 wrap, and a report from the list pass calls it on its own matrix.
 
-`classify_invariant` against a list reads its report off that same list
-pass from the second of consecutive calls with one list and one model on,
-so the pass runs once for the run of calls, and each report is built of
-fresh objects.  The first call of a run takes the one-matrix path, made of
-the one-matrix views, so a one-off call and calls alternating between
-lists run no list pass; so do a Z not in the list, found by the hash of
-its bytes, and every call against a list of at most two entries, where
-the pass would serve one call and cost more than it saves.  An entry whose
-vacuum row or column is empty raises only in its own report.
+`classify_invariant` against a list follows one rule: a Z found in the list
+(by the hash of its bytes, the bytes then compared) reads its report off the
+list's pass, built once per (list, model), and any other Z is reported by the
+one-matrix views.  Only the pass of the last list seen is kept, so a call
+against another list, or the first call, builds a pass.  Each report is
+built of fresh objects, and an entry whose vacuum row or column is empty
+raises only in its own report.  `type1_decomposition`, `sector_counts`,
+`find_parents`, `classify_invariant` and `classify_list` read their input
+through one int64 conversion, which refuses a non-integral value, and a Z
+or list entry that is not m x m, with a ValueError.
 
 The type I parents come from the chiral extensions theta_+- = sum_l Z_{l0} l
 (vacuum column) and sum_l Z_{0l} l (vacuum row), so they depend only on those
 two vectors and on which listed invariants are type I.  Whether a matrix is
 type I is a function of that matrix alone, so its Gram rows are memoized per
-matrix (keyed by its int64 bytes, at most TYPE1_MEMO_SIZE entries).  The
-decision is exact integer arithmetic on one path, Python ints from the residue
-R = Z - z0 z0^T to the rows, and the Gram search cuts every residue that no sum
-of v v^T can be.  The parent table of a list maps each vacuum vector to its
-first type I entry; it is built once per list, deciding each distinct
-vacuum-symmetric entry once, and kept for the last list seen in one slot
-with the list's stack and fields.  The list pass reads the type I rows off
-that same table, so it decides each matrix once whatever the memo keeps;
-`find_parents` and `classify_invariant` on one Z still restack the list,
-O(n m^2), to recognise it.
+matrix (keyed by its int64 bytes, at most TYPE1_MEMO_SIZE entries), which
+carries the answers across lists.  The decision is exact integer arithmetic
+on one path, Python ints from the residue R = Z - z0 z0^T to the rows, and
+the Gram search cuts every residue that no sum of v v^T can be.  The parent
+table of a list maps each vacuum vector to its first type I entry; the pass
+builds it once, deciding each vacuum-symmetric entry once whatever the memo
+keeps (an enumerated list has no repeated entry), and reads the type I rows
+off it.  `find_parents` and
+`classify_invariant` restack the list on every call, O(n m^2), to compare
+it with the last one.
 """
 
 from __future__ import annotations
@@ -80,6 +81,27 @@ TYPE1_MEMO_SIZE = 1024
 # permutation test of a stack: the rows are checked in blocks of
 # max(1, PERMUTATION_BLOCK_CELLS // nnz).
 PERMUTATION_BLOCK_CELLS = 1 << 16
+
+
+def _int64(a, m: Optional[int] = None, stack: bool = False) -> np.ndarray:
+    """a as an int64 m x m matrix (square if m is None) or, with stack, the
+    list a as a fresh (n, m, m) int64 stack.  Signed or boolean input is
+    only cast; a non-integral value or another shape is a ValueError."""
+    a = np.array(a) if stack else np.asarray(a)
+    if stack and not len(a):
+        a = a.reshape(0, m, m)
+    if m is None:
+        m = len(a) if a.ndim else 0
+    what, shape = ("a list entry", a.shape[1:]) if stack else ("Z", a.shape)
+    if shape != (m, m):
+        raise ValueError(f"{what} has shape {shape}, not {m} x {m}")
+    if a.dtype.kind in "bi":
+        return a.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        b = a.astype(np.int64)
+    if not np.array_equal(a, b):
+        raise ValueError(f"{what} has a value that is not an int64 integer")
+    return b
 
 
 def permutation_test(
@@ -245,7 +267,7 @@ def type1_decomposition(Z: np.ndarray) -> Optional[BranchingTable]:
     Requires a symmetric Z (otherwise None immediately).  The table is a
     fresh object over a copy of the memoized rows.
     """
-    Z = np.asarray(Z, dtype=np.int64)
+    Z = _int64(Z)
     return _table(_type1_rows(Z.tobytes(), Z.shape[0]))
 
 
@@ -292,7 +314,7 @@ def _nonempty(indices: Optional[Dict[str, float]]) -> Dict[str, float]:
 
 def sector_counts(Z: np.ndarray) -> Dict[str, int]:
     """Diagonal count, total squared sum and the two vacuum counts, in Python ints."""
-    Z = np.asarray(Z, dtype=int)
+    Z = _int64(Z)
     return {
         "trace": sum(np.diagonal(Z).tolist()),
         "sum_squares": sum(x * x for x in Z[Z != 0].tolist()),
@@ -301,109 +323,75 @@ def sector_counts(Z: np.ndarray) -> Dict[str, int]:
     }
 
 
-class _StackedList:
-    """An n x m x m int64 list, hashed by its shape and its vacuum columns
-    and rows (O(n m)) and compared in full."""
-
-    def __init__(self, mats: np.ndarray):
-        self.mats = mats
-        self.hash = hash((mats.shape, mats[:, :, 0].tobytes(), mats[:, 0, :].tobytes()))
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def __eq__(self, other: _StackedList) -> bool:
-        return np.array_equal(self.mats, other.mats)
-
-
 class _ListPass:
-    """What is kept for the last list seen: its stack, the one copy; its
-    parent table, vacuum vector (int64 bytes) -> index of the first type I
-    entry with that vacuum column; and the memoized type I rows of each
-    vacuum-symmetric entry, None for the others, each distinct entry
-    decided once whatever the memo keeps.  A type I P is symmetric, so
-    P[:, 0] = P[0, :] and the one table serves the plus and the minus
-    parent.
+    """The pass of one list: its int64 stack, the one copy; the vacuum
+    symmetry of each entry; its parent table, vacuum vector (int64 bytes)
+    -> index of the first type I entry with that vacuum column; and the
+    memoized type I rows of each vacuum-symmetric entry, None for the
+    others, each entry decided once whatever the memo keeps.  A type I P
+    is symmetric, so P[:, 0] = P[0, :] and the one table serves the plus
+    and the minus parent.
 
-    `md` is a weak reference to the model of the last classification
-    against the list, so the slot keeps no model alive, and `fields`,
-    once built for it, the whole-array fields of every entry:
-    vacuum symmetry, permutation report, current support and indices.
-    `_ListPass.last` is the slot made last, the one `_parent_index` holds
-    once any list is seen."""
-
-    last: Optional[_ListPass] = None
+    `md` is a weak reference to the model the fields were last built for,
+    so the pass keeps no model alive, and `fields` the whole-array fields
+    of every entry for it: permutation report, current support and
+    indices."""
 
     def __init__(self, mats: np.ndarray):
         self.mats = mats
+        self.vac: List[bool] = _vacuum_symmetric(mats).tolist()
         self.rows: List[Optional[np.ndarray]] = [None] * len(mats)
         self.first: Dict[bytes, int] = {}
-        decided: Dict[bytes, Optional[np.ndarray]] = {}
-        for i in np.flatnonzero(_vacuum_symmetric(mats)).tolist():
-            key = mats[i].tobytes()
-            if key not in decided:
-                decided[key] = _type1_rows(key, mats.shape[1])
-            self.rows[i] = decided[key]
+        for i in compress(range(len(mats)), self.vac):
+            self.rows[i] = _type1_rows(mats[i].tobytes(), mats.shape[1])
             if self.rows[i] is not None:
                 self.first.setdefault(mats[i, :, 0].tobytes(), i)
+        # The first index of each entry, keyed by the hash of its bytes (a
+        # hash, not the bytes, so the keys take no copy of the stack).
+        self.where: Dict[int, int] = {}
+        for i, Z in enumerate(mats):
+            self.where.setdefault(hash(Z.tobytes()), i)
         self.md: Optional[weakref.ref] = None
         self.fields: Optional[list] = None
-        _ListPass.last = self
 
-    def _seen(self, md: ModularData) -> bool:
-        return self.md is not None and self.md() is md
-
-    @functools.cached_property
-    def where(self) -> Dict[int, int]:
-        """The first index of each entry, keyed by the hash of its bytes
-        (a hash, not the bytes, so the keys take no copy of the stack)."""
-        where: Dict[int, int] = {}
-        for i, Z in enumerate(self.mats):
-            where.setdefault(hash(Z.tobytes()), i)
-        return where
+    def index(self, Z: np.ndarray) -> Optional[int]:
+        """The first index of the int64 matrix Z in the list, or None."""
+        key = Z.tobytes()
+        i = self.where.get(hash(key))
+        return None if i is None or self.mats[i].tobytes() != key else i
 
     def report(self, i: int, md: ModularData) -> InvariantReport:
         """A fresh report of entry i, read off the fields of every entry
-        for md, built unless they are already built for md; its counts
-        and parents are read off entry i alone."""
-        if self.fields is None or not self._seen(md):
+        for md, built on the first report for md; its counts and parents
+        are read off entry i alone."""
+        if self.md is None or self.md() is not md:
             mats, ring = self.mats, md.ring
             self.md, self.fields = weakref.ref(md), list(zip(
-                _vacuum_symmetric(mats).tolist(), _permutations(mats, ring, md.spins),
-                _current_supported(mats, ring).tolist(), _indices(mats, md)))
-        vac, perm, current, indices = self.fields[i]
+                _permutations(mats, ring, md.spins), _current_supported(mats, ring).tolist(),
+                _indices(mats, md)))
+        perm, current, indices = self.fields[i]
         if perm is not None:
             perm = dict(perm, theta=perm["theta"].copy())
         Z = self.mats[i]
-        return _report(vac, _table(self.rows[i]), perm, current, dict(_nonempty(indices)),
-                       sector_counts(Z), _parents_of(self.first, Z[:, 0], Z[0]))
-
-    def lookup(self, Z: np.ndarray, md: ModularData) -> Optional[InvariantReport]:
-        """Z's report off the fields for md, or None where the one-matrix
-        path applies: on the first of consecutive calls with md, against a
-        list of at most two entries and for a Z not in the list."""
-        if not self._seen(md):
-            self.md, self.fields = weakref.ref(md), None
-            return None
-        if len(self.mats) <= 2:
-            return None
-        key = Z.tobytes()
-        i = self.where.get(hash(key))
-        return None if i is None or self.mats[i].tobytes() != key else self.report(i, md)
+        return _report(self.vac[i], _table(self.rows[i]), perm, current,
+                       dict(_nonempty(indices)), sector_counts(Z),
+                       _parents_of(self.first, Z[:, 0], Z[0]))
 
 
-@functools.lru_cache(maxsize=1)
-def _parent_index(stacked: _StackedList) -> _ListPass:
-    """The one slot: the _ListPass of the last list seen."""
-    return _ListPass(stacked.mats)
+# The pass of the last list seen.
+_last: Optional[_ListPass] = None
 
 
 def _list_pass(enumerated: Sequence[np.ndarray], m: int) -> _ListPass:
-    """The _ListPass of a list of m x m matrices; each call restacks the
-    list, O(n m^2), to recognise it."""
-    # A fresh copy, so the cached key cannot change under a caller's array.
-    mats = np.array(enumerated, dtype=np.int64).reshape(len(enumerated), m, m)
-    return _parent_index(_StackedList(mats))
+    """The pass of a list of m x m matrices: the last one, unless the list
+    differs from it.  Each call restacks the list, O(n m^2), to compare; the
+    stack is a fresh copy, so a kept pass cannot change under a caller's
+    array."""
+    global _last
+    mats = _int64(enumerated, m, stack=True)
+    if _last is None or not np.array_equal(_last.mats, mats):
+        _last = _ListPass(mats)
+    return _last
 
 
 def _parents_of(first: Dict[bytes, int], col: np.ndarray, row: np.ndarray
@@ -421,16 +409,16 @@ def find_parents(
     The plus parent is a type I invariant whose vacuum column equals the
     vacuum column of Z; the minus parent matches the vacuum row.  Returns
     indices into `enumerated` (first match each), None where no parent
-    exists in the list.  Both are read off one table per list, from vacuum
-    vector to its first type I entry, kept for the last list seen; each
-    call restacks the list to find it, which classify_list does once.
-    Building the table decides type I for every distinct vacuum-symmetric
-    entry, not only until each vacuum vector has its parent, since
-    classify_list reads those answers too; so the first call on a list
-    runs every such Gram search, and raises the search's RuntimeError on
-    any entry that passes GRAM_NODE_CAP.
+    exists in the list.  Both are read off the parent table of the list's
+    pass, vacuum vector to its first type I entry, kept for the last list
+    seen; each call restacks the list to compare it, which classify_list
+    does once.  Building the table decides type I for every
+    vacuum-symmetric entry, not only until each vacuum vector has its
+    parent, since classify_list reads those answers too; so the first call
+    on a list runs every such Gram search, and raises the search's
+    RuntimeError on any entry that passes GRAM_NODE_CAP.
     """
-    Z = np.asarray(Z, dtype=np.int64)
+    Z = _int64(Z)
     return _parents_of(_list_pass(enumerated, Z.shape[0]).first, Z[:, 0], Z[0])
 
 
@@ -463,17 +451,17 @@ def classify_invariant(
 ) -> InvariantReport:
     """Full structural report for one invariant of a model.
 
-    Against a list, from the second of consecutive calls with that list
-    and md on, a Z in the list reads its report off the list pass of
-    classify_list, built once for the run of calls."""
-    Z = np.asarray(Z, dtype=np.int64)
+    A Z found in `enumerated` reads its report off the list's pass, the
+    one classify_list runs, built once per (list, md); any other Z is
+    reported by the one-matrix views."""
+    Z = _int64(Z, md.ring.size)
     parents = None
     if enumerated is not None:
-        # find_parents recognises the list, so its slot is _ListPass.last.
+        listed = _list_pass(enumerated, md.ring.size)
+        i = listed.index(Z)
+        if i is not None:
+            return listed.report(i, md)
         parents = find_parents(Z, enumerated)
-        rep = _ListPass.last.lookup(Z, md)
-        if rep is not None:
-            return rep
     ring = md.ring
     vac = vacuum_symmetry(Z)
     return _report(

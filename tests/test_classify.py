@@ -502,24 +502,33 @@ def test_list_index_does_not_leak_across_lists():
     assert classify_invariant(outside, md_zn, enumerated=zn).kind == "type II"
 
 
-def test_classifying_a_list_builds_its_parent_index_once():
+def test_classifying_a_list_builds_its_parent_index_once(monkeypatch):
     # All 144 invariants of sun_currents:8:4 are vacuum-symmetric.  One
-    # index serves every Z, each matrix is decided once, and the calls
-    # stay linear in the list: at most one while building the index and
+    # pass serves every Z, each matrix is decided once, and the calls
+    # stay linear in the list: at most one while building the pass and
     # one from each report, where a search per Z would re-read the list.
     md = build(model_by_name("sun_currents:8:4"))
     invs = enumerate_invariants(md)
     n_sym = sum(vacuum_symmetry(Z) for Z in invs)
     assert n_sym == len(invs) == 144
     classify._type1_rows.cache_clear()
-    classify._parent_index.cache_clear()
+    classify._last = None
+    passes = _counting_passes(monkeypatch)
     reps = [classify_invariant(Z, md, enumerated=invs) for Z in invs]
-    index = classify._parent_index.cache_info()
-    assert (index.hits, index.misses) == (len(invs) - 1, 1)
+    assert passes == [len(invs)]
     info = classify._type1_rows.cache_info()
     assert info.misses == n_sym
     assert info.hits + info.misses <= 2 * n_sym
     assert [rep.parents for rep in reps] == [_parents_by_full_scan(Z, invs) for Z in invs]
+
+
+def _counting_passes(monkeypatch):
+    """Patch classify._ListPass to record the length of each list it is
+    built for."""
+    lengths = []
+    cls = classify._ListPass
+    monkeypatch.setattr(classify, "_ListPass", lambda mats: lengths.append(len(mats)) or cls(mats))
+    return lengths
 
 
 def _counting_permutations(monkeypatch):
@@ -543,19 +552,21 @@ def _one_matrix_report(Z, md, invs):
 
 
 def test_consecutive_calls_run_the_list_pass_once(monkeypatch):
-    # n per-Z calls over one list: the first takes the one-matrix path and
-    # the second runs the list pass, which the other n - 2 read.
+    # n per-Z calls over one list build one pass and one set of fields,
+    # which every call reads.
     md = build(model_by_name("sun_currents:8:4"))
     invs = enumerate_invariants(md)
     sizes = _counting_permutations(monkeypatch)
-    classify._parent_index.cache_clear()
+    passes = _counting_passes(monkeypatch)
+    classify._last = None
     reps = [classify_invariant(Z, md, enumerated=invs) for Z in invs]
-    assert sizes == [1, len(invs)] == [1, 144]
-    # A Z not in the list keeps the one-matrix path.
+    assert sizes == [len(invs)] == [144]
+    assert passes == [144]
+    # A Z not in the list takes the one-matrix path, with the same pass.
     outside = invs[0].copy()
     outside[0, 0] += 1
     rep = classify_invariant(outside, md, enumerated=invs)
-    assert sizes == [1, len(invs), 1]
+    assert sizes == [144, 1] and passes == [144]
     assert _same_report(rep, _one_matrix_report(outside, md, invs))
     for Z, rep in zip(invs, reps):
         assert _same_report(rep, _one_matrix_report(Z, md, invs))
@@ -567,43 +578,132 @@ def test_colliding_hashes_fall_back_to_the_one_matrix_path(monkeypatch):
     md = build(model_by_name("zn:96:1"))
     invs = enumerate_invariants(md)
     monkeypatch.setattr(classify, "hash", lambda key: 0, raising=False)
-    classify._parent_index.cache_clear()
+    classify._last = None
     for Z in invs + invs:
         rep = classify_invariant(Z, md, enumerated=invs)
         assert _same_report(rep, _one_matrix_report(Z, md, invs))
 
 
-def test_one_off_and_interleaved_calls_run_no_list_pass(monkeypatch):
+def test_one_off_and_interleaved_calls_build_one_pass_each(monkeypatch):
     md = build(model_by_name("sun_currents:20:2"))
     invs = enumerate_invariants(md)
     md_zn = build(model_by_name("zn:96:1"))
     zn = enumerate_invariants(md_zn)
+    md_sun = build(model_by_name("sun_currents:12:2"))
+    sun = enumerate_invariants(md_sun)
     sizes = _counting_permutations(monkeypatch)
-    classify._parent_index.cache_clear()
+    passes = _counting_passes(monkeypatch)
+    classify._last = None
+    # A one-off call builds the pass and the fields of its list.
     classify_invariant(invs[5], md, enumerated=invs)
-    assert sizes == [1]
-    for i in range(4):
+    assert passes == sizes == [1024]
+    # Each switch between lists builds one pass, and the memo keeps every
+    # type I answer, so no Gram search runs again.
+    classify_invariant(zn[0], md_zn, enumerated=zn)
+    classify_invariant(sun[0], md_sun, enumerated=sun)
+    searched = []
+    gram = classify._gram_rows
+    monkeypatch.setattr(classify, "_gram_rows", lambda R: searched.append(1) or gram(R))
+    for i in range(1, 4):
         classify_invariant(zn[i], md_zn, enumerated=zn)
-        classify_invariant(invs[i], md, enumerated=invs)
-    # The same list with another model, or with no model in between.
+        classify_invariant(sun[i], md_sun, enumerated=sun)
+    assert passes == sizes == [1024] + [10, 64] * 4
+    assert searched == []
+    # The same list with another model rebuilds only the fields.
     md_again = build(model_by_name("zn:96:1"))
-    for model in (md_zn, md_again, md_zn):
+    for model in (md_zn, md_again, md_again, md_zn):
         classify_invariant(zn[0], model, enumerated=zn)
-    assert sizes == [1] * 12
-    # A pass over a list of two would serve one call at most.
-    md_two = build(model_by_name("su2:4"))
-    two = enumerate_invariants(md_two)
-    assert len(two) == 2
-    for Z in two + two:
-        classify_invariant(Z, md_two, enumerated=two)
-    assert sizes == [1] * 16
+    assert passes == [1024] + [10, 64] * 4 + [10]
+    assert sizes == [1024] + [10, 64] * 4 + [10, 10, 10]
+
+
+@functools.lru_cache(maxsize=None)
+def _drawn_models():
+    """Two small models for drawn lists: zn:4:1*zn:4:1 (10 invariants, type
+    I and II, heterotic ones) and su2:16 (A, D and the exceptional E7)."""
+    out = []
+    for name in ("zn:4:1*zn:4:1", "su2:16"):
+        md = build(model_by_name(name))
+        out.append((md, enumerate_invariants(md)))
+    return out
+
+
+@st.composite
+def drawn_calls(draw):
+    """A list of entries of each model's enumerated list (repeats and any
+    order allowed) and a call order over both: (model, entry, bumped),
+    where a bumped Z has its (1, 1) cell raised by one, so it may be in
+    no list."""
+    sizes = [len(invs) for _, invs in _drawn_models()]
+    lists = [draw(st.lists(st.integers(0, n - 1), max_size=8)) for n in sizes]
+    calls = draw(st.lists(st.integers(0, 1).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(0, sizes[k] - 1), st.booleans())), max_size=12))
+    return lists, calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn_calls())
+def test_every_call_order_gives_the_one_matrix_report(drawn):
+    # Whatever list a pass was built for last and whatever model it was
+    # read with, a listed Z reads the pass of its own list and any other
+    # Z the one-matrix views, and both give the same report.
+    lists, calls = drawn
+    models = _drawn_models()
+    picked = [[invs[i] for i in idx] for (_, invs), idx in zip(models, lists)]
+    for k, i, bumped in calls:
+        md, invs = models[k]
+        Z = invs[i].copy()
+        Z[1, 1] += bumped
+        rep = classify_invariant(Z, md, enumerated=picked[k])
+        assert _same_report(rep, _one_matrix_report(Z, md, picked[k]))
+
+
+def test_type1_decomposition_refuses_non_integral_input():
+    # Cast to int64, this Z read as [[1, 0], [0, 1]], type I with b = 1.
+    with pytest.raises(ValueError, match="not an int64 integer"):
+        type1_decomposition(np.array([[1, .5], [.5, 1]]))
+    with pytest.raises(ValueError, match="not an int64 integer"):
+        sector_counts(np.array([[1, .5], [.5, 1]]))
+    assert type1_decomposition(np.array([[1., 0.], [0., 4.]])).b.tolist() == [[1, 0], [0, 2]]
+
+
+def test_classify_refuses_non_integral_input():
+    # Cast to int64, Z[1, 1] = 0.7 read as 0: "type I" with trace 4.
+    md = build(model_by_name("su2:4"))
+    invs = enumerate_invariants(md)
+    Z = invs[0].astype(float)
+    for enumerated in (invs, None):
+        want = classify_invariant(invs[0], md, enumerated=enumerated)
+        assert _same_report(classify_invariant(Z, md, enumerated=enumerated), want)
+    Z[1, 1] = 0.7
+    for enumerated in (invs, None):
+        with pytest.raises(ValueError, match="not an int64 integer"):
+            classify_invariant(Z, md, enumerated=enumerated)
+    with pytest.raises(ValueError, match="a list entry has a value that is not"):
+        classify.classify_list(invs + [Z], md)
+    with pytest.raises(ValueError, match="a list entry has a value that is not"):
+        find_parents(invs[0], invs + [Z])
+
+
+def test_classify_refuses_a_matrix_of_another_shape():
+    # The stack of su2:4's two 5 x 5 invariants was reshaped to (2, 3, 3).
+    md = build(model_by_name("su2:4"))
+    invs = enumerate_invariants(md)
+    with pytest.raises(ValueError, match=r"a list entry has shape \(5, 5\), not 3 x 3"):
+        find_parents(np.zeros((3, 3)), invs)
+    with pytest.raises(ValueError, match=r"Z has shape \(3, 3\), not 5 x 5"):
+        classify_invariant(np.zeros((3, 3), dtype=int), md, enumerated=invs)
+    with pytest.raises(ValueError, match=r"Z has shape \(5, 4\), not 5 x 5"):
+        type1_decomposition(invs[0][:, :4])
+    with pytest.raises(ValueError, match=r"a list entry has shape \(3, 3\), not 5 x 5"):
+        classify.classify_list([np.eye(3, dtype=int)], md)
 
 
 def test_mutating_a_list_entry_between_calls():
     # Each call sees the list as it is at that call, as a fresh list would.
     md = build(model_by_name("zn:96:1"))
     invs = [Z.copy() for Z in enumerate_invariants(md)]
-    classify._parent_index.cache_clear()
+    classify._last = None
     for Z in invs[:3]:
         classify_invariant(Z, md, enumerated=invs)
     assert classify_invariant(invs[0], md, enumerated=invs).parents == {"plus": 3, "minus": 3}
@@ -629,7 +729,7 @@ def test_refused_entry_raises_only_in_its_own_report():
     invs = enumerate_invariants(md)
     zeros = np.zeros_like(invs[0])
     listed = invs + [zeros]
-    classify._parent_index.cache_clear()
+    classify._last = None
     for _ in range(3):
         assert classify_invariant(invs[0], md, enumerated=listed).kind == "type I"
         with pytest.raises(ValueError):
@@ -761,7 +861,7 @@ def test_report_branching_is_fresh_per_report():
     assert _same_table(type1_decomposition(invs[3]), again.branching)
     # The other fields too, on both paths: the one-matrix first call and
     # the list pass the later calls read.
-    classify._parent_index.cache_clear()
+    classify._last = None
     for Z in (invs[3], invs[0]):
         want = classify_invariant(Z, md, enumerated=invs)
         for _ in range(3):
@@ -889,9 +989,10 @@ def test_classify_list_stacks_once_and_decides_each_matrix_once(monkeypatch, mem
     monkeypatch.setattr(classify, "_gram_rows", lambda R: searched.append(1) or gram(R))
     monkeypatch.setattr(classify, "_type1_rows",
                         functools.lru_cache(maxsize=memo)(classify._type1_rows.__wrapped__))
-    classify._parent_index.cache_clear()
+    passes = _counting_passes(monkeypatch)
+    classify._last = None
     reports = classify.classify_list(invs, md)
-    assert classify._parent_index.cache_info().misses == 1
+    assert passes == [1024]
     assert len(searched) == len(sym) <= len(vac)
     assert [rep.parents for rep in reports] == [find_parents(Z, invs) for Z in invs]
-    assert classify._parent_index.cache_info().misses == 1
+    assert passes == [1024]
