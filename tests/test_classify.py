@@ -619,10 +619,11 @@ def test_one_off_and_interleaved_calls_build_one_pass_each(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def _drawn_models():
-    """Two small models for drawn lists: zn:4:1*zn:4:1 (10 invariants, type
-    I and II, heterotic ones) and su2:16 (A, D and the exceptional E7)."""
+    """Three small models for drawn lists: zn:4:1*zn:4:1 (10 invariants,
+    type I and II), su2:16 (A, D and the exceptional E7) and so16_1 (6
+    invariants, 2 of them heterotic)."""
     out = []
-    for name in ("zn:4:1*zn:4:1", "su2:16"):
+    for name in ("zn:4:1*zn:4:1", "su2:16", "so16_1"):
         md = build(model_by_name(name))
         out.append((md, enumerate_invariants(md)))
     return out
@@ -631,12 +632,12 @@ def _drawn_models():
 @st.composite
 def drawn_calls(draw):
     """A list of entries of each model's enumerated list (repeats and any
-    order allowed) and a call order over both: (model, entry, bumped),
+    order allowed) and a call order over them: (model, entry, bumped),
     where a bumped Z has its (1, 1) cell raised by one, so it may be in
     no list."""
     sizes = [len(invs) for _, invs in _drawn_models()]
     lists = [draw(st.lists(st.integers(0, n - 1), max_size=8)) for n in sizes]
-    calls = draw(st.lists(st.integers(0, 1).flatmap(lambda k: st.tuples(
+    calls = draw(st.lists(st.integers(0, len(sizes) - 1).flatmap(lambda k: st.tuples(
         st.just(k), st.integers(0, sizes[k] - 1), st.booleans())), max_size=12))
     return lists, calls
 
