@@ -346,13 +346,18 @@ class _ListPass:
             self.rows[i] = _type1_rows(mats[i].tobytes(), mats.shape[1])
             if self.rows[i] is not None:
                 self.first.setdefault(mats[i, :, 0].tobytes(), i)
-        # The first index of each entry, keyed by the hash of its bytes (a
-        # hash, not the bytes, so the keys take no copy of the stack).
-        self.where: Dict[int, int] = {}
-        for i, Z in enumerate(mats):
-            self.where.setdefault(hash(Z.tobytes()), i)
         self.md: Optional[weakref.ref] = None
         self.fields: Optional[list] = None
+
+    @functools.cached_property
+    def where(self) -> Dict[int, int]:
+        """The first index of each entry, keyed by the hash of its bytes
+        (a hash, not the bytes, so the keys take no copy of the stack);
+        built on the first lookup, which classify_list never makes."""
+        where: Dict[int, int] = {}
+        for i, Z in enumerate(self.mats):
+            where.setdefault(hash(Z.tobytes()), i)
+        return where
 
     def index(self, Z: np.ndarray) -> Optional[int]:
         """The first index of the int64 matrix Z in the list, or None."""
