@@ -27,7 +27,7 @@ from .catalog import (
     model_by_name,
     name_family,
 )
-from .classify import classify_list
+from .classify import _int64, classify_list
 from .commutant import brute_force_enumerate, commutant_basis, enumerate_invariants
 from .extensions import (
     rehren_admissible,
@@ -166,7 +166,8 @@ def model_from_json(data: Dict[str, object]) -> ModularData:
 
 
 def matrix_to_json(Z: np.ndarray) -> List[List[int]]:
-    return np.asarray(Z).astype(int).tolist()
+    """Z as nested lists of ints; a non-integral value is a ValueError."""
+    return _int64(Z).tolist()
 
 
 # An integer array becomes text through a %-template built once for its
@@ -243,16 +244,23 @@ def render_partition_function(
     With a branching table the blocks are rendered as |chi+...|^2 with
     multiplicities for repeated rows, in first-seen order; otherwise
     diagonal terms come first (ascending), then off-diagonal terms
-    row-major.
+    row-major.  A non-integral value of Z is a ValueError.  b^T b = Z is
+    checked by one float64 product, exact while every column's sum of
+    squares sum_t b_{t lam}^2 is below 2^53; a larger table is refused.
     """
-    Z = np.asarray(Z, dtype=int)
+    Z = _int64(Z)
     m = Z.shape[0]
     if names is None:
         names = [str(i) for i in range(m)]
 
     if branching is not None:
         b = branching.b
-        if not np.array_equal(b.T @ b, Z):
+        bf = b.astype(float)
+        gram = bf.T @ bf
+        if not np.all(gram.diagonal() < 2.0 ** 53):
+            raise ValueError("branching table has a column whose sum of squares "
+                             "reaches 2^53, beyond an exact check")
+        if not np.array_equal(gram, Z):
             raise ValueError("branching table does not reproduce the matrix")
         repeats: Dict[tuple, int] = {}
         for row in map(tuple, b.tolist()):

@@ -7,9 +7,10 @@ only (`FusionRing.nonzeros`): the label triples and their values, in C
 order of (lam, mu, nu), never an m^3 array.  What N alone decides is
 read off them here, once: the conjugation (the nu = 0 entries) and the
 cyclic subgroups of the simple-current group.  The current mask, the
-cyclic subgroups, the quantum dimensions and the axioms cost O(nnz) or
-O(nnz + m^2) each; associativity is decided by a randomized identity
-test with fresh entropy, and its failing positions are named exactly.
+cyclic subgroups and the axioms cost O(nnz) or O(nnz + m^2) each; the
+quantum dimensions are one symmetric eigensolve, O(m^3); associativity
+is decided by a randomized identity test with fresh entropy, and its
+failing positions are named exactly.
 Everything downstream (modular data, invariant enumeration, extensions)
 consumes the interface defined here.
 """
@@ -125,22 +126,28 @@ def quantum_dimensions(ring: FusionRing) -> np.ndarray:
     """Common Perron-Frobenius eigenvector of all fusion matrices.
 
     Returns d with d[0] = 1 and N_lam d = d_lam d for every lam, up to a
-    residual below DIM_TOL.  Raises ValueError for an ill-conditioned ring.
+    residual below DIM_TOL.  M = sum_lam N_lam is symmetric by Frobenius
+    reciprocity, N_{lam mu}^nu = N_{conj(lam) nu}^mu, and entrywise
+    positive, so d is its top eigenvector, from one symmetric eigensolve.
+    Raises ValueError for an M that is not symmetric, naming its first
+    asymmetric (mu, nu), or for an ill-conditioned ring.
     """
     lam, mu, nu, val = ring.nonzeros
     m = ring.size
     # M = sum_lam N_lam, and the residual N_lam d - d_lam d, on the nonzeros.
     M = np.bincount(mu * m + nu, weights=val, minlength=m * m).reshape(m, m)
+    asym = np.flatnonzero(M != M.T)
+    if len(asym):
+        raise ValueError(f"Frobenius reciprocity fails: sum_lam N_lam is not symmetric "
+                         f"at {_first_bad(asym, (m, m))[0]}")
     try:
-        vals, vecs = np.linalg.eig(M)
+        v = np.linalg.eigh(M)[1][:, -1]
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"ill-conditioned fusion ring: {exc}") from None
-    i = int(np.argmax(vals.real))
-    v = vecs[:, i].real
     if abs(v[0]) < 1e-12:
         raise ValueError("ill-conditioned fusion ring: PF vector vanishes at vacuum")
     d = v / v[0]
-    # Polish with one Rayleigh-style pass to reduce eig() roundoff.  A
+    # Polish with one Rayleigh-style pass to reduce eigh() roundoff.  A
     # polish that meets u[0] = 0 leaves a NaN residual, refused below.
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(2):
@@ -225,7 +232,8 @@ def verify_axioms(ring: FusionRing) -> List[str]:
     Empty list means the ring passed.  Checks: integrality/nonnegativity,
     vacuum acts as identity, commutativity, associativity, conjugation
     (the vacuum slice, see FusionRing) is an involution fixing the vacuum,
-    and the quantum dimensions exist with d >= 1.  Positions are listed
+    and the quantum dimensions exist with d >= 1 (they need Frobenius
+    reciprocity: sum_lam N_lam symmetric).  Positions are listed
     in C order, three at most.  Associativity is two randomized trials
     with fresh entropy: a non-associative ring passes with probability
     <= (3/2^32)^2 < 2^-60, whatever file it came from, and the output is

@@ -100,21 +100,23 @@ def su2_nimrep_from_graph(k: int, graph: Graph) -> Optional[List[np.ndarray]]:
     recursion G_{j+1} = G_1 G_j - G_{j-1} to stay nonnegative and G_{k+1} = 0.
     That is all the su(2)_k fusion rules: the ring is Z[x]/(U_{k+1}) with
     label j = U_j(x), G_j = U_j(A), and G_1 G_k = G_{k-1} is G_{k+1} = 0.
+    The tower runs in float64 and is cast to int once: each G_j, j >= 1,
+    must also lie below 2^52, so every product of the recursion is exact
+    (a sum that reaches 2^53 leaves G_{j+1} >= 2^52 and is refused).
     """
-    A = graph.adjacency
     target = 2.0 * math.cos(math.pi / (k + 2))
     if abs(graph.pf_eigenvalue() - target) > PF_TOL:
         return None
-    n = A.shape[0]
-    mats = [np.eye(n, dtype=int), A.copy()]
-    for _ in range(2, k + 1):
-        nxt = A @ mats[-1] - mats[-2]
-        if np.any(nxt < 0):
+    A = graph.adjacency.astype(float)
+    mats = [np.eye(A.shape[0]), A]
+    for _ in range(k):
+        G = mats[-1]
+        if G.min() < 0 or G.max() >= 2.0 ** 52:
             return None
-        mats.append(nxt)
-    if np.any(A @ mats[-1] - mats[-2]):
+        mats.append(A @ G - mats[-2])
+    if np.any(mats.pop()):
         return None
-    return mats
+    return list(np.array(mats).astype(int))
 
 
 def spectrum_match(

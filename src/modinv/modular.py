@@ -141,7 +141,10 @@ class ModularData:
 
 
 def _omega_y_residual(Omega: np.ndarray, Y: np.ndarray, z: complex) -> float:
-    return float(np.linalg.norm(Omega @ Y @ Omega @ Y @ Omega - z * Y))
+    """||Omega Y Omega Y Omega - z Y||_F as one product, with om read off
+    the diagonal: (om_lam om_mu Y_{lam mu}) @ (Y_{mu nu} om_nu)."""
+    om = np.diagonal(Omega)
+    return float(np.linalg.norm((np.outer(om, om) * Y) @ (Y * om) - z * Y))
 
 
 def _nondegeneracy(
@@ -184,19 +187,13 @@ def build(spec: ModelSpec) -> ModularData:
     w = ring.global_index
     om = np.array([statistics_phase(spec.spins, lam) for lam in range(m)])
     Omega = np.diag(om)
-    # Row lam of Y is N_lam (d / om), one dense m x m slice N_lam at a
-    # time, scattered from its nonzeros: the same product, bit for bit,
-    # as on a dense N (a bincount over the nonzeros sums in another order).
-    d_om = d / om
+    # Y_{lam mu} = om_lam om_mu sum_nu N_{lam mu}^nu (d / om)_nu, summed
+    # over the nonzeros by (lam, mu): one bincount per real component.
     lam, mu, nu, val = ring.nonzeros
-    start = np.searchsorted(lam, np.arange(m + 1)).tolist()
-    cell = mu * m + nu
-    rows = np.empty((m, m), dtype=complex)
-    for l in range(m):
-        N_lam = np.zeros(m * m, dtype=int)
-        N_lam[cell[start[l]:start[l + 1]]] = val[start[l]:start[l + 1]]
-        rows[l] = N_lam.reshape(m, m) @ d_om
-    Y = np.outer(om, om) * rows
+    cell, term = lam * m + mu, val * (d / om)[nu]
+    rows = (np.bincount(cell, weights=term.real, minlength=m * m)
+            + 1j * np.bincount(cell, weights=term.imag, minlength=m * m))
+    Y = np.outer(om, om) * rows.reshape(m, m)
     z = complex(np.sum(d * d * om))
     resid = _omega_y_residual(Omega, Y, z)
     if resid > OMEGA_Y_TOL * w:

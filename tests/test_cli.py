@@ -38,6 +38,7 @@ from modinv.modular import tensor_product
 from report_loops import dot_loop, matrix_to_json_loop, render_loop, report_models
 from test_commutant import d5_matrix, d10_matrix
 from dense import dense, ring_from_dense
+from test_fusion import reciprocity_breaking_ring, reciprocity_message
 
 
 def chi_terms(expr):
@@ -145,6 +146,32 @@ def test_render_and_json_match_the_per_label_loops():
     zero = np.zeros((4, 4), dtype=int)
     assert render_partition_function(zero) == render_loop(zero) == "0"
     assert matrix_to_json(zero) == matrix_to_json_loop(zero)
+
+
+def test_render_and_json_refuse_non_integral_input():
+    Z = np.array([[1.5, 0], [0, 0.7]])
+    for call in (render_partition_function, matrix_to_json):
+        with pytest.raises(ValueError, match="not an int64 integer"):
+            call(Z)
+    assert render_partition_function(np.eye(2)) == "|χ0|² + |χ1|²"
+    assert matrix_to_json(np.eye(2)) == [[1, 0], [0, 1]]
+
+
+def test_render_checks_the_branching_table_exactly():
+    table = type1_decomposition(d10_matrix())
+    with pytest.raises(ValueError, match="does not reproduce"):
+        render_partition_function(d10_matrix() + np.eye(17, dtype=int), branching=table)
+    # A column's sum of squares must stay below 2^53, where the float
+    # product b^T b is exact: 2^26 squared passes, 2^27 and 2^32 are
+    # refused (2^32 squared wraps to 0 in an int64 product).
+    for big, ok in ((2 ** 26, True), (2 ** 27, False), (2 ** 32, False)):
+        b = BranchingTable(np.array([[1, 0], [0, big]]), ["t0", "t1"], ["0", "1"])
+        Z = np.diag([1, big * big if ok else 0])
+        if ok:
+            assert render_partition_function(Z, branching=b) == f"|χ0|² + |{big}χ1|²"
+        else:
+            with pytest.raises(ValueError, match="reaches 2\\^53"):
+                render_partition_function(Z, branching=b)
 
 
 def test_render_compares_a_branching_table_once():
@@ -286,9 +313,11 @@ def test_cli_model_json_and_validate(tmp_path, capsys):
 
 
 def test_validate_refuses_a_nan_dimension_in_one_line(tmp_path):
-    # The polish of the PF vector meets u[0] = 0 on this ring, so its
-    # residual is NaN: validate names the ill-conditioned ring in its one
-    # error line, and no numpy warning reaches stderr.
+    # A polish of the PF vector of this ring's M = [[1, -1], [1, 1]]
+    # meets u[0] = 0 and leaves a NaN residual.  M is not symmetric, so
+    # the last problem in validate's one error line is the failed
+    # Frobenius reciprocity, found before any eigensolve, and no numpy
+    # warning reaches stderr.
     path = tmp_path / "nan_dims.json"
     path.write_text(json.dumps({
         "name": "nan_dims", "conjugation": [0, 1],
@@ -300,7 +329,21 @@ def test_validate_refuses_a_nan_dimension_in_one_line(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1, proc.stderr
-    assert proc.stderr.startswith("invalid model: ") and "ill-conditioned fusion ring" in proc.stderr
+    assert proc.stderr.startswith("invalid model: ")
+    assert proc.stderr.endswith("; Frobenius reciprocity fails: "
+                                "sum_lam N_lam is not symmetric at (0, 1)\n")
+
+
+def test_validate_refuses_a_ring_without_frobenius_reciprocity(tmp_path, capsys):
+    ring = reciprocity_breaking_ring()
+    path = tmp_path / "reciprocity.json"
+    path.write_text(json.dumps({
+        "name": "", "conjugation": ring.conj.tolist(),
+        "labels": [{"index": i, "name": nm, "h": h} for i, (nm, h) in
+                   enumerate(zip(ring.names, ["0", "1/3", "1/3"]))],
+        "fusion": np.stack(ring.nonzeros, axis=1).tolist()}))
+    assert main(["model", "validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"invalid model: {reciprocity_message(1, 2)}\n")
 
 
 def test_cli_show_from_json_file(tmp_path, capsys):
@@ -779,7 +822,9 @@ def test_a_non_associative_model_file_is_refused(tmp_path, capsys):
     path = tmp_path / "assoc.json"
     path.write_text(json.dumps(data))
     assert main(["model", "validate", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"invalid model: {message}\n")
+    # [1] x [1] = [3] also breaks Frobenius reciprocity: no label times [1]
+    # gives [2] now, while [4] x [2] = [1], so M[1, 2] = 0 and M[2, 1] = 1.
+    assert capsys.readouterr() == ("", f"invalid model: {message}; {reciprocity_message(1, 2)}\n")
 
 
 def readme_commands():

@@ -70,30 +70,28 @@ def test_dimension_residual_tolerance():
         assert resid < 1e-9
 
 
-def su2_loop_slice(k, j1):
-    """N[j1] of su(2)_k by the loop su2_model once filled it with: for each
-    j2, j3 runs from |j1 - j2| to min(j1 + j2, 2k - j1 - j2) in steps of 2
-    (that inner loop written as one strided slice)."""
-    m = k + 1
-    S = np.zeros((m, m), dtype=int)
-    for j2 in range(m):
-        S[j2, abs(j1 - j2):min(j1 + j2, 2 * k - j1 - j2) + 1:2] = 1
-    return S
+def su2_truncation_holds(k, lam, mu, nu, val):
+    """Whether the label triples and values are exactly the su(2)_k fusion
+    rule, given distinct triples: N_{ab}^c = 1 exactly when a + b + c = 2s
+    is even, each of a, b, c is at most s, and s <= k.  With x = s - a,
+    y = s - b, z = s - c these triples are the (x, y, z) >= 0 with
+    x + y + z <= k, C(k + 3, 3) of them: distinct admissible triples that
+    many are all of them."""
+    lam, mu, nu = (a.astype(np.int16) for a in (lam, mu, nu))
+    s2 = lam + mu + nu
+    slack = s2 - 2 * np.maximum(np.maximum(lam, mu), nu)
+    return (len(val) == math.comb(k + 3, 3) and not (s2 & 1).any() and slack.min() >= 0
+            and s2.max() <= 2 * k and (val == 1).all())
 
 
 def test_su2_tensor_matches_truncation_rule():
-    # At every level up to the 256-label limit, the nonzeros of each label
-    # j, in C order, are the cells and values read off the loop's slice.
+    # At every level up to the 256-label limit, the nonzeros are distinct,
+    # in C order, and exactly the admissible triples, each with value 1.
     for k in range(1, 256):
         ring = su2_model(k).ring
-        lam, mu, nu, val = ring.nonzeros
         assert all(a.dtype == np.dtype(int) for a in ring.nonzeros)
-        ends = np.searchsorted(lam, np.arange(k + 2))
-        for j in range(k + 1):
-            S = su2_loop_slice(k, j).ravel()
-            cells, run = np.flatnonzero(S), slice(ends[j], ends[j + 1])
-            assert np.array_equal(mu[run] * (k + 1) + nu[run], cells), (k, j)
-            assert np.array_equal(val[run], S[cells]), (k, j)
+        assert (np.diff(ring.flat) > 0).all(), k
+        assert su2_truncation_holds(k, *ring.nonzeros), k
 
 
 def test_fusion_matrix_of_vacuum_is_identity():
@@ -365,6 +363,46 @@ def row_two_minus_one_ring():
     return ring_from_dense(["0", "1", "2"], N)
 
 
+def reciprocity_breaking_ring():
+    # Unital, commutative and associative, with conjugation 1 <-> 2, but
+    # 1 x 2 = 0 + 1 while 2 x 1 holds no 2: N_{12}^1 = 1 and
+    # N_{conj(1) 1}^2 = N_{21}^2 = 0, so M[1, 2] = 1 and M[2, 1] = 2.
+    N = np.zeros((3, 3, 3), dtype=int)
+    N[0] = N[:, 0] = np.eye(3, dtype=int)
+    N[1, 1] = [0, 0, 1]
+    N[1, 2] = N[2, 1] = [1, 1, 0]
+    N[2, 2] = [0, 1, 1]
+    return ring_from_dense(["0", "a", "b"], N)
+
+
+def reciprocity_message(mu, nu):
+    return f"Frobenius reciprocity fails: sum_lam N_lam is not symmetric at ({mu}, {nu})"
+
+
+def test_a_ring_without_frobenius_reciprocity_is_refused():
+    # Both rings' M has M[1, 2] = 1 and M[2, 1] = 2.  The second passes
+    # every other axiom; an eigensolve of its M gives d = (1, 1.3247...,
+    # 1.7548...) with no residual, so only the symmetry test refuses it.
+    line = reciprocity_message(1, 2)
+    for ring in (row_two_minus_one_ring(), reciprocity_breaking_ring()):
+        with pytest.raises(ValueError) as exc:
+            quantum_dimensions(ring)
+        assert str(exc.value) == line
+        assert line in verify_axioms(ring)
+    assert verify_axioms(reciprocity_breaking_ring()) == [line]
+
+
+def test_fusion_matrix_sum_is_symmetric_with_a_simple_top_eigenvalue():
+    # quantum_dimensions takes the last eigenpair of eigh(M): on every
+    # report model M is symmetric and its top eigenvalue is simple, with
+    # a relative gap of at least 0.83 (su2:2).
+    for name, md, _ in report_models():
+        M = dense(md.ring).sum(axis=0)
+        assert np.array_equal(M, M.T), name
+        top = np.linalg.eigvalsh(M)[::-1]
+        assert len(top) == 1 or top[1] < 0.5 * top[0], name
+
+
 def row_two_ring():
     # Row N[1, 1] = (0, 0, 2) holds one nonzero, but it is no unit vector.
     N = dense(zn_model(3, 2).ring)
@@ -413,11 +451,16 @@ def test_nonzero_readers_match_the_dense_definitions(case):
         got = outcome(lambda: simple_currents(ring))
         want = dense_cyclic_subgroups(table, currents)
         assert got == want and list(got) == list(want)
+    # d comes from eigh(M), the reference from eig: within DIM_TOL, and
+    # refused wherever M is not symmetric.
+    M = N.sum(axis=0)
     got, want = outcome(lambda: quantum_dimensions(ring)), dense_quantum_dimensions(N)
-    if isinstance(want, str):
+    if not np.array_equal(M, M.T):
+        assert got == reciprocity_message(*np.argwhere(M != M.T)[0])
+    elif isinstance(want, str):
         assert isinstance(got, str) and got.startswith(want)
     else:
-        assert np.array_equal(got, want)
+        assert not isinstance(got, str) and np.max(np.abs(got - want)) <= DIM_TOL
     for perm in (theta, ring.conj, np.arange(ring.size)):
         Z = np.eye(ring.size, dtype=int)[perm]
         assert permutation_test(Z, ring)["fusion_ok"] == np.array_equal(

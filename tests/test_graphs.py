@@ -171,6 +171,16 @@ def test_nimrep_matches_the_einsum_check_without_the_pf_gate(k, graph):
         assert same_tower(su2_nimrep_from_graph(k, graph), einsum_nimrep(k, graph))
 
 
+def test_nimrep_tower_stops_at_an_entry_of_2_52(monkeypatch):
+    # Off the PF gate, the tower over the one-vertex graph [a] is
+    # G_j = U_j(a), about a^j.  It stops at the first entry >= 2^52,
+    # while every product is still exact; run on, its products would
+    # overflow to inf, a RuntimeWarning (an error in this suite).
+    monkeypatch.setattr(graphs, "PF_TOL", math.inf)
+    for a in (2, 2 ** 26, 2 ** 52, 2 ** 62):
+        assert su2_nimrep_from_graph(40, Graph([[a]], ["0"])) is None
+
+
 def test_spectrum_match_diagonal_and_block():
     md = build(su2_model(6))
     a7 = su2_nimrep_from_graph(6, graph_catalog("A", 7))

@@ -202,13 +202,18 @@ def test_vacuum_column_dominates():
 
 
 def test_y_and_c_match_the_dense_slices():
-    # Byte for byte: Y is formed one label at a time, N_lam (d / om), on
-    # a slice scattered from the nonzeros, as it was on the dense N.
+    # Y sums the nonzeros of N by (lam, mu), in another order than the
+    # dense slices N_lam (d / om): within a few ulps of max |Y|, and
+    # exactly on the pointed models, whose cells each hold one term.
+    eps = np.finfo(float).eps
     for name in catalog_names():
         md = build(model_by_name(name))
         N, om = dense(md.ring), np.diag(md.Omega)
         d_om = md.ring.d / om
-        assert np.array_equal(md.Y, np.outer(om, om) * np.array([N_l @ d_om for N_l in N])), name
+        want = np.outer(om, om) * np.array([N_l @ d_om for N_l in N])
+        if md.ring.is_current.all():
+            assert np.array_equal(md.Y, want), name
+        assert np.max(np.abs(md.Y - want)) <= 4 * eps * np.max(np.abs(want)), name
         assert md.C.dtype == np.dtype(int) and np.array_equal(md.C, N[:, :, 0]), name
 
 
