@@ -257,7 +257,7 @@ def render_partition_function(
         b = branching.b
         bf = b.astype(float)
         gram = bf.T @ bf
-        if not np.all(gram.diagonal() < 2.0 ** 53):
+        if not gram.diagonal().max() < 2.0 ** 53:
             raise ValueError("branching table has a column whose sum of squares "
                              "reaches 2^53, beyond an exact check")
         if not np.array_equal(gram, Z):
