@@ -313,11 +313,11 @@ def test_cli_model_json_and_validate(tmp_path, capsys):
 
 
 def test_validate_refuses_a_nan_dimension_in_one_line(tmp_path):
-    # A polish of the PF vector of this ring's M = [[1, -1], [1, 1]]
-    # meets u[0] = 0 and leaves a NaN residual.  M is not symmetric, so
-    # the last problem in validate's one error line is the failed
-    # Frobenius reciprocity, found before any eigensolve, and no numpy
-    # warning reaches stderr.
+    # This ring's M = [[1, -1], [1, 1]] is not symmetric, so the last
+    # problem in validate's one error line is the failed Frobenius
+    # reciprocity, found before any eigensolve (whose polish would meet
+    # u[0] = 0 and leave a NaN residual), and no numpy warning reaches
+    # stderr.
     path = tmp_path / "nan_dims.json"
     path.write_text(json.dumps({
         "name": "nan_dims", "conjugation": [0, 1],

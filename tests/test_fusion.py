@@ -381,8 +381,9 @@ def reciprocity_message(mu, nu):
 
 def test_a_ring_without_frobenius_reciprocity_is_refused():
     # Both rings' M has M[1, 2] = 1 and M[2, 1] = 2.  The second passes
-    # every other axiom; an eigensolve of its M gives d = (1, 1.3247...,
-    # 1.7548...) with no residual, so only the symmetry test refuses it.
+    # every other axiom, and a non-symmetric eigensolve of its M gives
+    # d = (1, 1.3247..., 1.7548...) with no residual: only the symmetry
+    # test refuses it.
     line = reciprocity_message(1, 2)
     for ring in (row_two_minus_one_ring(), reciprocity_breaking_ring()):
         with pytest.raises(ValueError) as exc:
