@@ -10,9 +10,11 @@ unknown per orbit.  Degenerate data read no Galois action, so each of
 their cells is its own orbit.  The integer points are searched depth
 first over the pivot values, with bounds Z_{lm} <= d_l d_m and sum Z <= w.
 
-The echelon basis is rationalized by a whole-array snap to n/q, q <= 12
-(values it leaves open keep the exact two-cap decision), and rechecked
-against Y once; a basis failing either is refused with RuntimeError.
+The Gram matrix's cross term and the recheck below are formed in blocks
+of at most GRAM_BLOCK entries, so neither is ever whole.  The echelon
+basis is rationalized by a whole-array snap to n/q, q <= 12 (values it
+leaves open keep the exact two-cap decision), and rechecked against Y
+once; a basis failing either is refused with RuntimeError.
 The search, _frontier, works in int64 on the exact rows num / den, one
 explicit stack of blocks of at most FRONTIER_BLOCK rows: a partial sum
 is cut once the open pivots cannot bring a cell or the row sum into
@@ -47,6 +49,9 @@ MAX_DEN = 10 ** 6
 NODE_CAP = 10 ** 8
 # Rows of one frontier block: each pivot extends at most this many at once.
 FRONTIER_BLOCK = 512
+# Entries of one block of the orbit Gram's cross term, and of the stack of
+# basis matrices one recheck takes: max(1, GRAM_BLOCK // n) rows of n.
+GRAM_BLOCK = 2 ** 14
 BRUTE_NODE_CAP = 10 ** 7
 INT64_MAX = int(np.iinfo(np.int64).max)
 # Galois actions are read for ord(Omega) <= 2^31: trial division then takes
@@ -283,8 +288,11 @@ def _orbit_gram(K: np.ndarray, l: np.ndarray, mu: np.ndarray, order: np.ndarray,
     c' = (l', mu') it is D[c, c'] - X[c, c'] - X[c', c], with D[c, c'] =
     Re[d(mu, mu') (K^H K)[l, l'] + d(l, l') (K K^H)[mu', mu]] and X[c, c'] =
     Re(conj(K[l', l]) K[mu', mu]).  D is nonzero only on cells sharing a
-    row or a column, one T-class, and is summed over those pairs alone;
-    X is formed on all pairs of live cells and summed orbit by orbit."""
+    row or a column, one T-class, and is summed over those pairs alone.
+    X, on all pairs of live cells, is formed in blocks of rows of at most
+    GRAM_BLOCK entries; each block is weighted and summed along its rows
+    by orbit at once, and the rows by orbit at the end.  X is never whole,
+    and the sums are bit for bit those of the whole array."""
     size = np.bincount(orbit[order])
     u = len(size)
     # Cells are sorted by (l, mu) and the rows of one T-class hold the same
@@ -303,10 +311,15 @@ def _orbit_gram(K: np.ndarray, l: np.ndarray, mu: np.ndarray, order: np.ndarray,
                                     (K.conj().T @ K).real[l[c], mp] * vc * v[q]]),
                     minlength=u * u)
     lo, mo, vo = l[order], mu[order], v[order]
-    X = (K[lo[None, :], lo[:, None]].conj() * K[mo[None, :], mo[:, None]]).real
-    X *= np.outer(vo, vo)
     starts = np.cumsum(size) - size
-    M = np.add.reduceat(np.add.reduceat(X, starts, axis=1), starts, axis=0)
+    # Row i of the weighted X is Re(A[i, lo] B[i, mo]) vo[i] vo.
+    A, B = K.T.conj()[lo], K.T[mo]
+    n = len(lo)
+    step, rows = max(1, GRAM_BLOCK // n), np.empty((n, u))
+    for i in range(0, n, step):
+        X = (np.take(A[i:i + step], lo, axis=1) * np.take(B[i:i + step], mo, axis=1)).real
+        rows[i:i + step] = np.add.reduceat(X * np.outer(vo[i:i + step], vo), starts, axis=1)
+    M = np.add.reduceat(rows, starts, axis=0)
     return D.reshape(u, u) - M - M.T
 
 
@@ -344,7 +357,9 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
     if exact is None:
         raise RuntimeError("commutant basis has no small-denominator rationalization")
     num, den = exact
-    residual = _commutator_norms(K, _scatter(num / den, cells, m))
+    rows, step = num / den, max(1, GRAM_BLOCK // (m * m))
+    residual = np.concatenate([_commutator_norms(K, _scatter(rows[i:i + step], cells, m))
+                               for i in range(0, len(rows), step)])
     if not residual.max() <= EXACT_TOL * float(np.linalg.norm(K)):
         raise RuntimeError("rationalized commutant basis fails the commutation recheck")
     return CommutantBasis(kind, cells, pivot_cells, num, residual, den)

@@ -670,6 +670,70 @@ def test_orbit_gram_is_the_gram_on_the_orbit_vectors(name):
     assert np.abs(got - V.T @ G @ V).max() < 1e-12 * np.abs(G).max()
 
 
+def orbit_gram_whole(K, l, mu, order, orbit, v):
+    """_orbit_gram with its cross term X formed whole, as it was before X
+    was formed in row blocks: the reference the blocks must match bit for
+    bit."""
+    size = np.bincount(orbit[order])
+    u = len(size)
+    s = np.bincount(l)
+    rs = np.cumsum(s) - s
+    start = rs[l]
+    c, t = np.nonzero(np.arange(s.max()) < s[l][:, None])
+    p = start[c] + t
+    mp = mu[p]
+    q = rs[mp] + c - start[c]
+    oc, vc = orbit[c] * u, v[c]
+    D = np.bincount(np.concatenate([oc + orbit[p], oc + orbit[q]]),
+                    np.concatenate([(K @ K.conj().T).real[mp, mu[c]] * vc * v[p],
+                                    (K.conj().T @ K).real[l[c], mp] * vc * v[q]]),
+                    minlength=u * u)
+    lo, mo, vo = l[order], mu[order], v[order]
+    X = (K[lo[None, :], lo[:, None]].conj() * K[mo[None, :], mo[:, None]]).real
+    X *= np.outer(vo, vo)
+    starts = np.cumsum(size) - size
+    M = np.add.reduceat(np.add.reduceat(X, starts, axis=1), starts, axis=0)
+    return D.reshape(u, u) - M - M.T
+
+
+BLOCKED_MODELS = ["su2:16", "zn:96:1", "su2:6*su2:10", "sun_currents:6:3"]
+
+
+@pytest.mark.parametrize("name", BLOCKED_MODELS)
+def test_blocked_orbit_gram_is_the_whole_one_bit_for_bit(name):
+    # zn:96:1 runs 15 blocks at the default size, the last one short;
+    # sun_currents:6:3 is degenerate (every cell its own orbit).  Blocks of
+    # one row, and two blocks with a short last one, give the same bits.
+    md = build(model_by_name(name))
+    K, cells = operator_and_cells(md)
+    l, mu = np.array(cells).T
+    order, orbit, v = commutant._orbits(md, l, mu)
+    want = orbit_gram_whole(K, l, mu, order, orbit, v)
+    n = len(order)
+    for block in (commutant.GRAM_BLOCK, 1, (n // 2 + 1) * n):
+        with mock.patch.object(commutant, "GRAM_BLOCK", block):
+            got = commutant._orbit_gram(K, l, mu, order, orbit, v)
+        assert np.array_equal(got, want), (name, block)
+
+
+@pytest.mark.parametrize("name", BLOCKED_MODELS + ["su2:10*su2:10"])
+def test_chunked_recheck_matches_one_chunk(name):
+    # At the default size zn:96:1, su2:6*su2:10 and su2:10*su2:10 run the
+    # recheck in 10, 5 and 27 chunks, su2:16 and sun_currents:6:3 in one.
+    # One row per chunk, one chunk and the default agree to 1e-15 ||K||.
+    md = build(model_by_name(name))
+    K, cells = operator_and_cells(md)
+    basis = commutant_basis(md)
+    whole = commutant._commutator_norms(
+        K, commutant._scatter(basis.num / basis.den, cells, K.shape[0]))
+    for block in (1, basis.r * K.shape[0] ** 2):
+        with mock.patch.object(commutant, "GRAM_BLOCK", block):
+            got = commutant_basis(md)
+        assert np.array_equal(got.num, basis.num) and got.den == basis.den
+        assert np.abs(got.residual - whole).max() <= 1e-15 * np.linalg.norm(K), (name, block)
+    assert np.abs(basis.residual - whole).max() <= 1e-15 * np.linalg.norm(K)
+
+
 @pytest.mark.parametrize("a, b, den, count", [("su2:4", "su2:4", 2, 13),
                                               ("zn:6:1", "zn:6:1", 1, 16)])
 def test_product_lists_contain_the_factor_products(a, b, den, count):
@@ -704,7 +768,22 @@ def test_basis_and_scan_memory_zn128():
     finally:
         tracemalloc.stop()
     assert invs
-    assert peak < 100 * 2 ** 20
+    # About 3.2 MiB; 8.4 MiB when the Gram's cross term was formed whole.
+    assert peak < 5 * 2 ** 20, peak
+
+
+def test_basis_memory_su2_10_squared():
+    md = build(model_by_name("su2:10*su2:10"))
+    tracemalloc.start()
+    try:
+        basis = commutant_basis(md)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.r == 27
+    # About 7.0 MiB; 28.2 MiB when the cross term and the recheck's stack
+    # of 27 matrices of 121 x 121 were formed whole.
+    assert peak < 12 * 2 ** 20, peak
 
 
 BRUTE_SPACE = 10 ** 5
