@@ -10,11 +10,11 @@ unknown per orbit.  Degenerate data read no Galois action, so each of
 their cells is its own orbit.  The integer points are searched depth
 first over the pivot values, with bounds Z_{lm} <= d_l d_m and sum Z <= w.
 
-The Gram matrix's cross term and the recheck below are formed in blocks
-of at most GRAM_BLOCK entries, so neither is ever whole.  The echelon
-basis is rationalized by a whole-array snap to n/q, q <= 12 (values it
-leaves open keep the exact two-cap decision), and rechecked against Y
-once; a basis failing either is refused with RuntimeError.
+The Gram matrix's cross term and the basis recheck are each formed in
+blocks of at most GRAM_BLOCK entries, never whole.  The echelon basis
+is rationalized by a whole-array snap to n/q, q <= 12 (values it leaves
+open keep the exact two-cap decision), and rechecked against Y once; a
+basis failing either is refused with RuntimeError.
 The search, _frontier, works in int64 on the exact rows num / den, one
 explicit stack of blocks of at most FRONTIER_BLOCK rows: a partial sum
 is cut once the open pivots cannot bring a cell or the row sum into
