@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -170,13 +171,25 @@ def matrix_to_json(Z: np.ndarray) -> List[List[int]]:
     return _int64(Z).tolist()
 
 
-# An integer array becomes text through a %-template built once for its
-# shape: one C-level % call in place of one Python step per cell.
-
-def _fill(a: np.ndarray, template: str) -> str:
+def _int_text(a: np.ndarray, layout: Callable[[str], str], fmt: str = "%d") -> str:
+    """Integer array a as text: layout(slot) is the text around its cells,
+    with each cell, in C order, as the slot, a run of NULs as wide as the
+    widest token.  Each distinct value is formatted by fmt once, written
+    NUL-padded into its cells' slots by one masked assignment, and the
+    pad is dropped; no cell is converted on its own."""
     if a.dtype.kind not in "iu":
         raise TypeError(f"only integer arrays are written as text, not {a.dtype}")
-    return template % tuple(a.ravel().tolist())
+    if a.size == 0:
+        return layout("")
+    # A sort and a binary search: np.unique's inverse costs several times
+    # more on the few distinct values of a coupling matrix.
+    values = np.sort(a, axis=None)
+    values = values[np.append(True, values[1:] != values[:-1])]
+    tokens = np.array([fmt % v for v in values.tolist()], dtype="S")
+    text = bytearray(layout("\0" * tokens.itemsize), "ascii")
+    skeleton = np.frombuffer(text, dtype=np.uint8)
+    skeleton[skeleton == 0] = tokens[np.searchsorted(values, a.ravel())].view(np.uint8)
+    return text.replace(b"\0", b"").decode()
 
 
 def _json_layout(items: List[str], pad: str, brackets: str = "[]") -> str:
@@ -185,20 +198,20 @@ def _json_layout(items: List[str], pad: str, brackets: str = "[]") -> str:
     if not items:
         return brackets
     inner = "\n" + pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{pad}{brackets[1]}"
 
 
-def _json_template(shape: Sequence[int], pad: str) -> str:
+def _json_template(shape: Sequence[int], pad: str, slot: str) -> str:
     if not shape:
-        return "%d"
-    return _json_layout([_json_template(shape[1:], pad + "  ")] * shape[0], pad)
+        return slot
+    return _json_layout([_json_template(shape[1:], pad + "  ", slot)] * shape[0], pad)
 
 
 def _json_text(value: object, pad: str = "") -> str:
     """The bytes json.dumps(value, indent=2, sort_keys=True) gives, where
     value may hold integer numpy arrays, each written as its nested list."""
     if isinstance(value, np.ndarray):
-        return _fill(value, _json_template(value.shape, pad))
+        return _int_text(value, lambda slot: _json_template(value.shape, pad, slot))
     if isinstance(value, dict):
         return _json_layout([f"{json.dumps(k)}: {_json_text(v, pad + '  ')}"
                              for k, v in sorted(value.items())], pad, "{}")
@@ -220,7 +233,7 @@ def _write_json(f, payload: Dict[str, object]) -> None:
 def _matrix_rows(Z: np.ndarray) -> str:
     """The rows of Z, each as two spaces and its %2d cells."""
     rows, cols = Z.shape
-    return _fill(Z, "\n".join(["  " + " ".join(["%2d"] * cols)] * rows))
+    return _int_text(Z, lambda slot: "\n".join(["  " + " ".join([slot] * cols)] * rows), "%2d")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +273,9 @@ def render_partition_function(
         if not gram.diagonal().max() < 2.0 ** 53:
             raise ValueError("branching table has a column whose sum of squares "
                              "reaches 2^53, beyond an exact check")
-        if not np.array_equal(gram, Z):
+        # Every entry of gram is an integer below 2^53 (Cauchy-Schwarz),
+        # so it is exact in int64.
+        if not np.array_equal(gram.astype(np.int64), Z):
             raise ValueError("branching table does not reproduce the matrix")
         repeats: Dict[tuple, int] = {}
         for row in map(tuple, b.tolist()):
@@ -385,10 +400,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 return EXIT_VERIFY
             print(f"oracle agrees ({len(ref)} invariants)")
         if f:
+            m = md.ring.size
             _write_json(f, {
                 "model": md.name,
                 "commutant": {"rank": basis.r, "kind": basis.kind, "exact": basis.exact},
-                "invariants": invs,
+                # One (n, m, m) array, so the list is written in one call.
+                "invariants": np.array(invs, dtype=np.int64).reshape(len(invs), m, m),
             })
     return EXIT_OK
 
@@ -518,46 +535,50 @@ def make_parser() -> argparse.ArgumentParser:
     pm.add_argument("action", choices=["list", "show", "validate"])
     pm.add_argument("name", nargs="?", help="model name or JSON file")
     pm.add_argument("--json", help="write the model as JSON to this path")
-    pm.set_defaults(func=cmd_model)
 
     pe = sub.add_parser("enumerate", help="enumerate physical invariants")
     pe.add_argument("model")
     pe.add_argument("--oracle", action="store_true", help="brute-force cross-check")
     pe.add_argument("--json", help="write results as JSON to this path")
-    pe.set_defaults(func=cmd_enumerate)
 
     pc = sub.add_parser("classify", help="classify enumerated invariants")
     pc.add_argument("model")
-    pc.set_defaults(func=cmd_classify)
 
     pg = sub.add_parser("graphs", help="assign graphs to su2 invariants")
     pg.add_argument("model")
     pg.add_argument("--dot", help="directory for DOT exports")
-    pg.set_defaults(func=cmd_graphs)
 
     px = sub.add_parser("extend", help="admissible current extensions")
     px.add_argument("model")
-    px.set_defaults(func=cmd_extend)
 
     pr = sub.add_parser("restrict", help="restrict an extended invariant")
     pr.add_argument("table")
     pr.add_argument("invariant", help="identity, conjugation or sweep")
-    pr.set_defaults(func=cmd_restrict)
 
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built at the first main() call.
+    Parsing does not change it, so each call reads as one on a fresh parser."""
+    return make_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command == "model" and args.action in ("show", "validate") and not args.name:
         print("model show/validate needs a name", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return int(args.func(args))
+        # Read at each call, not held by the one parser, so a wrapper later
+        # set on a command's module attribute (a tracer's) is the one called.
+        command = {"model": cmd_model, "enumerate": cmd_enumerate, "classify": cmd_classify,
+                   "graphs": cmd_graphs, "extend": cmd_extend, "restrict": cmd_restrict}
+        return int(command[args.command](args))
     except (_UsageError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,10 +116,10 @@ def _operator(md: ModularData) -> Tuple[np.ndarray, str, float]:
     return md.Y, kind, FINAL_TOL * math.sqrt(md.w)
 
 
-def _scatter(rows: np.ndarray, cells: Sequence[Tuple[int, int]], m: int) -> np.ndarray:
-    """Stack (r, m, m) of matrices with each row's values on `cells`."""
+def _scatter(rows: np.ndarray, l: np.ndarray, mu: np.ndarray, m: int) -> np.ndarray:
+    """Stack (r, m, m) of matrices with each row's values on the cells
+    (l[i], mu[i])."""
     mats = np.zeros((len(rows), m, m), dtype=rows.dtype)
-    l, mu = np.array(cells).T
     mats[:, l, mu] = rows
     return mats
 
@@ -358,7 +358,7 @@ def commutant_basis(md: ModularData) -> CommutantBasis:
         raise RuntimeError("commutant basis has no small-denominator rationalization")
     num, den = exact
     rows, step = num / den, max(1, GRAM_BLOCK // (m * m))
-    residual = np.concatenate([_commutator_norms(K, _scatter(rows[i:i + step], cells, m))
+    residual = np.concatenate([_commutator_norms(K, _scatter(rows[i:i + step], l, mu, m))
                                for i in range(0, len(rows), step)])
     if not residual.max() <= EXACT_TOL * float(np.linalg.norm(K)):
         raise RuntimeError("rationalized commutant basis fails the commutation recheck")
@@ -440,7 +440,7 @@ def enumerate_invariants(
            for N in _frontier(rows, lo, hi, b)]
     # Cells are row-major and Z is 0 off them: this is the flattened order.
     Z = np.concatenate([np.zeros((0, len(basis.cells)), dtype=np.int64)] + out)
-    return list(_scatter(Z[np.lexsort(Z.T[::-1])], basis.cells, m))
+    return list(_scatter(Z[np.lexsort(Z.T[::-1])], l, mu, m))
 
 
 def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:
@@ -468,7 +468,7 @@ def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:
     if math.prod((bound[1:] + 1).tolist()) > BRUTE_NODE_CAP:
         raise RuntimeError(f"brute-force space exceeds {BRUTE_NODE_CAP:.0e} assignments")
 
-    E = _scatter(np.eye(nc), cells, m)
+    E = _scatter(np.eye(nc), l, mu, m)
     KE = K @ E - E @ K
     M = np.concatenate([KE.real, KE.imag], axis=2).reshape(nc, -1)
     # Row i adds one to cell i and to the row sum, the last column.
@@ -489,7 +489,7 @@ def brute_force_enumerate(md: ModularData) -> List[np.ndarray]:
         stack += [(i + 1, N[s:s + chunk]) for s in range(0, len(N), chunk)]
     # Cells are row-major and Z is 0 off them: this is the flattened order.
     Z = np.concatenate(out)
-    return list(_scatter(Z[np.lexsort(Z.T[::-1])], cells, m))
+    return list(_scatter(Z[np.lexsort(Z.T[::-1])], l, mu, m))
 
 
 def is_invariant(md: ModularData, Z: np.ndarray) -> Tuple[bool, Dict[str, object]]:

@@ -45,7 +45,7 @@ def product_scan_enumerate(md, basis=None, cap=10 ** 8):
         N = N[np.all((N >= 0) & (N <= cells_cap), axis=1)]
         Zi, rem = np.divmod(N, basis.den)
         Zi = Zi[~rem.any(axis=1) & (Zi.sum(axis=1) <= w_max)]
-        for Z in commutant._scatter(Zi, basis.cells, m):
+        for Z in commutant._scatter(Zi, *np.array(basis.cells).T, m):
             if np.linalg.norm(K @ Z - Z @ K) < tol:
                 out.append(Z)
     out.sort(key=lambda Z: tuple(Z.ravel()))

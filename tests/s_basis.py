@@ -34,7 +34,7 @@ def s_commutant_basis(md):
         return np.zeros((0, len(cells)), dtype=np.int64), 1, []
     R, piv_idx = commutant._rref(null)
     num, den = commutant._rationalize(R)
-    mats = commutant._scatter(num / den, cells, m)
+    mats = commutant._scatter(num / den, *np.array(cells).T, m)
     worst = float(np.linalg.norm(S @ mats - mats @ S, axis=(1, 2)).max())
     assert worst <= commutant.EXACT_TOL * max(1.0, float(np.linalg.norm(S)))
     return num, den, [cells[c] for c in piv_idx]

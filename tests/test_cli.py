@@ -21,8 +21,10 @@ import hypothesis.extra.numpy as hnp
 
 from modinv import Graph, build, enumerate_invariants, graph_catalog, su2_model, verify_axioms, zn_model
 from modinv.catalog import BranchingTable, branching_catalog, model_by_name, so8_level1_model
+from modinv import cli
 from modinv.cli import (
     _json_text,
+    _matrix_rows,
     graph_to_dot,
     main,
     matrix_to_json,
@@ -250,6 +252,44 @@ def test_json_writer_refuses_non_integer_arrays():
     for a in (np.array([True, False]), np.array([1.0, 0.0]), np.zeros((2, 2), dtype=bool)):
         with pytest.raises(TypeError, match="only integer arrays"):
             _json_text({"Z": a})
+    for Z in (np.eye(2), np.zeros((2, 2), dtype=bool), np.zeros((0, 2))):
+        with pytest.raises(TypeError, match="only integer arrays"):
+            _matrix_rows(Z)
+
+
+# 2-D int64 arrays with 0 rows or columns included, and values that are
+# small, negative, of three or more digits, or at the ends of int64.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(np.int64, st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                  elements=st.one_of(st.integers(-20, 20), st.integers(100, 10 ** 6),
+                                     st.integers(-2 ** 63, 2 ** 63 - 1),
+                                     st.sampled_from([2 ** 63 - 1, -2 ** 63]))))
+def test_matrix_listing_is_the_per_cell_format(Z):
+    want = "\n".join("  " + " ".join("%2d" % x for x in row) for row in Z.tolist())
+    assert _matrix_rows(Z) == want
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # One parser serves every main() call of the process; each call reads
+    # as a call on a freshly built parser, errors and exit codes included.
+    argvs = [["enumerate", "su2:4"], ["enumerate", "su2:4", "--bogus"], ["model", "show"],
+             ["enumerate", "su2:4", "--json", str(tmp_path / "no" / "x.json")],
+             ["enumerate", "su2:4"]]
+
+    def calls():
+        out = []
+        for argv in argvs:
+            code = main(argv)
+            text = capsys.readouterr()
+            out.append((code, text.out, text.err))
+        return out
+
+    reused = calls()
+    assert cli._parser() is cli._parser()
+    assert [code for code, _, _ in reused] == [0, 1, 1, 1, 0]
+    assert reused[0] == reused[-1]
+    with mock.patch.object(cli, "_parser", cli.make_parser):
+        assert calls() == reused
 
 
 def test_model_json_round_trip():

@@ -110,7 +110,7 @@ def test_commutant_rank_so8():
     stack = np.stack([Z.ravel() for Z in invs]).astype(float)
     assert np.linalg.matrix_rank(stack) == 5
     # every invariant lies in the basis span
-    B = commutant._scatter(basis.num / basis.den, basis.cells, 4).reshape(basis.r, -1).T
+    B = commutant._scatter(basis.num / basis.den, *np.array(basis.cells).T, 4).reshape(basis.r, -1).T
     for Z in invs:
         coef, res, *_ = np.linalg.lstsq(B, Z.ravel().astype(float), rcond=None)
         assert np.max(np.abs(B @ coef - Z.ravel())) < 1e-9
@@ -725,7 +725,7 @@ def test_chunked_recheck_matches_one_chunk(name):
     K, cells = operator_and_cells(md)
     basis = commutant_basis(md)
     whole = commutant._commutator_norms(
-        K, commutant._scatter(basis.num / basis.den, cells, K.shape[0]))
+        K, commutant._scatter(basis.num / basis.den, *np.array(cells).T, K.shape[0]))
     for block in (1, basis.r * K.shape[0] ** 2):
         with mock.patch.object(commutant, "GRAM_BLOCK", block):
             got = commutant_basis(md)
